@@ -1,11 +1,9 @@
 //! Criterion: exact counting latency (the GFlow/GQL series of Figs. 8–9)
-//! and the sequential-vs-parallel engine speedup.
+//! under both semantics.
 
 use alss_datasets::by_name;
 use alss_datasets::queries::unlabeled_pool;
-use alss_matching::{
-    count_homomorphisms, count_homomorphisms_parallel, count_isomorphisms, Budget,
-};
+use alss_matching::{count_homomorphisms, count_isomorphisms, Budget};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
@@ -22,12 +20,6 @@ fn bench_exact(c: &mut Criterion) {
             b.iter(|| {
                 let budget = Budget::new(100_000_000);
                 black_box(count_homomorphisms(&data, q, &budget).unwrap_or(0))
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("hom_par", n), q, |b, q| {
-            b.iter(|| {
-                let budget = Budget::new(100_000_000);
-                black_box(count_homomorphisms_parallel(&data, q, &budget).unwrap_or(0))
             })
         });
         group.bench_with_input(BenchmarkId::new("iso_seq", n), q, |b, q| {

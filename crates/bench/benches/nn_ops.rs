@@ -35,7 +35,9 @@ fn bench_nn(c: &mut Criterion) {
             let mut r = SmallRng::seed_from_u64(1);
             let x = tape.input(feats.clone());
             let h = gin.encode(&mut tape, &store, x, &adj, None, &mut r);
-            let loss = mse_log_loss(&mut tape, h, &[0.5; 1]);
+            // the loss takes a k×1 prediction; reduce the 1×64 readout
+            let pred = tape.mean_all(h);
+            let loss = mse_log_loss(&mut tape, pred, &[0.5; 1]);
             tape.backward(loss, &mut store);
             black_box(
                 store

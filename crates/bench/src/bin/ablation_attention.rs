@@ -13,7 +13,8 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 fn main() {
-    let _telemetry = alss_bench::init_telemetry("ablation_attention");
+    let _telemetry =
+        alss_telemetry::init("ablation_attention", alss_bench::telemetry_arg().as_deref());
     let mut t = TableWriter::new(&["dataset", "aggregator", "q-error distribution"]);
     for name in ["aids", "yeast"] {
         let sc = load_scenario(name, Semantics::Homomorphism);

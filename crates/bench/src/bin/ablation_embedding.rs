@@ -18,7 +18,8 @@ use rand::SeedableRng;
 use std::time::Instant;
 
 fn main() {
-    let _telemetry = alss_bench::init_telemetry("ablation_embedding");
+    let _telemetry =
+        alss_telemetry::init("ablation_embedding", alss_bench::telemetry_arg().as_deref());
     let sc = load_scenario("yeast", Semantics::Homomorphism);
     let mut rng = SmallRng::seed_from_u64(0xAB5);
     let (train, test) = sc.workload.stratified_split(0.8, &mut rng);

@@ -13,7 +13,8 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 fn main() {
-    let _telemetry = alss_bench::init_telemetry("ablation_lambda");
+    let _telemetry =
+        alss_telemetry::init("ablation_lambda", alss_bench::telemetry_arg().as_deref());
     let sc = load_scenario("aids", Semantics::Homomorphism);
     let mut rng = SmallRng::seed_from_u64(0xAB2);
     let (train, test) = sc.workload.stratified_split(0.8, &mut rng);

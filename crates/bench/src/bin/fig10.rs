@@ -40,7 +40,7 @@ fn eval_sketch(sketch: &LearnedSketch, test: &Workload) -> Vec<(f64, f64, usize)
 }
 
 fn main() {
-    let _telemetry = alss_bench::init_telemetry("fig10");
+    let _telemetry = alss_telemetry::init("fig10", alss_bench::telemetry_arg().as_deref());
     let sc = load_scenario("aids", Semantics::Homomorphism);
     let mut rng = SmallRng::seed_from_u64(10);
     let parts = sc

@@ -20,7 +20,7 @@ use rand::SeedableRng;
 use std::collections::HashMap;
 
 fn main() {
-    let _telemetry = alss_bench::init_telemetry("fig11");
+    let _telemetry = alss_telemetry::init("fig11", alss_bench::telemetry_arg().as_deref());
     let sc = load_scenario("aids", Semantics::Homomorphism);
     let sizes = sc.workload.sizes();
     assert!(sizes.len() >= 2, "need multiple query sizes");

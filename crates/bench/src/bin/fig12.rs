@@ -22,7 +22,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 fn main() {
-    let _telemetry = alss_bench::init_telemetry("fig12");
+    let _telemetry = alss_telemetry::init("fig12", alss_bench::telemetry_arg().as_deref());
     for name in selected_datasets(&["yeast", "wordnet", "eu2005"]) {
         let sc = load_scenario(&name, Semantics::Homomorphism);
         let stats = LabelStats::new(&sc.data);

@@ -15,7 +15,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 fn main() {
-    let _telemetry = alss_bench::init_telemetry("fig4");
+    let _telemetry = alss_telemetry::init("fig4", alss_bench::telemetry_arg().as_deref());
     for name in selected_datasets(&["aids", "yeast", "wordnet", "eu2005", "yago"]) {
         let sc = load_scenario(&name, Semantics::Homomorphism);
         if sc.workload.len() < 10 {

@@ -9,7 +9,7 @@ use alss_bench::TableWriter;
 use alss_matching::Semantics;
 
 fn main() {
-    let _telemetry = alss_bench::init_telemetry("fig5");
+    let _telemetry = alss_telemetry::init("fig5", alss_bench::telemetry_arg().as_deref());
     println!("== Fig 5: % sampling failure of CS / WJ / JSUB ==");
     for name in selected_datasets(&["aids", "wordnet", "yeast", "eu2005"]) {
         let sc = load_scenario(&name, Semantics::Homomorphism);

@@ -24,7 +24,7 @@ fn bucket_of(truth: f64) -> usize {
 const BUCKETS: [&str; 4] = ["[1,1e2)", "[1e2,1e4)", "[1e4,1e6)", ">=1e6"];
 
 fn main() {
-    let _telemetry = alss_bench::init_telemetry("fig6");
+    let _telemetry = alss_telemetry::init("fig6", alss_bench::telemetry_arg().as_deref());
     let sc = load_scenario("aids", Semantics::Homomorphism);
     let mut rng = SmallRng::seed_from_u64(6);
     let (train, test) = sc.workload.stratified_split(0.8, &mut rng);

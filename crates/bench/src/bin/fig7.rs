@@ -14,7 +14,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 fn main() {
-    let _telemetry = alss_bench::init_telemetry("fig7");
+    let _telemetry = alss_telemetry::init("fig7", alss_bench::telemetry_arg().as_deref());
     for name in selected_datasets(&["youtube", "eu2005"]) {
         let sc = load_scenario(&name, Semantics::Isomorphism);
         if sc.workload.len() < 10 {

@@ -8,7 +8,7 @@ use alss_bench::{load_dataset, TableWriter};
 use alss_graph::labels::LabelStats;
 
 fn main() {
-    let _telemetry = alss_bench::init_telemetry("table2");
+    let _telemetry = alss_telemetry::init("table2", alss_bench::telemetry_arg().as_deref());
     println!("== Table 2: Real Data Graphs (synthetic analogues) ==\n");
     let mut t = TableWriter::new(&[
         "Dataset",

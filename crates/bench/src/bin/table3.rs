@@ -9,7 +9,7 @@ use alss_graph::labels::label_coverage;
 use alss_matching::Semantics;
 
 fn main() {
-    let _telemetry = alss_bench::init_telemetry("table3");
+    let _telemetry = alss_telemetry::init("table3", alss_bench::telemetry_arg().as_deref());
     println!("== Table 3: Query Sets ==\n");
     let mut t = TableWriter::new(&[
         "Type",

@@ -12,7 +12,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 fn main() {
-    let _telemetry = alss_bench::init_telemetry("table4");
+    let _telemetry = alss_telemetry::init("table4", alss_bench::telemetry_arg().as_deref());
     println!("== Table 4: training time (s) ==\n");
     let mut t = TableWriter::new(&["Dataset", "LSS-fre", "LSS-emb", "LSS-con", "Embedding"]);
     for name in selected_datasets(&["aids", "yeast", "wordnet", "eu2005"]) {

@@ -30,7 +30,8 @@ fn run() -> Result<String, String> {
 }
 
 fn main() -> ExitCode {
-    let _telemetry = alss_bench::init_telemetry("validate_telemetry");
+    let _telemetry =
+        alss_telemetry::init("validate_telemetry", alss_bench::telemetry_arg().as_deref());
     match run() {
         Ok(report) => {
             println!("{report}");

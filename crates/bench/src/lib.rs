@@ -38,4 +38,4 @@ pub use scenario::{
     per_size, scale, Scenario,
 };
 pub use table::TableWriter;
-pub use telemetry::{init_telemetry, strip_run_flags, threads_flag, TelemetryGuard};
+pub use telemetry::{strip_run_flags, telemetry_arg};

@@ -1,41 +1,15 @@
-//! Telemetry wiring for the figure/table binaries.
+//! Command-line `--telemetry` flag for the figure/table binaries.
 //!
-//! Every binary calls [`init_telemetry`] first thing in `main` and keeps
-//! the returned guard alive for the whole run:
+//! Every binary sets up telemetry first thing in `main` and keeps the
+//! returned guard alive for the whole run:
 //!
 //! ```text
-//! ALSS_TELEMETRY=spans cargo run --features telemetry --bin fig4 -- --telemetry out.jsonl
+//! ALSS_TELEMETRY=spans cargo run --bin fig4 -- --telemetry out.jsonl
 //! ```
 //!
-//! * `--telemetry <path>` (or `--telemetry=<path>`) installs the JSON-lines
-//!   file sink; the recording mask comes from `ALSS_TELEMETRY` and defaults
-//!   to everything when the variable is unset.
-//! * Without the flag, `ALSS_TELEMETRY` alone installs the pretty stderr
-//!   sink (see [`alss_telemetry::init_from_env`]).
-//! * When the binary was built without `--features telemetry` the flag is
-//!   acknowledged with a warning and ignored — probes are compiled out.
-//!
-//! On drop the guard emits a final metrics-registry snapshot and flushes,
-//! so a JSONL capture always ends with the aggregate counters/histograms.
-
-use alss_telemetry::{Category, JsonLinesSink};
-use std::path::Path;
-use std::sync::Arc;
-
-/// Keeps the sink installed for the lifetime of `main`; emits the final
-/// snapshot and flushes on drop.
-pub struct TelemetryGuard {
-    active: bool,
-}
-
-impl Drop for TelemetryGuard {
-    fn drop(&mut self) {
-        if self.active {
-            alss_telemetry::emit_snapshot();
-            alss_telemetry::flush();
-        }
-    }
-}
+//! `--telemetry <path>` (or `--telemetry=<path>`) is handed to
+//! [`alss_telemetry::init`] as the capture path; without the flag,
+//! `ALSS_TELEMETRY` alone installs the pretty stderr sink.
 
 /// Extract the `--telemetry <path>` / `--telemetry=<path>` flag from the
 /// raw argument list, returning the path when present.
@@ -52,79 +26,27 @@ pub fn telemetry_path(args: &[String]) -> Option<String> {
     None
 }
 
-/// Extract the `--threads <n>` / `--threads=<n>` flag from the raw
-/// argument list. `Some(0)` (or any unparsable value) is treated as
-/// absent by [`init_telemetry`], falling back to auto-detection.
-pub fn threads_flag(args: &[String]) -> Option<usize> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--threads" {
-            return it.next().and_then(|v| v.trim().parse().ok());
-        }
-        if let Some(v) = a.strip_prefix("--threads=") {
-            return v.trim().parse().ok();
-        }
-    }
-    None
+/// The `--telemetry` path on this process's command line, if any.
+pub fn telemetry_arg() -> Option<String> {
+    telemetry_path(&std::env::args().skip(1).collect::<Vec<_>>())
 }
 
-/// Drop the harness-level flags (`--telemetry <path>`, `--threads <n>`)
-/// from an argument list, so dataset selection sees only dataset names.
+/// Drop the `--telemetry <path>` flag from an argument list, so dataset
+/// selection sees only dataset names.
 pub fn strip_run_flags(args: Vec<String>) -> Vec<String> {
     let mut out = Vec::with_capacity(args.len());
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
-        if a == "--telemetry" || a == "--threads" {
+        if a == "--telemetry" {
             it.next(); // its value
             continue;
         }
-        if a.starts_with("--telemetry=") || a.starts_with("--threads=") {
+        if a.starts_with("--telemetry=") {
             continue;
         }
         out.push(a);
     }
     out
-}
-
-/// Back-compat alias for [`strip_run_flags`].
-pub fn strip_telemetry_flag(args: Vec<String>) -> Vec<String> {
-    strip_run_flags(args)
-}
-
-/// Set up telemetry for a binary named `topic`. Must be called before any
-/// instrumented work; keep the returned guard alive until exit.
-pub fn init_telemetry(topic: &str) -> TelemetryGuard {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(n) = threads_flag(&args).filter(|&n| n > 0) {
-        alss_core::set_global_threads(n);
-        alss_telemetry::progress(topic, &format!("threads: {n}"));
-    }
-    match telemetry_path(&args) {
-        Some(path) => {
-            if !alss_telemetry::compiled_in() {
-                alss_telemetry::progress(
-                    topic,
-                    "--telemetry ignored: binary built without --features telemetry",
-                );
-                return TelemetryGuard { active: false };
-            }
-            match JsonLinesSink::create(Path::new(&path)) {
-                Ok(sink) => {
-                    let mask = alss_telemetry::mask_from_env().unwrap_or(Category::ALL);
-                    alss_telemetry::install(Arc::new(sink), mask);
-                    TelemetryGuard { active: true }
-                }
-                Err(e) => {
-                    alss_telemetry::progress(topic, &format!("cannot open {path}: {e}"));
-                    TelemetryGuard { active: false }
-                }
-            }
-        }
-        None => {
-            let mask = alss_telemetry::init_from_env();
-            TelemetryGuard { active: mask != 0 }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -160,22 +82,5 @@ mod tests {
             strs(&["aids"])
         );
         assert_eq!(strip_run_flags(strs(&["aids"])), strs(&["aids"]));
-        assert_eq!(
-            strip_run_flags(strs(&["--threads", "4", "aids", "--telemetry=x"])),
-            strs(&["aids"])
-        );
-        assert_eq!(
-            strip_run_flags(strs(&["--threads=8", "yeast"])),
-            strs(&["yeast"])
-        );
-    }
-
-    #[test]
-    fn threads_extraction() {
-        assert_eq!(threads_flag(&strs(&["--threads", "4", "aids"])), Some(4));
-        assert_eq!(threads_flag(&strs(&["aids", "--threads=16"])), Some(16));
-        assert_eq!(threads_flag(&strs(&["aids"])), None);
-        assert_eq!(threads_flag(&strs(&["--threads", "bogus"])), None);
-        assert_eq!(threads_flag(&strs(&["--threads"])), None);
     }
 }

@@ -73,9 +73,9 @@ pub fn parse_args(args: &[String]) -> Result<ValidateSpec, String> {
         } else if a == "--require-spans" {
             ("--require-spans", it.next().cloned())
         } else if a.starts_with("--") {
-            // Harness-level flags (--telemetry, --threads) are consumed by
-            // init_telemetry; skip them and their value here.
-            if a == "--telemetry" || a == "--threads" {
+            // The harness-level --telemetry flag is consumed by
+            // alss_telemetry::init; skip it and its value here.
+            if a == "--telemetry" {
                 it.next();
             }
             continue;

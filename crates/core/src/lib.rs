@@ -51,7 +51,7 @@ pub use active::{select_batch, select_batch_with, uncertainty, LssEnsemble, Stra
 pub use encode::{EncodedQuery, Encoder, EncodingKind};
 pub use metrics::{l1_log_error, q_error, QErrorStats};
 pub use model::{LssConfig, LssModel, Prediction};
-pub use parallel::{par_map, set_global_threads, Parallelism};
+pub use parallel::{par_map, Parallelism};
 pub use sketch::{active_round, ActiveRoundReport, LearnedSketch, PoolItem, SketchConfig};
 pub use train::{
     encode_workload, encode_workload_with, evaluate, evaluate_with, train_model, TrainConfig,

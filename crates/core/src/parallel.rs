@@ -2,10 +2,10 @@
 //!
 //! The learned-sketch side of the pipeline (training, batch inference,
 //! active-learning pool scoring) is embarrassingly parallel per item, so
-//! it fans out over std scoped threads. The vendored `rayon` stand-in is
-//! sequential, and a global pool would couple determinism to ambient
-//! state; a [`Parallelism`] value carried in the config keeps the thread
-//! count explicit, serializable, and test-controllable.
+//! it fans out over std scoped threads. A global pool would couple
+//! determinism to ambient state; a [`Parallelism`] value carried in the
+//! config keeps the thread count explicit, serializable, and
+//! test-controllable.
 //!
 //! **Determinism contract:** every helper here preserves item order —
 //! results are identical (bitwise, for pure per-item work) for any thread
@@ -13,25 +13,13 @@
 //! caller's job and must likewise run in item order.
 
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Process-wide thread-count override (set by the bench binaries'
-/// `--threads` flag). `0` = unset.
-static GLOBAL_THREADS: AtomicUsize = AtomicUsize::new(0);
-
-/// Override the auto-detected thread count process-wide (the bench
-/// binaries call this when `--threads N` is passed). Explicit
-/// [`Parallelism::fixed`] values still win over this.
-pub fn set_global_threads(threads: usize) {
-    GLOBAL_THREADS.store(threads, Ordering::Relaxed);
-}
 
 /// Thread-count configuration for the data-parallel helpers.
 ///
-/// `threads == 0` means "auto": resolve at use time to the `--threads`
-/// override, else the `ALSS_THREADS` environment variable, else the
-/// number of available cores. Serialized configs therefore stay portable
-/// across machines while pinned configs (`fixed(n)`) stay exact.
+/// `threads == 0` means "auto": resolve at use time to the `ALSS_THREADS`
+/// environment variable, else the number of available cores. Serialized
+/// configs therefore stay portable across machines while pinned configs
+/// (`fixed(n)`) stay exact.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub struct Parallelism {
     /// Requested worker threads; `0` = auto-detect.
@@ -40,7 +28,7 @@ pub struct Parallelism {
 }
 
 impl Parallelism {
-    /// Auto-detected parallelism (override > `ALSS_THREADS` > cores).
+    /// Auto-detected parallelism (`ALSS_THREADS` > cores).
     pub fn auto() -> Self {
         Parallelism { threads: 0 }
     }
@@ -59,10 +47,6 @@ impl Parallelism {
     pub fn effective(&self) -> usize {
         if self.threads > 0 {
             return self.threads;
-        }
-        let global = GLOBAL_THREADS.load(Ordering::Relaxed);
-        if global > 0 {
-            return global;
         }
         if let Some(n) = std::env::var("ALSS_THREADS")
             .ok()

@@ -1,10 +1,5 @@
 //! Integration test: training emits one well-formed `train.epoch` telemetry
 //! event per epoch through an installed capturing sink.
-//!
-//! Compiled only with the `telemetry` feature (which forwards to
-//! `alss-telemetry/telemetry`); without it the probes are constant no-ops
-//! and there is nothing to observe.
-#![cfg(feature = "telemetry")]
 
 use alss_core::train::{encode_workload, finetune_model, seeded_rng, train_model, TrainConfig};
 use alss_core::{Encoder, LabeledQuery, LssConfig, LssModel, Workload};

@@ -11,8 +11,8 @@
 //! * [`datasets`] — the six analogues (`aids`, `yeast`, `youtube`,
 //!   `wordnet`, `eu2005`, `yago`) with per-dataset family/entropy choices;
 //! * [`queries`] — random connected-subgraph workload generation with
-//!   rayon-parallel exact labeling and budget filtering, plus the §6.6
-//!   frequent/infrequent pattern labeling.
+//!   parallel exact labeling (`alss_core::par_map`) and budget filtering,
+//!   plus the §6.6 frequent/infrequent pattern labeling.
 //!
 //! ```
 //! use alss_datasets::{by_name, generate_workload, WorkloadSpec};

@@ -4,6 +4,7 @@
 //! filter).
 
 use alss_core::workload::{LabeledQuery, Workload};
+use alss_core::{par_map, Parallelism};
 use alss_graph::extract::{extract_pattern, extract_query, ExtractOptions};
 use alss_graph::io::to_text;
 use alss_graph::labels::LabelStats;
@@ -11,7 +12,6 @@ use alss_graph::{Graph, LabelId, NodeId, WILDCARD};
 use alss_matching::{Budget, Semantics};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Workload-generation parameters.
@@ -50,7 +50,10 @@ impl Default for WorkloadSpec {
 
 /// Generate a labeled workload. Candidate queries are extracted until each
 /// size bucket reaches `per_size` labeled queries or the candidate budget
-/// (`10 × per_size` per size) runs out; labeling runs rayon-parallel.
+/// (`10 × per_size` per size) runs out. Labeling runs the candidates
+/// through [`par_map`] (`ALSS_THREADS` workers), each with its own budget,
+/// and keeps candidate order, so the workload is identical at any thread
+/// count.
 pub fn generate_workload(data: &Graph, spec: &WorkloadSpec) -> Workload {
     let mut rng = SmallRng::seed_from_u64(spec.seed);
     let opts = ExtractOptions {
@@ -76,17 +79,15 @@ pub fn generate_workload(data: &Graph, spec: &WorkloadSpec) -> Workload {
             }
         }
         // parallel exact labeling
-        let labeled: Vec<LabeledQuery> = cands
-            .into_par_iter()
-            .filter_map(|q| {
-                let budget = Budget::new(spec.budget_per_query);
-                match spec.semantics.count(data, &q, &budget) {
-                    Ok(c) if c >= 1 => Some(LabeledQuery::new(q, c)),
-                    _ => None, // zero-count or budget-exceeded: dropped
-                }
-            })
-            .collect();
-        queries.extend(labeled.into_iter().take(spec.per_size));
+        let counts = par_map(Parallelism::auto(), &cands, |_, q| {
+            spec.semantics
+                .count(data, q, &Budget::new(spec.budget_per_query))
+        });
+        let labeled = cands.into_iter().zip(counts).filter_map(|(q, c)| match c {
+            Ok(c) if c >= 1 => Some(LabeledQuery::new(q, c)),
+            _ => None, // zero-count or budget-exceeded: dropped
+        });
+        queries.extend(labeled.take(spec.per_size));
     }
     Workload::from_queries(queries)
 }

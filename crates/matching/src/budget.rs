@@ -21,9 +21,8 @@ impl std::error::Error for BudgetExceeded {}
 
 /// A shared, thread-safe expansion budget.
 ///
-/// Each backtracking expansion charges one unit. The budget is shared across
-/// rayon workers when counting in parallel, so a parallel count aborts at
-/// the same total work as a sequential one (modulo in-flight batches).
+/// Each backtracking expansion charges one unit. The counter is atomic, so
+/// a budget is `Sync` and may be charged from several threads at once.
 #[derive(Debug)]
 pub struct Budget {
     remaining: AtomicU64,

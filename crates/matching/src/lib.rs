@@ -14,9 +14,11 @@
 //! * a greedy connected **matching order** that starts from the rarest
 //!   candidate set ([`order`]);
 //! * **budgeted** search — a node-expansion budget models the paper's
-//!   "true count computable within 2 hours" workload filter ([`budget`]);
-//! * rayon-**parallel** root splitting for workload labeling
-//!   ([`parallel`]).
+//!   "true count computable within 2 hours" workload filter ([`budget`]).
+//!
+//! Each count is sequential; workload labeling parallelises across queries
+//! instead (`alss_datasets::generate_workload`), as the paper does for its
+//! 32-CPU ground-truth step.
 //!
 //! Counting is exact: the returned value is the number of homomorphism
 //! (resp. subgraph-isomorphism) functions `f : V_q → V` as defined in §2.
@@ -51,13 +53,11 @@ pub mod exists;
 pub mod homomorphism;
 pub mod isomorphism;
 pub mod order;
-pub mod parallel;
 
 pub use budget::{Budget, BudgetExceeded};
 pub use exists::{homomorphism_exists, isomorphism_exists};
 pub use homomorphism::count_homomorphisms;
 pub use isomorphism::count_isomorphisms;
-pub use parallel::{count_homomorphisms_parallel, count_isomorphisms_parallel};
 
 use alss_graph::Graph;
 
@@ -81,19 +81,6 @@ impl Semantics {
         match self {
             Semantics::Homomorphism => count_homomorphisms(data, query, budget),
             Semantics::Isomorphism => count_isomorphisms(data, query, budget),
-        }
-    }
-
-    /// Parallel variant of [`Semantics::count`].
-    pub fn count_parallel(
-        self,
-        data: &Graph,
-        query: &Graph,
-        budget: &Budget,
-    ) -> Result<u64, BudgetExceeded> {
-        match self {
-            Semantics::Homomorphism => count_homomorphisms_parallel(data, query, budget),
-            Semantics::Isomorphism => count_isomorphisms_parallel(data, query, budget),
         }
     }
 }
@@ -124,15 +111,6 @@ mod semantics_tests {
         assert_eq!(
             Semantics::Isomorphism.count(&d, &q, &b).unwrap(),
             count_isomorphisms(&d, &q, &Budget::unlimited()).unwrap()
-        );
-        // parallel dispatch agrees too
-        assert_eq!(
-            Semantics::Homomorphism
-                .count_parallel(&d, &q, &Budget::unlimited())
-                .unwrap(),
-            Semantics::Homomorphism
-                .count(&d, &q, &Budget::unlimited())
-                .unwrap()
         );
     }
 

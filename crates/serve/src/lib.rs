@@ -18,8 +18,8 @@
 //!   estimate tagged `degraded:true` ([`engine`]). Transient checkpoint
 //!   read failures are retried with bounded exponential backoff.
 //! * **Telemetry** — serve spans, queue-depth gauge, cache hit/miss
-//!   counters, and a latency histogram, all behind the workspace
-//!   `telemetry` feature gate.
+//!   counters, and a latency histogram, recorded when the
+//!   `ALSS_TELEMETRY` mask enables them.
 //!
 //! The wire protocol is documented in [`proto`]; [`client`] provides a
 //! blocking client plus the load generator used by the e2e tests and the
@@ -29,7 +29,6 @@ pub mod batch;
 pub mod cache;
 pub mod client;
 pub mod engine;
-pub mod obs;
 pub mod proto;
 pub mod server;
 
@@ -37,6 +36,5 @@ pub use batch::{BatchConfig, Batcher, Job};
 pub use cache::{CachedEstimate, ShardedLru};
 pub use client::{run_load, Client, LoadReport};
 pub use engine::{load_sketch_with_retry, magnitude_class_of, Outcome};
-pub use obs::{init_telemetry, TelemetryGuard};
 pub use proto::{Request, Response};
 pub use server::{serve, ServeConfig, ServerHandle};

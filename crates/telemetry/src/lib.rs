@@ -14,19 +14,16 @@
 //!    JSON-lines schema the sinks write.
 //! 3. **Probes** — the instrumented crates (`alss-graph`, `alss-core`,
 //!    `alss-matching`, `alss-estimators`, `alss-bench`) call [`Span::enter`],
-//!    [`counter`], [`event`], … directly; every probe is free when disabled.
+//!    [`counter`], [`event`], … directly; a disabled probe is one untaken
+//!    branch.
 //!
 //! ## Gating
 //!
-//! Recording is **double-gated**:
-//!
-//! * at **compile time** by the `telemetry` cargo feature — with it off,
-//!   [`enabled`] is a constant `false` and the optimizer removes every
-//!   probe body, so the hot paths cost nothing;
-//! * at **run time** by the `ALSS_TELEMETRY` environment filter — a
-//!   comma-separated subset of `spans`, `metrics`, `events` (or `all` /
-//!   `off`), parsed once into a bitmask checked with one relaxed atomic
-//!   load per probe.
+//! Recording is gated at **run time** by the `ALSS_TELEMETRY` environment
+//! filter — a comma-separated subset of `spans`, `metrics`, `events` (or
+//! `all` / `off`), parsed once by [`init`] into a bitmask checked with one
+//! relaxed atomic load per probe. With the filter unset every probe is a
+//! single untaken branch.
 //!
 //! [`progress`] is the one exception: it replaces the ad-hoc
 //! `println!`-style progress reporting of the bench binaries and therefore
@@ -41,7 +38,7 @@
 //! {"type":"span","name":"decompose","path":"encode.query/decompose","thread":"main","us":12.5}
 //! {"type":"event","name":"train.epoch","fields":{"epoch":1,"loss":0.52,"grad_norm":1.8,"lr":0.003}}
 //! {"type":"progress","topic":"fig4","message":"aids: 80 train / 20 test"}
-//! {"type":"snapshot","counters":{"matching.nodes_expanded":10234},"gauges":{},"histograms":{"matching.root_us":{"count":96,"sum":5120,"mean":53.3,"p50":48,"p95":96,"p99":96,"max":101}}}
+//! {"type":"snapshot","counters":{"matching.nodes_expanded":10234},"gauges":{},"histograms":{"span.matching.count_us":{"count":96,"sum":5120,"mean":53.3,"p50":48,"p95":96,"p99":96,"max":101}}}
 //! ```
 
 // Test modules opt back out of the library panic/numeric policy: a panic
@@ -64,6 +61,7 @@ pub use registry::{Counter, Gauge, Histogram, HistogramSummary, LogHistogram, Sn
 pub use sink::{CaptureSink, Event, Field, JsonLinesSink, Sink, StderrSink};
 pub use span::{Span, Stopwatch};
 
+use std::path::Path;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
@@ -96,25 +94,10 @@ static MASK: AtomicU8 = AtomicU8::new(0);
 #[allow(clippy::type_complexity)]
 static SINK: RwLock<Option<Arc<dyn Sink + Send + Sync>>> = RwLock::new(None);
 
-/// Is recording for `cat` enabled? Constant `false` without the
-/// `telemetry` feature; one relaxed atomic load with it.
+/// Is recording for `cat` enabled? One relaxed atomic load of the mask.
 #[inline(always)]
 pub fn enabled(cat: Category) -> bool {
-    #[cfg(feature = "telemetry")]
-    {
-        MASK.load(Ordering::Relaxed) & cat.bit() != 0
-    }
-    #[cfg(not(feature = "telemetry"))]
-    {
-        let _ = cat;
-        false
-    }
-}
-
-/// `true` when the crate was built with the `telemetry` feature (i.e.
-/// recording *can* be enabled at runtime).
-pub const fn compiled_in() -> bool {
-    cfg!(feature = "telemetry")
+    MASK.load(Ordering::Relaxed) & cat.bit() != 0
 }
 
 /// Install a sink and set the runtime enable mask. Replaces any previous
@@ -168,14 +151,66 @@ pub fn parse_mask(raw: &str) -> u8 {
     mask
 }
 
-/// Install the pretty stderr sink with the mask from `ALSS_TELEMETRY`,
-/// if the variable is set and non-zero. Returns the active mask.
-pub fn init_from_env() -> u8 {
-    let mask = mask_from_env().unwrap_or(0);
-    if mask != 0 {
-        install(Arc::new(StderrSink), mask);
+/// Keeps the sink installed for the lifetime of a binary's `main`; on
+/// drop it emits a final metrics-registry snapshot and flushes, so a
+/// capture always ends with the aggregate counters and histograms.
+pub struct TelemetryGuard {
+    active: bool,
+}
+
+impl TelemetryGuard {
+    /// `true` when [`init`] installed a sink.
+    pub fn is_active(&self) -> bool {
+        self.active
     }
-    mask
+}
+
+impl Drop for TelemetryGuard {
+    fn drop(&mut self) {
+        if self.active {
+            emit_snapshot();
+            flush();
+        }
+    }
+}
+
+/// Set up telemetry for a binary named `topic`. Call it before any
+/// instrumented work and keep the returned guard alive until exit.
+///
+/// * `capture`: install a JSON-lines file sink at this path; the recording
+///   mask comes from `ALSS_TELEMETRY` and defaults to everything. A path
+///   that cannot be opened is reported as progress and nothing is
+///   installed.
+/// * Without `capture`, a non-zero `ALSS_TELEMETRY` installs the pretty
+///   stderr sink; otherwise nothing is installed and recording stays off.
+///
+/// The guard is active exactly when a sink was installed.
+pub fn init(topic: &str, capture: Option<&str>) -> TelemetryGuard {
+    init_with_mask(topic, capture, mask_from_env())
+}
+
+/// [`init`] with the parsed `ALSS_TELEMETRY` value passed in.
+fn init_with_mask(topic: &str, capture: Option<&str>, env_mask: Option<u8>) -> TelemetryGuard {
+    let active = match capture {
+        Some(path) => match JsonLinesSink::create(Path::new(path)) {
+            Ok(sink) => {
+                install(Arc::new(sink), env_mask.unwrap_or(Category::ALL));
+                true
+            }
+            Err(e) => {
+                progress(topic, &format!("cannot open {path}: {e}"));
+                false
+            }
+        },
+        None => match env_mask.filter(|&m| m != 0) {
+            Some(mask) => {
+                install(Arc::new(StderrSink), mask);
+                true
+            }
+            None => false,
+        },
+    };
+    TelemetryGuard { active }
 }
 
 /// Route one event to the installed sink (no-op without one).
@@ -283,27 +318,31 @@ pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// Support for integration tests that need the *global* sink: installs a
 /// capture sink for the duration of a closure, serialized process-wide so
 /// concurrently running tests do not steal each other's events.
-///
-/// Only compiled with the `telemetry` feature (without it nothing is ever
-/// recorded, so there is nothing to capture).
-#[cfg(feature = "telemetry")]
 pub mod test_support {
     use super::*;
 
     static TEST_GUARD: Mutex<()> = Mutex::new(());
+
+    /// Run `f` while holding the process-wide lock that every test
+    /// touching the global sink or mask must hold.
+    pub fn serialized<R>(f: impl FnOnce() -> R) -> R {
+        let _serialized = lock_unpoisoned(&TEST_GUARD);
+        f()
+    }
 
     /// Run `f` with a fresh [`CaptureSink`] installed under `mask`, and
     /// return its result plus everything captured. Note the metrics
     /// registry is process-global and is *not* reset — assert on deltas
     /// or on uniquely named instruments.
     pub fn with_capture<R>(mask: u8, f: impl FnOnce() -> R) -> (R, Vec<Event>) {
-        let _serialized = lock_unpoisoned(&TEST_GUARD);
-        let sink = Arc::new(CaptureSink::new());
-        install(sink.clone(), mask);
-        let result = f();
-        let events = sink.take();
-        uninstall();
-        (result, events)
+        serialized(|| {
+            let sink = Arc::new(CaptureSink::new());
+            install(sink.clone(), mask);
+            let result = f();
+            let events = sink.take();
+            uninstall();
+            (result, events)
+        })
     }
 }
 
@@ -329,8 +368,7 @@ mod tests {
 
     #[test]
     fn disabled_handles_are_noops() {
-        // With no mask set (and regardless of the feature), handles are
-        // inert and never touch the registry.
+        // Noop handles are inert and never touch the registry.
         let c = Counter::noop();
         c.add(5);
         c.inc();
@@ -341,7 +379,54 @@ mod tests {
     }
 
     #[test]
-    fn compiled_in_matches_feature() {
-        assert_eq!(compiled_in(), cfg!(feature = "telemetry"));
+    fn capture_path_installs_a_jsonl_sink() {
+        let path = std::env::temp_dir().join(format!("alss-init-{}.jsonl", std::process::id()));
+        test_support::serialized(|| {
+            let guard = init_with_mask("init-test", path.to_str(), None);
+            assert!(guard.is_active());
+            assert!(enabled(Category::Spans) && enabled(Category::Metrics));
+            progress("init-test", "hello");
+            drop(guard);
+            uninstall();
+        });
+        let text = std::fs::read_to_string(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        let lines: Vec<&str> = text.lines().collect();
+        assert!(lines[0].contains(r#""type":"progress""#), "{text}");
+        assert!(
+            lines.last().unwrap().contains(r#""type":"snapshot""#),
+            "{text}"
+        );
+    }
+
+    #[test]
+    fn unopenable_capture_path_warns_and_stays_inactive() {
+        let path = std::env::temp_dir()
+            .join(format!("alss-no-such-dir-{}", std::process::id()))
+            .join("t.jsonl");
+        let (active, events) = test_support::with_capture(Category::ALL, || {
+            init_with_mask("init-test", path.to_str(), Some(Category::ALL)).is_active()
+        });
+        assert!(!active);
+        assert!(events.iter().any(|e| matches!(
+            e,
+            Event::Progress { message, .. } if message.starts_with("cannot open")
+        )));
+    }
+
+    #[test]
+    fn no_capture_installs_stderr_sink_only_for_a_nonzero_mask() {
+        test_support::serialized(|| {
+            for unset in [None, Some(parse_mask("off"))] {
+                assert!(!init_with_mask("init-test", None, unset).is_active());
+                assert!(!enabled(Category::Spans));
+            }
+            let guard = init_with_mask("init-test", None, Some(parse_mask("metrics,events")));
+            assert!(guard.is_active());
+            assert!(enabled(Category::Metrics) && enabled(Category::Events));
+            assert!(!enabled(Category::Spans));
+            drop(guard);
+            uninstall();
+        });
     }
 }

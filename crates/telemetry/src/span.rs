@@ -129,14 +129,16 @@ mod tests {
 
     #[test]
     fn inert_span_leaves_stack_alone() {
-        // Recording is disabled by default (no mask set), so entering a
-        // span must not touch the thread-local stack.
-        let before = current_stack();
-        {
-            let _s = Span::enter("probe");
+        // With no mask set, entering a span must not touch the thread-local
+        // stack. Serialized because other tests here install a mask.
+        crate::test_support::serialized(|| {
+            let before = current_stack();
+            {
+                let _s = Span::enter("probe");
+                assert_eq!(current_stack(), before);
+            }
             assert_eq!(current_stack(), before);
-        }
-        assert_eq!(current_stack(), before);
+        });
     }
 
     #[test]

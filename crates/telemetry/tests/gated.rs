@@ -1,8 +1,5 @@
-//! Integration tests for the live recording path. Only meaningful with
-//! the `telemetry` feature (without it every probe is compiled out), so
-//! the whole file is feature-gated; CI runs it via
-//! `cargo test -p alss-telemetry --features telemetry`.
-#![cfg(feature = "telemetry")]
+//! Integration tests for the live recording path, through the global sink
+//! installed by `test_support::with_capture`.
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
 
 use alss_telemetry::test_support::with_capture;

@@ -213,7 +213,7 @@ fn cmd_count(args: &Args) -> Result<(), String> {
     let q = load_graph(args.require("query")?)?;
     let budget: u64 = args.parsed("budget", 1_000_000_000)?;
     let sem = semantics(args);
-    match sem.count_parallel(&g, &q, &Budget::new(budget)) {
+    match sem.count(&g, &q, &Budget::new(budget)) {
         Ok(c) => {
             println!("{c}");
             Ok(())
@@ -292,7 +292,7 @@ fn cmd_decompose(args: &Args) -> Result<(), String> {
 
 fn cmd_serve(args: &Args) -> Result<(), String> {
     let threads: usize = args.parsed("threads", 0)?;
-    let _guard = alss::serve::init_telemetry("serve", args.get("telemetry"), Some(threads));
+    let _guard = alss::telemetry::init("serve", args.get("telemetry"));
     let cfg = alss::serve::ServeConfig {
         addr: args.get("addr").unwrap_or("127.0.0.1:0").to_string(),
         data_path: args.require("graph")?.into(),

@@ -78,3 +78,4 @@ pub use alss_graph as graph;
 pub use alss_matching as matching;
 pub use alss_nn as nn;
 pub use alss_serve as serve;
+pub use alss_telemetry as telemetry;

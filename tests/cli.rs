@@ -15,15 +15,17 @@ fn alss() -> Command {
     Command::new(env!("CARGO_BIN_EXE_alss"))
 }
 
-fn tmpdir() -> PathBuf {
-    let d = std::env::temp_dir().join(format!("alss_cli_test_{}", std::process::id()));
+/// A scratch directory private to one test: tests in this file run
+/// concurrently and each removes its own directory when done.
+fn tmpdir(test: &str) -> PathBuf {
+    let d = std::env::temp_dir().join(format!("alss_cli_test_{test}_{}", std::process::id()));
     std::fs::create_dir_all(&d).expect("mkdir");
     d
 }
 
 #[test]
 fn full_cli_pipeline() {
-    let dir = tmpdir();
+    let dir = tmpdir("full_cli_pipeline");
     let graph = dir.join("g.txt");
     let workload = dir.join("w.json");
     let sketch = dir.join("s.json");
@@ -190,7 +192,7 @@ fn cli_reports_errors_cleanly() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("--out"));
 
     // unknown dataset
-    let dir = tmpdir();
+    let dir = tmpdir("cli_reports_errors_cleanly");
     let out = alss()
         .args([
             "generate",

@@ -14,9 +14,7 @@ use alss::graph::builder::graph_from_edges;
 use alss::graph::decompose::is_complete;
 use alss::graph::io::{from_text, to_text};
 use alss::graph::{decompose, Graph, GraphBuilder, WILDCARD};
-use alss::matching::{
-    count_homomorphisms, count_homomorphisms_parallel, count_isomorphisms, Budget,
-};
+use alss::matching::{count_homomorphisms, count_isomorphisms, Budget};
 use proptest::prelude::*;
 
 /// Strategy: a random connected labeled graph with 2..=7 nodes.
@@ -86,20 +84,6 @@ proptest! {
         let hom = count_homomorphisms(&d, &q, &b).unwrap();
         let iso = count_isomorphisms(&d, &q, &b).unwrap();
         prop_assert!(iso <= hom, "iso {} > hom {}", iso, hom);
-    }
-
-    #[test]
-    fn parallel_count_matches_sequential(q in connected_graph()) {
-        let d = graph_from_edges(
-            &[0, 1, 2, 3, 0, 1, 2, 3],
-            &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (0, 7), (1, 5), (2, 6)],
-        );
-        let b1 = Budget::unlimited();
-        let b2 = Budget::unlimited();
-        prop_assert_eq!(
-            count_homomorphisms(&d, &q, &b1).unwrap(),
-            count_homomorphisms_parallel(&d, &q, &b2).unwrap()
-        );
     }
 
     #[test]
