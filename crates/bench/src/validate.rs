@@ -253,11 +253,11 @@ mod tests {
     fn require_spans_overrides_defaults() {
         let spec = parse_args(&args(&[
             "--require-spans",
-            "serve.request,serve.batch",
+            "serve.request,model.forward",
             "cap",
         ]))
         .unwrap();
-        assert_eq!(spec.require_spans, vec!["serve.request", "serve.batch"]);
+        assert_eq!(spec.require_spans, vec!["serve.request", "model.forward"]);
     }
 
     fn spec_for(text_events: &[&str], spans: &[&str]) -> ValidateSpec {

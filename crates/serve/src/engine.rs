@@ -1,5 +1,5 @@
 //! Checkpoint loading with bounded retry/backoff, and the shared
-//! estimate-computation helpers used by the batcher.
+//! estimate-computation helpers used by the connection handlers.
 
 use alss_core::LearnedSketch;
 use alss_estimators::{CardinalityEstimator, WanderJoin};

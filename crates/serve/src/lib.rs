@@ -1,5 +1,5 @@
 #![cfg_attr(test, allow(clippy::unwrap_used))]
-//! `alss-serve` — batched estimate serving for the learned sketch.
+//! `alss-serve` — estimate serving for the learned sketch.
 //!
 //! A std-only, multi-threaded TCP server that loads a trained
 //! [`LearnedSketch`](alss_core::LearnedSketch) checkpoint and answers
@@ -9,15 +9,15 @@
 //!   from `alss_graph::canon`, so isomorphic re-submissions of an
 //!   already-answered query hit a sharded LRU cache without touching the
 //!   model ([`cache`]).
-//! * **Micro-batching** — requests flow through a bounded queue into
-//!   model-forward batches executed over the shared `Parallelism` pool,
-//!   preserving per-request ordering and the workspace determinism
-//!   contract ([`batch`]).
+//! * **One handler per connection** — each connection's requests are
+//!   answered in order on its own thread, and a cache miss runs the model
+//!   there. Per-query compute is pure, so answers are bit-identical
+//!   however many connections are live ([`server`]).
 //! * **Graceful degradation** — per-request deadlines; an expired deadline
 //!   or an unloadable checkpoint falls back to a deterministic Wander-Join
 //!   estimate tagged `degraded:true` ([`engine`]). Transient checkpoint
 //!   read failures are retried with bounded exponential backoff.
-//! * **Telemetry** — serve spans, queue-depth gauge, cache hit/miss
+//! * **Telemetry** — a per-request span, cache hit/miss and overload
 //!   counters, and a latency histogram, recorded when the
 //!   `ALSS_TELEMETRY` mask enables them.
 //!
@@ -25,14 +25,12 @@
 //! blocking client plus the load generator used by the e2e tests and the
 //! CI smoke gate.
 
-pub mod batch;
 pub mod cache;
 pub mod client;
 pub mod engine;
 pub mod proto;
 pub mod server;
 
-pub use batch::{BatchConfig, Batcher, Job};
 pub use cache::{CachedEstimate, ShardedLru};
 pub use client::{run_load, Client, LoadReport};
 pub use engine::{load_sketch_with_retry, magnitude_class_of, Outcome};

@@ -13,9 +13,14 @@
 //! (`t`/`v`/`e` records) embedded as a JSON string. `op` selects the
 //! action: `"estimate"` (the default when empty), `"ping"`, `"stats"`, or
 //! `"shutdown"`. `deadline_ms` is measured from request arrival; when the
-//! deadline has already expired at batch-drain time the server answers
+//! deadline has already expired at compute start the server answers
 //! from the cheap fallback estimator and sets `degraded:true`
-//! (`deadline_ms:0` therefore always exercises the fallback path).
+//! (`deadline_ms:0` therefore always exercises the fallback path on a
+//! cache miss; a cached query still hits).
+//!
+//! `stats` reuses the estimate fields: `estimate` is the number of cached
+//! entries, `magnitude_class` the cache capacity, and `degraded` is `true`
+//! when the server runs without a model; `log10` is left at 0.
 
 use serde::{Deserialize, Serialize};
 

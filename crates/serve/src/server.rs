@@ -1,30 +1,39 @@
 //! The TCP estimate server.
 //!
-//! One listener thread accepts connections; each connection gets a handler
-//! thread reading NDJSON [`Request`] lines and writing one [`Response`]
-//! line per request, in request order. Estimate requests first consult the
-//! sharded canonical cache, then go through the micro-batcher; control
-//! requests (`ping`, `stats`, `shutdown`) are answered inline.
+//! One listener thread owns the data graph, the model and the fallback
+//! estimator, accepts connections, and runs one scoped handler thread per
+//! connection. A handler reads NDJSON [`Request`] lines and writes one
+//! [`Response`] line per request, in request order. Estimate requests first
+//! consult the sharded canonical cache; a miss is computed on the handler
+//! thread itself. Control requests (`ping`, `stats`, `shutdown`) are
+//! answered inline. At most `MAX_CONNECTIONS` connections are live at a
+//! time; one past the cap gets a single `ok:false` line and is closed.
 //!
 //! Shutdown is cooperative: a `shutdown` request (or [`ServerHandle::stop`])
 //! flips an atomic flag and pokes the listener with a loopback connection
-//! so `accept` returns; the listener then joins every live handler before
-//! exiting, so a telemetry snapshot taken after [`ServerHandle::join`] sees
-//! all request counters.
+//! so `accept` returns; the listener's thread scope then joins every live
+//! handler before exiting, so a telemetry snapshot taken after
+//! [`ServerHandle::join`] sees all request counters.
 
-use crate::batch::{BatchConfig, Batcher, Job};
-use crate::cache::ShardedLru;
-use crate::engine::{load_sketch_with_retry, Outcome};
+use crate::cache::{CachedEstimate, ShardedLru};
+use crate::engine::{fallback_outcome, load_sketch_with_retry, model_outcome, Outcome};
 use crate::proto::{from_line, to_line, Request, Response};
+use alss_core::LearnedSketch;
+use alss_estimators::{LabelIndex, WanderJoin};
 use alss_graph::{canonical_key, io::from_text, Graph};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::sync_channel;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// Random walks per fallback Wander-Join estimate.
+const WJ_SAMPLES: usize = 64;
+
+/// Live connections the server holds at once.
+const MAX_CONNECTIONS: usize = 1024;
 
 /// Server configuration.
 #[derive(Clone, Debug)]
@@ -44,8 +53,6 @@ pub struct ServeConfig {
     pub cache_capacity: usize,
     /// Estimate-cache shard count.
     pub cache_shards: usize,
-    /// Micro-batching knobs.
-    pub batch: BatchConfig,
 }
 
 impl Default for ServeConfig {
@@ -58,17 +65,23 @@ impl Default for ServeConfig {
             load_backoff: Duration::from_millis(50),
             cache_capacity: 4096,
             cache_shards: 8,
-            batch: BatchConfig::default(),
         }
     }
 }
 
 struct Shared {
-    batcher: Batcher,
-    cache: Arc<ShardedLru>,
+    cache: ShardedLru,
     stop: AtomicBool,
     /// `true` when the model failed to load and every answer is degraded.
     modelless: bool,
+}
+
+/// What a handler needs to answer a cache miss, borrowed from the
+/// listener thread.
+#[derive(Clone, Copy)]
+struct Estimator<'a> {
+    model: Option<&'a LearnedSketch>,
+    wj: &'a WanderJoin<'a>,
 }
 
 /// A running server. Obtain via [`serve`]; stop via [`ServerHandle::stop`]
@@ -108,7 +121,7 @@ fn request_stop(shared: &Shared, addr: SocketAddr) {
 }
 
 /// Load the data graph and checkpoint, bind the listener, and spawn the
-/// accept loop. Returns once the socket is bound and the batcher is live.
+/// accept loop. Returns once the socket is bound.
 pub fn serve(cfg: &ServeConfig) -> Result<ServerHandle, String> {
     let data_text = std::fs::read_to_string(&cfg.data_path)
         .map_err(|e| format!("data graph {}: {e}", cfg.data_path.display()))?;
@@ -129,17 +142,13 @@ pub fn serve(cfg: &ServeConfig) -> Result<ServerHandle, String> {
         },
     };
 
-    let cache = Arc::new(ShardedLru::new(cfg.cache_capacity, cfg.cache_shards));
-    let batcher = Batcher::spawn(model, data, Arc::clone(&cache), cfg.batch)
-        .map_err(|e| format!("spawn batcher: {e}"))?;
-
+    let cache = ShardedLru::new(cfg.cache_capacity, cfg.cache_shards);
     let listener = TcpListener::bind(&cfg.addr).map_err(|e| format!("bind {}: {e}", cfg.addr))?;
     let addr = listener
         .local_addr()
         .map_err(|e| format!("local_addr: {e}"))?;
 
     let shared = Arc::new(Shared {
-        batcher,
         cache,
         stop: AtomicBool::new(false),
         modelless,
@@ -152,7 +161,7 @@ pub fn serve(cfg: &ServeConfig) -> Result<ServerHandle, String> {
     let loop_shared = Arc::clone(&shared);
     let listener_thread = std::thread::Builder::new()
         .name("alss-serve-accept".to_string())
-        .spawn(move || accept_loop(&listener, addr, &loop_shared))
+        .spawn(move || accept_loop(&listener, addr, &loop_shared, &data, model.as_ref()))
         .map_err(|e| format!("spawn accept loop: {e}"))?;
 
     Ok(ServerHandle {
@@ -162,30 +171,80 @@ pub fn serve(cfg: &ServeConfig) -> Result<ServerHandle, String> {
     })
 }
 
-fn accept_loop(listener: &TcpListener, addr: SocketAddr, shared: &Arc<Shared>) {
-    let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-    for conn in listener.incoming() {
-        if shared.stop.load(Ordering::SeqCst) {
-            break;
+fn accept_loop(
+    listener: &TcpListener,
+    addr: SocketAddr,
+    shared: &Shared,
+    data: &Graph,
+    model: Option<&LearnedSketch>,
+) {
+    let index = LabelIndex::new(data);
+    let wj = WanderJoin::new(&index, WJ_SAMPLES);
+    let estimator = Estimator { model, wj: &wj };
+    let slots = ConnectionSlots::new(MAX_CONNECTIONS);
+    // Leaving the scope joins every handler.
+    std::thread::scope(|s| {
+        for conn in listener.incoming() {
+            if shared.stop.load(Ordering::SeqCst) {
+                break;
+            }
+            let Ok(mut stream) = conn else { continue };
+            let Some(slot) = slots.try_acquire() else {
+                alss_telemetry::counter("serve.overloaded").inc();
+                write_response(
+                    &mut stream,
+                    &Response::failure(0, "server overloaded: too many connections"),
+                );
+                continue;
+            };
+            let spawned = std::thread::Builder::new()
+                .name("alss-serve-conn".to_string())
+                .spawn_scoped(s, move || {
+                    let _slot = slot;
+                    handle_connection(stream, addr, shared, estimator);
+                });
+            if spawned.is_err() {
+                alss_telemetry::counter("serve.spawn_failed").inc();
+            }
         }
-        let Ok(stream) = conn else { continue };
-        let conn_shared = Arc::clone(shared);
-        let spawned = std::thread::Builder::new()
-            .name("alss-serve-conn".to_string())
-            .spawn(move || handle_connection(stream, addr, &conn_shared));
-        match spawned {
-            Ok(h) => handlers.push(h),
-            Err(_) => alss_telemetry::counter("serve.spawn_failed").inc(),
+    });
+}
+
+/// Counts live connections against a fixed cap.
+struct ConnectionSlots {
+    live: AtomicUsize,
+    cap: usize,
+}
+
+/// One taken connection slot; dropping it gives the slot back.
+struct Slot<'a>(&'a ConnectionSlots);
+
+impl ConnectionSlots {
+    fn new(cap: usize) -> Self {
+        ConnectionSlots {
+            live: AtomicUsize::new(0),
+            cap,
         }
-        // Opportunistically reap finished handlers so the vec stays small.
-        handlers.retain(|h| !h.is_finished());
     }
-    for h in handlers {
-        let _ = h.join();
+
+    /// Take a slot, or `None` when `cap` connections are already live.
+    fn try_acquire(&self) -> Option<Slot<'_>> {
+        self.live
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
+                (n < self.cap).then_some(n + 1)
+            })
+            .ok()
+            .map(|_| Slot(self))
     }
 }
 
-fn handle_connection(stream: TcpStream, addr: SocketAddr, shared: &Shared) {
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        self.0.live.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+fn handle_connection(stream: TcpStream, addr: SocketAddr, shared: &Shared, est: Estimator<'_>) {
     // A finite read timeout lets idle handlers notice the stop flag, so
     // the listener's shutdown join cannot hang on an open connection.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
@@ -226,7 +285,7 @@ fn handle_connection(stream: TcpStream, addr: SocketAddr, shared: &Shared) {
         let mut response = match from_line::<Request>(&line) {
             Ok(req) => {
                 shutdown = req.op == "shutdown";
-                dispatch(&req, shared)
+                dispatch(&req, started, shared, est)
             }
             Err(e) => {
                 alss_telemetry::counter("serve.parse_error").inc();
@@ -235,14 +294,7 @@ fn handle_connection(stream: TcpStream, addr: SocketAddr, shared: &Shared) {
         };
         response.latency_us = us_since(started);
         alss_telemetry::histogram("serve.latency_us").record(response.latency_us);
-        let Ok(out_line) = to_line(&response) else {
-            break;
-        };
-        if writer
-            .write_all(out_line.as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
-            .is_err()
-        {
+        if !write_response(&mut writer, &response) {
             break;
         }
         if shutdown {
@@ -253,14 +305,25 @@ fn handle_connection(stream: TcpStream, addr: SocketAddr, shared: &Shared) {
     }
 }
 
+/// Write one response line; `false` when the connection is unusable.
+fn write_response(writer: &mut TcpStream, response: &Response) -> bool {
+    let Ok(out_line) = to_line(response) else {
+        return false;
+    };
+    writer
+        .write_all(out_line.as_bytes())
+        .and_then(|()| writer.write_all(b"\n"))
+        .is_ok()
+}
+
 /// Elapsed microseconds, saturated into `u64`.
 fn us_since(started: Instant) -> u64 {
     u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
-fn dispatch(req: &Request, shared: &Shared) -> Response {
+fn dispatch(req: &Request, started: Instant, shared: &Shared, est: Estimator<'_>) -> Response {
     match req.op.as_str() {
-        "" | "estimate" => estimate_response(req, shared),
+        "" | "estimate" => estimate_response(req, started, shared, est),
         "ping" => Response {
             id: req.id,
             ok: true,
@@ -279,22 +342,28 @@ fn dispatch(req: &Request, shared: &Shared) -> Response {
 }
 
 /// `stats` reuses the numeric response fields: `estimate` = cache entries,
-/// `log10` = queue depth, `magnitude_class` = cache capacity. `degraded`
-/// reports modelless mode.
+/// `magnitude_class` = cache capacity. `degraded` reports modelless mode.
 fn stats_response(req: &Request, shared: &Shared) -> Response {
     #[allow(clippy::cast_precision_loss)] // diagnostics, not counts
     Response {
         id: req.id,
         ok: true,
         estimate: shared.cache.len() as f64,
-        log10: shared.batcher.queue_depth() as f64,
         magnitude_class: shared.cache.capacity() as u64,
         degraded: shared.modelless,
         ..Response::default()
     }
 }
 
-fn estimate_response(req: &Request, shared: &Shared) -> Response {
+/// Answer an estimate: a cache hit, else the model, else (deadline passed
+/// since `started`, or no model) the deterministic fallback. Only model
+/// answers are cached, so a degraded answer never shadows one.
+fn estimate_response(
+    req: &Request,
+    started: Instant,
+    shared: &Shared,
+    est: Estimator<'_>,
+) -> Response {
     let query = match from_text(&req.query) {
         Ok(q) => q,
         Err(e) => return Response::failure(req.id, format!("query: {e}")),
@@ -316,22 +385,25 @@ fn estimate_response(req: &Request, shared: &Shared) -> Response {
     }
     alss_telemetry::counter("serve.cache_miss").inc();
 
-    let (reply_tx, reply_rx) = sync_channel(1);
-    let job = Job {
-        id: req.id,
-        graph: query,
-        key,
-        enqueued: Instant::now(),
-        deadline: req.deadline_ms.map(Duration::from_millis),
-        reply: reply_tx,
+    let expired = req
+        .deadline_ms
+        .is_some_and(|d| started.elapsed() >= Duration::from_millis(d));
+    let outcome = match est.model {
+        Some(sketch) if !expired => model_outcome(sketch, &query),
+        _ => fallback_outcome(est.wj, &query, key.hash),
     };
-    if let Err(e) = shared.batcher.submit(job) {
-        return Response::failure(req.id, e);
+    if outcome.degraded {
+        alss_telemetry::counter("serve.degraded").inc();
+    } else {
+        shared.cache.insert(
+            key,
+            CachedEstimate {
+                log10: outcome.log10,
+                magnitude_class: outcome.magnitude_class,
+            },
+        );
     }
-    match reply_rx.recv() {
-        Ok(outcome) => ok_response(req.id, outcome, false),
-        Err(_) => Response::failure(req.id, "server shutting down"),
-    }
+    ok_response(req.id, outcome, false)
 }
 
 fn ok_response(id: u64, outcome: Outcome, cached: bool) -> Response {
@@ -346,5 +418,24 @@ fn ok_response(id: u64, outcome: Outcome, cached: bool) -> Response {
         degraded: outcome.degraded,
         cached,
         ..Response::default()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn connection_slots_refuse_past_the_cap_and_are_reused_after_drop() {
+        let slots = ConnectionSlots::new(2);
+        let first = slots.try_acquire().unwrap();
+        let second = slots.try_acquire().unwrap();
+        assert!(slots.try_acquire().is_none(), "third acquire at cap 2");
+        drop(first);
+        let reused = slots.try_acquire();
+        assert!(reused.is_some(), "a dropped slot can be taken again");
+        assert!(slots.try_acquire().is_none());
+        drop((second, reused));
+        assert_eq!(slots.live.load(Ordering::SeqCst), 0);
     }
 }

@@ -4,13 +4,12 @@
 
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
 
-use alss_core::{LabeledQuery, Parallelism};
-use alss_core::{LearnedSketch, SketchConfig, Workload};
+use alss_core::{LabeledQuery, LearnedSketch, SketchConfig, Workload};
 use alss_graph::builder::graph_from_edges;
 use alss_graph::io::to_text;
 use alss_graph::Graph;
 use alss_matching::{count_homomorphisms, Budget};
-use alss_serve::{run_load, BatchConfig, Client, Request, ServeConfig};
+use alss_serve::{run_load, Client, Request, ServeConfig};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -67,10 +66,6 @@ fn config(graph: PathBuf, sketch: Option<PathBuf>) -> ServeConfig {
         data_path: graph,
         model_path: sketch,
         load_backoff: Duration::from_millis(1),
-        batch: BatchConfig {
-            parallelism: Parallelism::fixed(2),
-            ..BatchConfig::default()
-        },
         ..ServeConfig::default()
     }
 }
@@ -116,7 +111,7 @@ fn zero_deadline_degrades_fresh_queries_deterministically() {
     let addr = handle.addr.to_string();
     let mut client = Client::connect(&addr, Duration::from_secs(5)).unwrap();
 
-    // Fresh (uncached) query with an already-expired deadline: the batcher
+    // Fresh (uncached) query with an already-expired deadline: the server
     // must answer from the fallback and must not poison the cache.
     let q = to_text(&graph_from_edges(&[2, 1], &[(0, 1)]));
     let a = client.estimate(1, &q, Some(0)).unwrap();
@@ -184,6 +179,7 @@ fn modelless_server_degrades_everything() {
     assert!(resp.ok && resp.degraded);
     let stats = client.call(&Request::control("stats")).unwrap();
     assert!(stats.degraded, "stats reports modelless mode");
+    assert_eq!(stats.estimate, 0.0, "degraded answers are not cached");
 
     handle.stop();
     handle.join();

@@ -13,8 +13,8 @@
 //! alss stats     --graph graph.txt
 //! alss decompose --query query.txt [--hops 3]
 //! alss serve     --graph graph.txt [--sketch sketch.json] [--addr 127.0.0.1:0]
-//!                [--port-file p] [--cache N] [--shards N] [--batch N]
-//!                [--queue N] [--threads N] [--telemetry out.jsonl]
+//!                [--port-file p] [--cache N] [--shards N]
+//!                [--telemetry out.jsonl]
 //! alss query     --addr host:port (--query q.txt | --op ping|stats|shutdown)
 //!                [--deadline-ms N]
 //! alss loadgen   --addr host:port --query q.txt [--rounds N] [--deadline-ms N]
@@ -291,7 +291,6 @@ fn cmd_decompose(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_serve(args: &Args) -> Result<(), String> {
-    let threads: usize = args.parsed("threads", 0)?;
     let _guard = alss::telemetry::init("serve", args.get("telemetry"));
     let cfg = alss::serve::ServeConfig {
         addr: args.get("addr").unwrap_or("127.0.0.1:0").to_string(),
@@ -299,16 +298,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         model_path: args.get("sketch").map(Into::into),
         cache_capacity: args.parsed("cache", 4096)?,
         cache_shards: args.parsed("shards", 8)?,
-        batch: alss::serve::BatchConfig {
-            batch_size: args.parsed("batch", 16)?,
-            queue_cap: args.parsed("queue", 1024)?,
-            parallelism: if threads > 0 {
-                alss::core::Parallelism::fixed(threads)
-            } else {
-                alss::core::Parallelism::auto()
-            },
-            wj_samples: args.parsed("wj-samples", 64)?,
-        },
         ..alss::serve::ServeConfig::default()
     };
     let handle = alss::serve::serve(&cfg)?;
