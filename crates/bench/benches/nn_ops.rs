@@ -28,22 +28,19 @@ fn bench_nn(c: &mut Criterion) {
     let edges: Vec<(u32, u32)> = (1..10u32).map(|i| (i - 1, i)).collect();
     let adj = adjacency_from_edges(10, &edges);
     let feats = Mat::from_vec(10, 64, (0..640).map(|_| rng.gen::<f32>()).collect());
+    let mut grads = store.grad_shard();
+    let first = store.ids().next().expect("store has params");
     group.bench_function("gin_fwd_bwd_10node_64d", |b| {
         b.iter(|| {
-            let mut store = store.clone();
-            let mut tape = Tape::new(true);
-            let mut r = SmallRng::seed_from_u64(1);
+            grads.zero();
+            let mut tape = Tape::train(SmallRng::seed_from_u64(1));
             let x = tape.input(feats.clone());
-            let h = gin.encode(&mut tape, &store, x, &adj, None, &mut r);
+            let h = gin.encode(&mut tape, &store, x, &adj, None);
             // the loss takes a k×1 prediction; reduce the 1×64 readout
             let pred = tape.mean_all(h);
             let loss = mse_log_loss(&mut tape, pred, &[0.5; 1]);
-            tape.backward(loss, &mut store);
-            black_box(
-                store
-                    .grad(store.ids().next().expect("store has params"))
-                    .norm(),
-            )
+            tape.backward(loss, &mut grads);
+            black_box(grads.grad(first).norm())
         })
     });
 
@@ -53,7 +50,7 @@ fn bench_nn(c: &mut Criterion) {
     let h = Mat::from_vec(12, 64, (0..12 * 64).map(|_| rng.gen::<f32>()).collect());
     group.bench_function("attention_12x64", |b| {
         b.iter(|| {
-            let mut tape = Tape::new(false);
+            let mut tape = Tape::eval();
             let hv = tape.input(h.clone());
             let (eq, _) = att.forward(&mut tape, &store2, hv);
             black_box(tape.value(eq).norm())

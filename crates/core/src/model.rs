@@ -206,12 +206,7 @@ impl LssModel {
 
     /// Forward pass (Algorithm 1): returns the regression node (`1 × 1`,
     /// `log10 c_Θ(q)`) and the classification logits (`1 × m`).
-    pub fn forward<R: Rng>(
-        &self,
-        tape: &mut Tape,
-        query: &EncodedQuery,
-        rng: &mut R,
-    ) -> (Var, Var) {
+    pub fn forward(&self, tape: &mut Tape, query: &EncodedQuery) -> (Var, Var) {
         assert!(
             !query.subs.is_empty(),
             "query decomposed into no substructures"
@@ -220,7 +215,7 @@ impl LssModel {
         for s in &query.subs {
             let x = tape.input(s.features.clone());
             let es = s.edge_sums.as_ref().map(|m| tape.input(m.clone()));
-            let h = self.gin.encode(tape, &self.store, x, &s.adj, es, rng);
+            let h = self.gin.encode(tape, &self.store, x, &s.adj, es);
             reps.push(h);
         }
         let h_q = tape.concat_rows(&reps); // n × hidden (Alg. 1 line 8)
@@ -230,21 +225,15 @@ impl LssModel {
             // ablation: unweighted sum over substructures
             None => tape.sum_rows(h_q),
         };
-        let out = self.mlp.forward(tape, &self.store, e_q, rng); // line 12
+        let out = self.mlp.forward(tape, &self.store, e_q); // line 12
         let reg = tape.slice_cols(out, 0, 1);
         let logits = tape.slice_cols(out, 1, 1 + self.cfg.num_classes);
         (reg, logits)
     }
 
     /// Build the Eq. (6) multi-task loss for one labeled query.
-    pub fn loss<R: Rng>(
-        &self,
-        tape: &mut Tape,
-        query: &EncodedQuery,
-        true_count: u64,
-        rng: &mut R,
-    ) -> Var {
-        let (reg, logits) = self.forward(tape, query, rng);
+    pub fn loss(&self, tape: &mut Tape, query: &EncodedQuery, true_count: u64) -> Var {
+        let (reg, logits) = self.forward(tape, query);
         // log10 of a u64 fits comfortably in f32 (< 20)
         #[allow(clippy::cast_possible_truncation)]
         let target_log = (true_count.max(1) as f64).log10() as f32;
@@ -258,9 +247,8 @@ impl LssModel {
     /// dropout, deterministic).
     pub fn predict(&self, query: &EncodedQuery) -> Prediction {
         let _span = alss_telemetry::Span::enter("model.forward");
-        let mut tape = Tape::new(false);
-        let mut rng = rand::rngs::mock::StepRng::new(0, 1);
-        let (reg, logits) = self.forward(&mut tape, query, &mut rng);
+        let mut tape = Tape::eval();
+        let (reg, logits) = self.forward(&mut tape, query);
         let log10_count = tape.value(reg).scalar() as f64;
         let probs_node = {
             let mut t2 = tape; // reuse: softmax on the logits node
@@ -295,9 +283,8 @@ mod tests {
         let (enc, model) = setup();
         let q = graph_from_edges(&[0, 1, 2], &[(0, 1), (1, 2)]);
         let eq = enc.encode_query(&q);
-        let mut tape = Tape::new(false);
-        let mut rng = SmallRng::seed_from_u64(1);
-        let (reg, logits) = model.forward(&mut tape, &eq, &mut rng);
+        let mut tape = Tape::eval();
+        let (reg, logits) = model.forward(&mut tape, &eq);
         assert_eq!(tape.value(reg).shape(), (1, 1));
         assert_eq!(tape.value(logits).shape(), (1, 8));
     }
@@ -335,9 +322,8 @@ mod tests {
         let (enc, model) = setup();
         let q = graph_from_edges(&[0, 1, 2], &[(0, 1), (1, 2)]);
         let eq = enc.encode_query(&q);
-        let mut tape = Tape::new(true);
-        let mut rng = SmallRng::seed_from_u64(2);
-        let l = model.loss(&mut tape, &eq, 1234, &mut rng);
+        let mut tape = Tape::train(SmallRng::seed_from_u64(2));
+        let l = model.loss(&mut tape, &eq, 1234);
         let v = tape.value(l).scalar();
         assert!(v.is_finite());
         assert!(v > 0.0);

@@ -329,6 +329,46 @@ mod tests {
         }
     }
 
+    /// The value under `key` of a JSON object.
+    fn field_mut<'a>(v: &'a mut serde_json::Value, key: &str) -> &'a mut serde_json::Value {
+        match v {
+            serde_json::Value::Object(pairs) => pairs
+                .iter_mut()
+                .find(|(k, _)| k == key)
+                .map(|(_, v)| v)
+                .expect(key),
+            other => panic!("expected an object, got {}", other.kind()),
+        }
+    }
+
+    #[test]
+    fn checkpoints_omit_gradients_and_older_ones_still_load() {
+        let d = data_graph();
+        let w = real_workload(&d);
+        let (sketch, _) = LearnedSketch::train(&d, &w, &SketchConfig::tiny());
+        let json = sketch.to_json().expect("serialize");
+        assert!(!json.contains("\"grads\""), "checkpoint carries gradients");
+
+        // Older checkpoints also stored a gradient buffer shaped like the
+        // weights, as `model.store.grads` between `values` and `names`.
+        let mut value: serde_json::Value = serde_json::from_str(&json).expect("parse");
+        let store = field_mut(field_mut(&mut value, "model"), "store");
+        let grads = field_mut(store, "values").clone();
+        let serde_json::Value::Object(pairs) = store else {
+            panic!("store is not an object");
+        };
+        pairs.insert(1, ("grads".to_string(), grads));
+        let old_json = serde_json::to_string(&value).expect("render");
+        assert!(old_json.contains("\"grads\""));
+        let old = LearnedSketch::from_json(&old_json).expect("older checkpoint loads");
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for q in &w.queries {
+            let (a, b) = (sketch.predict(&q.graph), old.predict(&q.graph));
+            assert_eq!(a.log10_count.to_bits(), b.log10_count.to_bits());
+            assert_eq!(bits(&a.class_probs), bits(&b.class_probs));
+        }
+    }
+
     #[test]
     fn sketch_file_save_load() {
         let d = data_graph();

@@ -5,11 +5,11 @@
 //! Training is **data-parallel and deterministic**: within each
 //! mini-batch the per-item forward+backward passes fan out over worker
 //! threads, each accumulating into its own [`GradShard`]; shards are
-//! merged into the [`alss_nn::ParamStore`] in batch-position order and
-//! every item's dropout stream is derived from `(seed, epoch, item)`
-//! rather than a shared sequential RNG. The floating-point operations —
-//! and therefore losses and final weights — are bit-identical for any
-//! [`Parallelism`] thread count, including 1.
+//! merged into one zeroed accumulator shard in batch-position order, and
+//! every item's training tape draws its dropout masks from an RNG derived
+//! from `(seed, epoch, item)` rather than a shared sequential RNG. The
+//! floating-point operations — and therefore losses and final weights —
+//! are bit-identical for any [`Parallelism`] thread count, including 1.
 
 use crate::encode::{EncodedQuery, Encoder};
 use crate::model::LssModel;
@@ -148,9 +148,8 @@ fn run_batch(
     let run_one = |&i: &usize, shard: &mut GradShard| -> ItemOutcome {
         let watch = timing_on.then(alss_telemetry::Stopwatch::start);
         let (eq, count) = &items[i];
-        let mut rng = item_rng(seed, epoch, i as u64);
-        let mut tape = Tape::new(true);
-        let l = model.loss(&mut tape, eq, *count, &mut rng);
+        let mut tape = Tape::train(item_rng(seed, epoch, i as u64));
+        let l = model.loss(&mut tape, eq, *count);
         let scaled = tape.scale(l, scale);
         let loss = tape.value(l).scalar() as f64;
         tape.backward(scaled, shard);
@@ -226,7 +225,9 @@ pub fn train_model(model: &mut LssModel, items: &[EncodedItem], cfg: &TrainConfi
     let mut order: Vec<usize> = (0..items.len()).collect();
     let mut epoch_losses = Vec::with_capacity(cfg.epochs);
     let workers = cfg.parallelism.effective();
-    let mut shards = model.store().grad_shards(cfg.batch_size.min(items.len()));
+    // One shard per batch position, merged into `grads` in position order.
+    let mut grads = model.store().grad_shard();
+    let mut shards = vec![grads.clone(); cfg.batch_size.min(items.len())];
 
     for epoch in 0..cfg.epochs {
         let epoch_watch = alss_telemetry::Stopwatch::start();
@@ -251,8 +252,8 @@ pub fn train_model(model: &mut LssModel, items: &[EncodedItem], cfg: &TrainConfi
                 workers,
                 timing_on,
             );
-            model.store_mut().zero_grads();
-            model.store_mut().merge_grads(&shards[..batch.len()]);
+            grads.zero();
+            grads.merge(&shards[..batch.len()]);
             // Reduce in batch-position order: keeps the f64 sum identical
             // to the single-threaded pass.
             for o in &outcomes {
@@ -260,10 +261,10 @@ pub fn train_model(model: &mut LssModel, items: &[EncodedItem], cfg: &TrainConfi
                 item_us_sum += o.micros;
             }
             if telemetry_on {
-                grad_norm_sum += f64::from(model.store().grad_norm());
+                grad_norm_sum += f64::from(grads.norm());
             }
             num_batches += 1;
-            adam.step(model.store_mut());
+            adam.step(model.store_mut(), &grads);
         }
         let lr = adam.lr();
         adam.decay_lr();
@@ -350,11 +351,8 @@ pub fn eval_loss(model: &LssModel, items: &[EncodedItem]) -> f64 {
 /// summed in item order, so the result is bit-identical for any `par`.
 pub fn eval_loss_with(model: &LssModel, items: &[EncodedItem], par: Parallelism) -> f64 {
     let losses = par_map(par, items, |_, (eq, c)| {
-        // Eval tapes never sample (dropout is inert), so a fixed-seed
-        // throwaway RNG keeps the loss a pure function of the item.
-        let mut rng = SmallRng::seed_from_u64(0);
-        let mut tape = Tape::new(false);
-        let l = model.loss(&mut tape, eq, *c, &mut rng);
+        let mut tape = Tape::eval();
+        let l = model.loss(&mut tape, eq, *c);
         tape.value(l).scalar() as f64
     });
     losses.iter().sum::<f64>() / items.len().max(1) as f64

@@ -105,6 +105,9 @@ pub fn from_text(text: &str) -> Result<Graph, ParseError> {
                 b.set_label(id, label);
                 for tok in it {
                     let extra: LabelId = tok.parse().map_err(|_| err(ln, "bad extra label"))?;
+                    if extra == WILDCARD {
+                        return Err(err(ln, "extra label cannot be a wildcard"));
+                    }
                     b.add_extra_label(id, extra);
                 }
             }
@@ -170,6 +173,9 @@ mod tests {
         assert!(from_text("v 0 0").is_err());
         assert!(from_text("").is_err());
         assert!(from_text("t 1 0\nx 1").is_err());
+        let e = from_text(&format!("t 1 0\nv 0 0 {WILDCARD}\n")).unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.message.contains("wildcard"));
     }
 
     #[test]

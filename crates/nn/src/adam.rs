@@ -3,7 +3,7 @@
 //! decaying learning rate", L2 penalty ∈ [1e-3, 1e-5]).
 
 use crate::mat::Mat;
-use crate::param::ParamStore;
+use crate::param::{GradShard, ParamId, ParamStore};
 use serde::{Deserialize, Serialize};
 
 /// Adam hyper-parameters.
@@ -81,10 +81,10 @@ impl Adam {
         self.t
     }
 
-    /// One optimization step consuming the store's accumulated gradients.
-    /// (Does not zero them; call [`ParamStore::zero_grads`] before the next
-    /// backward accumulation.)
-    pub fn step(&mut self, store: &mut ParamStore) {
+    /// One optimization step of `store`'s weights along the gradients
+    /// accumulated in `grads` (which it leaves untouched; zero them with
+    /// [`GradShard::zero`] before the next backward accumulation).
+    pub fn step(&mut self, store: &mut ParamStore, grads: &GradShard) {
         self.t += 1;
         let b1 = self.cfg.beta1;
         let b2 = self.cfg.beta2;
@@ -93,27 +93,19 @@ impl Adam {
         let t = i32::try_from(self.t).unwrap_or(i32::MAX);
         let bc1 = 1.0 - b1.powi(t);
         let bc2 = 1.0 - b2.powi(t);
-        for (idx, id) in store.ids().collect::<Vec<_>>().into_iter().enumerate() {
-            // L2 penalty folded into the gradient.
-            let wd = self.cfg.weight_decay;
-            let grad: Vec<f32> = {
-                let g = store.grad(id);
-                let w = store.value(id);
-                g.data()
-                    .iter()
-                    .zip(w.data())
-                    .map(|(&gi, &wi)| gi + wd * wi)
-                    .collect()
-            };
-            let m = &mut self.m[idx];
-            let v = &mut self.v[idx];
+        // L2 penalty folded into the gradient.
+        let wd = self.cfg.weight_decay;
+        for (idx, (m, v)) in self.m.iter_mut().zip(&mut self.v).enumerate() {
+            let id = ParamId(idx);
             let w = store.value_mut(id);
-            for ((wi, (mi, vi)), gi) in w
+            for (((wi, mi), vi), &g) in w
                 .data_mut()
                 .iter_mut()
-                .zip(m.data_mut().iter_mut().zip(v.data_mut().iter_mut()))
-                .zip(&grad)
+                .zip(m.data_mut())
+                .zip(v.data_mut())
+                .zip(grads.grad(id).data())
             {
+                let gi = g + wd * *wi;
                 *mi = b1 * *mi + (1.0 - b1) * gi;
                 *vi = b2 * *vi + (1.0 - b2) * gi * gi;
                 let mh = *mi / bc1;
@@ -142,16 +134,17 @@ mod tests {
             },
             &store,
         );
+        let mut grads = store.grad_shard();
         for _ in 0..300 {
-            store.zero_grads();
-            let mut t = Tape::new(true);
+            grads.zero();
+            let mut t = Tape::eval();
             let wv = t.param(&store, w);
             let c = t.input(Mat::from_vec(1, 1, vec![3.0]));
             let d = t.sub(wv, c);
             let d2 = t.mul(d, d);
             let l = t.sum_all(d2);
-            t.backward(l, &mut store);
-            adam.step(&mut store);
+            t.backward(l, &mut grads);
+            adam.step(&mut store, &grads);
         }
         let final_w = store.value(w).scalar();
         assert!((final_w - 3.0).abs() < 0.05, "w = {final_w}");
@@ -180,9 +173,10 @@ mod tests {
             },
             &store,
         );
+        // zero loss gradient; only decay acts
+        let grads = store.grad_shard();
         for _ in 0..100 {
-            store.zero_grads(); // zero loss gradient; only decay acts
-            adam.step(&mut store);
+            adam.step(&mut store, &grads);
         }
         assert!(store.value(w).scalar().abs() < 4.0);
     }

@@ -101,7 +101,7 @@ mod tests {
     fn output_size_independent_of_substructure_count() {
         let (store, att) = setup(4, 8, 3);
         for n in [1usize, 2, 7, 20] {
-            let mut t = Tape::new(false);
+            let mut t = Tape::eval();
             let h = t.input(Mat::full(n, 4, 0.5));
             let (eq, a) = att.forward(&mut t, &store, h);
             assert_eq!(t.value(eq).shape(), (1, 12));
@@ -112,7 +112,7 @@ mod tests {
     #[test]
     fn attention_rows_are_distributions() {
         let (store, att) = setup(4, 8, 2);
-        let mut t = Tape::new(false);
+        let mut t = Tape::eval();
         let h = t.input(Mat::from_vec(
             3,
             4,
@@ -136,7 +136,7 @@ mod tests {
         ];
         let forward = |order: &[usize]| {
             let data: Vec<f32> = order.iter().flat_map(|&i| rows[i].clone()).collect();
-            let mut t = Tape::new(false);
+            let mut t = Tape::eval();
             let h = t.input(Mat::from_vec(3, 3, data));
             let (eq, _) = att.forward(&mut t, &store, h);
             t.value(eq).data().to_vec()

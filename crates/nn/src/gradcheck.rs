@@ -20,46 +20,44 @@ pub struct GradCheckReport {
 /// Compare analytic parameter gradients against central finite differences.
 ///
 /// `build` must construct a *deterministic* scalar loss on the provided
-/// tape (use eval-mode behavior: the tape passed in is eval-mode so dropout
-/// is inert). Returns the worst relative error
-/// `|g_a − g_n| / max(1, |g_a|, |g_n|)`.
+/// tape. Every tape passed in is a [`Tape::eval`] tape, so dropout is the
+/// identity. Analytic gradients accumulate into a fresh [`GradShard`];
+/// `store` is only perturbed element by element and restored. Returns the
+/// worst relative error `|g_a − g_n| / max(1, |g_a|, |g_n|)`.
+///
+/// [`GradShard`]: crate::param::GradShard
 pub fn check_gradients(
     store: &mut ParamStore,
     eps: f32,
     build: impl Fn(&mut Tape, &ParamStore) -> Var,
 ) -> GradCheckReport {
     // Analytic gradients.
-    store.zero_grads();
-    let mut tape = Tape::new(false);
+    let mut grads = store.grad_shard();
+    let mut tape = Tape::eval();
     let loss = build(&mut tape, store);
-    tape.backward(loss, store);
-    let analytic: Vec<Vec<f32>> = store
-        .ids()
-        .map(|id| store.grad(id).data().to_vec())
-        .collect();
+    tape.backward(loss, &mut grads);
 
     let mut max_rel_err = 0.0f32;
     let mut checked = 0usize;
-    let ids: Vec<_> = store.ids().collect();
-    for (pi, id) in ids.iter().enumerate() {
-        let n = store.value(*id).len();
+    for id in store.ids().collect::<Vec<_>>() {
+        let n = store.value(id).len();
         #[allow(clippy::needless_range_loop)] // e indexes two containers
         for e in 0..n {
-            let orig = store.value(*id).data()[e];
-            store.value_mut(*id).data_mut()[e] = orig + eps;
-            let mut tp = Tape::new(false);
+            let orig = store.value(id).data()[e];
+            store.value_mut(id).data_mut()[e] = orig + eps;
+            let mut tp = Tape::eval();
             let lp = build(&mut tp, store);
             let fp = tp.value(lp).scalar();
 
-            store.value_mut(*id).data_mut()[e] = orig - eps;
-            let mut tm = Tape::new(false);
+            store.value_mut(id).data_mut()[e] = orig - eps;
+            let mut tm = Tape::eval();
             let lm = build(&mut tm, store);
             let fm = tm.value(lm).scalar();
 
-            store.value_mut(*id).data_mut()[e] = orig;
+            store.value_mut(id).data_mut()[e] = orig;
 
             let numeric = (fp - fm) / (2.0 * eps);
-            let a = analytic[pi][e];
+            let a = grads.grad(id).data()[e];
             let rel = (a - numeric).abs() / a.abs().max(numeric.abs()).max(1.0);
             if rel > max_rel_err {
                 max_rel_err = rel;
@@ -93,9 +91,8 @@ mod tests {
         let mlp = Mlp::new(&mut store, "m", &[3, 4, 1], Activation::Tanh, 0.0, &mut rng);
         let x = Mat::from_vec(2, 3, vec![0.5, -0.2, 0.1, 0.9, 0.4, -0.7]);
         let report = check_gradients(&mut store, 1e-2, |t, s| {
-            let mut r = SmallRng::seed_from_u64(0);
             let xv = t.input(x.clone());
-            let y = mlp.forward(t, s, xv, &mut r);
+            let y = mlp.forward(t, s, xv);
             mse_log_loss(t, y, &[1.0, 2.0])
         });
         assert!(report.max_rel_err < TOL, "{report:?}");
@@ -136,9 +133,8 @@ mod tests {
         let adj = adjacency_from_edges(3, &[(0, 1), (1, 2)]);
         let x = Mat::from_vec(3, 2, vec![0.4, 0.1, -0.5, 0.8, 0.2, -0.2]);
         let report = check_gradients(&mut store, 1e-2, |t, s| {
-            let mut r = SmallRng::seed_from_u64(0);
             let xv = t.input(x.clone());
-            let h = enc.encode(t, s, xv, &adj, None, &mut r);
+            let h = enc.encode(t, s, xv, &adj, None);
             let sq = t.mul(h, h);
             t.mean_all(sq)
         });
@@ -152,9 +148,8 @@ mod tests {
         let mlp = Mlp::new(&mut store, "m", &[2, 5, 4], Activation::Relu, 0.0, &mut rng);
         let x = Mat::from_vec(2, 2, vec![0.3, -0.6, 0.8, 0.2]);
         let report = check_gradients(&mut store, 1e-2, |t, s| {
-            let mut r = SmallRng::seed_from_u64(0);
             let xv = t.input(x.clone());
-            let out = mlp.forward(t, s, xv, &mut r);
+            let out = mlp.forward(t, s, xv);
             let reg = t.slice_cols(out, 0, 1);
             let cla = t.slice_cols(out, 1, 4);
             let lr = mse_log_loss(t, reg, &[0.5, 1.5]);

@@ -10,15 +10,19 @@
 //! * [`tape::Tape`] — define-by-run reverse-mode autodiff over the op set
 //!   the LSS architecture needs (matmul, broadcasts, ReLU/tanh/softmax,
 //!   dropout, GIN graph aggregation, concat/slice/flatten);
-//! * [`param::ParamStore`] — persistent parameters with gradient routing;
+//! * [`param::ParamStore`] — persistent parameters (weights and names
+//!   only); [`param::GradShard`] — the gradient accumulator a backward
+//!   pass fills and the optimizer reads;
 //! * [`linear`] — `Linear` / `Mlp` layers; [`gin`] — GIN encoder;
 //!   [`attention`] — structured self-attention (Algorithm 1, lines 8–11);
 //! * [`loss`] — Eq. (3)/(5)/(6) losses; [`adam`] — Adam with weight decay
 //!   and LR decay;
 //! * [`gradcheck`] — finite-difference validation used by the test suite.
 //!
-//! Determinism: all stochastic behavior (init, dropout) is driven by a
-//! caller-provided `rand::Rng`, so training runs are reproducible.
+//! Determinism: initialization draws from a caller-provided `rand::Rng`,
+//! and dropout draws from the RNG a training tape ([`Tape::train`]) owns,
+//! in op order. An eval tape ([`Tape::eval`]) draws nothing, so inference
+//! is a pure function of the weights and the input.
 //!
 //! ```
 //! use alss_nn::{Activation, Adam, AdamConfig, Mat, Mlp, ParamStore, Tape};
@@ -30,19 +34,20 @@
 //! let mut store = ParamStore::new();
 //! let mlp = Mlp::new(&mut store, "m", &[1, 8, 1], Activation::Tanh, 0.0, &mut rng);
 //! let mut adam = Adam::new(AdamConfig { lr: 0.02, weight_decay: 0.0, ..Default::default() }, &store);
-//! for _ in 0..200 {
-//!     store.zero_grads();
-//!     let mut tape = Tape::new(true);
+//! let mut grads = store.grad_shard();
+//! for step in 0..200 {
+//!     grads.zero();
+//!     let mut tape = Tape::train(SmallRng::seed_from_u64(step));
 //!     let x = tape.input(Mat::from_vec(4, 1, vec![0.0, 0.25, 0.5, 1.0]));
-//!     let y = mlp.forward(&mut tape, &store, x, &mut rng);
+//!     let y = mlp.forward(&mut tape, &store, x);
 //!     let loss = mse_log_loss(&mut tape, y, &[0.0, 0.5, 1.0, 2.0]);
-//!     tape.backward(loss, &mut store);
-//!     adam.step(&mut store);
+//!     tape.backward(loss, &mut grads);
+//!     adam.step(&mut store, &grads);
 //! }
 //! // evaluate at x = 0.75 → ≈ 1.5
-//! let mut tape = Tape::new(false);
+//! let mut tape = Tape::eval();
 //! let x = tape.input(Mat::from_vec(1, 1, vec![0.75]));
-//! let y = mlp.forward(&mut tape, &store, x, &mut rng);
+//! let y = mlp.forward(&mut tape, &store, x);
 //! assert!((tape.value(y).scalar() - 1.5).abs() < 0.2);
 //! ```
 
@@ -73,5 +78,5 @@ pub use attention::SelfAttention;
 pub use gin::{adjacency_from_edges, edge_feature_sums, Aggregation, GinEncoder, GinLayer};
 pub use linear::{Activation, Linear, Mlp};
 pub use mat::Mat;
-pub use param::{GradShard, GradSink, ParamId, ParamStore};
+pub use param::{GradShard, ParamId, ParamStore};
 pub use tape::{Adjacency, Tape, Var};

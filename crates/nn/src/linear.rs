@@ -122,14 +122,14 @@ impl Mlp {
     }
 
     /// Forward pass; dropout is active only on training tapes.
-    pub fn forward<R: Rng>(&self, tape: &mut Tape, store: &ParamStore, x: Var, rng: &mut R) -> Var {
+    pub fn forward(&self, tape: &mut Tape, store: &ParamStore, x: Var) -> Var {
         let mut h = x;
         let last = self.layers.len() - 1;
         for (i, layer) in self.layers.iter().enumerate() {
             h = layer.forward(tape, store, h);
             if i < last {
                 h = self.activation.apply(tape, h);
-                h = tape.dropout(h, self.dropout, rng);
+                h = tape.dropout(h, self.dropout);
             }
         }
         h
@@ -159,7 +159,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(0);
         let mut store = ParamStore::new();
         let l = Linear::new(&mut store, "l", 3, 5, true, &mut rng);
-        let mut t = Tape::new(false);
+        let mut t = Tape::eval();
         let x = t.input(Mat::zeros(4, 3));
         let y = l.forward(&mut t, &store, x);
         assert_eq!(t.value(y).shape(), (4, 5));
@@ -182,10 +182,10 @@ mod tests {
         let data = Mat::from_vec(4, 2, vec![0., 0., 0., 1., 1., 0., 1., 1.]);
         let target = Mat::from_vec(4, 1, vec![0., 1., 1., 2.]);
 
-        let loss_at = |store: &ParamStore, rng: &mut SmallRng| {
-            let mut t = Tape::new(false);
+        let loss_at = |store: &ParamStore| {
+            let mut t = Tape::eval();
             let x = t.input(data.clone());
-            let y = mlp.forward(&mut t, store, x, rng);
+            let y = mlp.forward(&mut t, store, x);
             let tv = t.input(target.clone());
             let d = t.sub(y, tv);
             let d2 = t.mul(d, d);
@@ -193,22 +193,21 @@ mod tests {
             t.value(l).scalar()
         };
 
-        let before = loss_at(&store, &mut rng);
+        let before = loss_at(&store);
         // one manual SGD step
-        let mut t = Tape::new(true);
+        let mut t = Tape::train(rng);
         let x = t.input(data.clone());
-        let y = mlp.forward(&mut t, &store, x, &mut rng);
+        let y = mlp.forward(&mut t, &store, x);
         let tv = t.input(target.clone());
         let d = t.sub(y, tv);
         let d2 = t.mul(d, d);
         let l = t.mean_all(d2);
-        store.zero_grads();
-        t.backward(l, &mut store);
+        let mut grads = store.grad_shard();
+        t.backward(l, &mut grads);
         for id in store.ids().collect::<Vec<_>>() {
-            let g = store.grad(id).clone();
-            store.value_mut(id).add_scaled_assign(&g, -0.1);
+            store.value_mut(id).add_scaled_assign(grads.grad(id), -0.1);
         }
-        let after = loss_at(&store, &mut rng);
+        let after = loss_at(&store);
         assert!(after < before, "loss should decrease: {before} -> {after}");
     }
 }

@@ -63,7 +63,7 @@ mod tests {
 
     #[test]
     fn mse_log_of_exact_prediction_is_zero() {
-        let mut t = Tape::new(false);
+        let mut t = Tape::eval();
         let p = t.input(Mat::from_vec(2, 1, vec![3.0, 5.0]));
         let l = mse_log_loss(&mut t, p, &[3.0, 5.0]);
         assert!(t.value(l).scalar().abs() < 1e-9);
@@ -71,7 +71,7 @@ mod tests {
 
     #[test]
     fn mse_log_penalizes_symmetrically() {
-        let mut t = Tape::new(false);
+        let mut t = Tape::eval();
         let over = t.input(Mat::from_vec(1, 1, vec![4.0]));
         let l_over = mse_log_loss(&mut t, over, &[3.0]);
         let under = t.input(Mat::from_vec(1, 1, vec![2.0]));
@@ -81,7 +81,7 @@ mod tests {
 
     #[test]
     fn cross_entropy_prefers_correct_class() {
-        let mut t = Tape::new(false);
+        let mut t = Tape::eval();
         let good = t.input(Mat::from_vec(1, 3, vec![10.0, 0.0, 0.0]));
         let lg = cross_entropy_loss(&mut t, good, &[0]);
         let bad = t.input(Mat::from_vec(1, 3, vec![0.0, 10.0, 0.0]));
@@ -92,7 +92,7 @@ mod tests {
 
     #[test]
     fn multi_task_blend() {
-        let mut t = Tape::new(false);
+        let mut t = Tape::eval();
         let r = t.input(Mat::from_vec(1, 1, vec![3.0]));
         let c = t.input(Mat::from_vec(1, 1, vec![9.0]));
         let l = multi_task_loss(&mut t, r, c, 1.0 / 3.0);
@@ -113,11 +113,12 @@ mod tests {
     fn losses_are_differentiable() {
         let mut store = ParamStore::new();
         let w = store.add("w", Mat::from_vec(1, 1, vec![2.0]));
-        let mut t = Tape::new(false);
+        let mut grads = store.grad_shard();
+        let mut t = Tape::eval();
         let wv = t.param(&store, w);
         let l = mse_log_loss(&mut t, wv, &[5.0]);
-        t.backward(l, &mut store);
+        t.backward(l, &mut grads);
         // d/dw (w-5)^2 = 2(w-5) = -6
-        assert!((store.grad(w).scalar() + 6.0).abs() < 1e-5);
+        assert!((grads.grad(w).scalar() + 6.0).abs() < 1e-5);
     }
 }

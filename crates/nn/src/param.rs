@@ -1,9 +1,9 @@
 //! Parameter storage shared across forward passes.
 //!
 //! The tape ([`crate::tape::Tape`]) is rebuilt per forward pass (define-by-
-//! run, like PyTorch); learnable parameters persist here. Gradients are
-//! accumulated into the store by `Tape::backward` and consumed by the
-//! optimizer ([`crate::adam::Adam`]).
+//! run, like PyTorch); learnable parameters persist here. The store holds
+//! weights only: `Tape::backward` accumulates gradients into a
+//! [`GradShard`], which the optimizer ([`crate::adam::Adam`]) consumes.
 
 use crate::mat::Mat;
 use serde::{Deserialize, Serialize};
@@ -12,19 +12,11 @@ use serde::{Deserialize, Serialize};
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct ParamId(pub(crate) usize);
 
-/// Destination for the gradients produced by a backward pass: either the
-/// [`ParamStore`] itself (the serial path) or a detached [`GradShard`]
-/// owned by one worker thread of the data-parallel trainer.
-pub trait GradSink {
-    /// Add `g` into the accumulator for parameter `id`.
-    fn accumulate_grad(&mut self, id: ParamId, g: &Mat);
-}
-
-/// A detached gradient accumulator shaped like a [`ParamStore`]'s
-/// parameter list. Worker threads each own one (no locks on the hot
-/// path); [`ParamStore::merge_grads`] reduces shards back into the store
-/// in slice order, so the floating-point reduction tree is fixed by the
-/// caller and independent of how work was scheduled onto threads.
+/// A gradient accumulator shaped like a [`ParamStore`]'s parameter list.
+/// Worker threads of the data-parallel trainer each own one (no locks on
+/// the hot path); [`GradShard::merge`] reduces shards in slice order, so
+/// the floating-point reduction tree is fixed by the caller and
+/// independent of how work was scheduled onto threads.
 #[derive(Clone, Debug)]
 pub struct GradShard {
     grads: Vec<Mat>,
@@ -43,25 +35,45 @@ impl GradShard {
     pub fn grad(&self, id: ParamId) -> &Mat {
         &self.grads[id.0]
     }
-}
 
-impl GradSink for GradShard {
-    fn accumulate_grad(&mut self, id: ParamId, g: &Mat) {
+    /// Add `g` into the accumulator for parameter `id`.
+    pub fn accumulate(&mut self, id: ParamId, g: &Mat) {
         self.grads[id.0].add_assign(g);
     }
-}
 
-impl GradSink for ParamStore {
-    fn accumulate_grad(&mut self, id: ParamId, g: &Mat) {
-        ParamStore::accumulate_grad(self, id, g);
+    /// Add `shards` into this accumulator, strictly in slice order. The
+    /// fixed reduction order is what makes parallel training bit-identical
+    /// across thread counts: callers hand shards over in a
+    /// schedule-independent order (batch position), not in
+    /// thread-completion order.
+    pub fn merge(&mut self, shards: &[GradShard]) {
+        for shard in shards {
+            assert_eq!(
+                shard.grads.len(),
+                self.grads.len(),
+                "shard parameter count mismatch"
+            );
+            for (acc, g) in self.grads.iter_mut().zip(&shard.grads) {
+                acc.add_assign(g);
+            }
+        }
+    }
+
+    /// L2 norm over all accumulated gradients (telemetry / diagnostics).
+    pub fn norm(&self) -> f32 {
+        self.grads
+            .iter()
+            .map(|m| m.data().iter().map(|&x| x * x).sum::<f32>())
+            .sum::<f32>()
+            .sqrt()
     }
 }
 
-/// Owning store of all learnable parameters of a model.
+/// Owning store of all learnable parameters of a model: weights and their
+/// diagnostic names, nothing training-only.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ParamStore {
     values: Vec<Mat>,
-    grads: Vec<Mat>,
     names: Vec<String>,
 }
 
@@ -70,7 +82,6 @@ impl ParamStore {
     pub fn new() -> Self {
         ParamStore {
             values: Vec::new(),
-            grads: Vec::new(),
             names: Vec::new(),
         }
     }
@@ -79,7 +90,6 @@ impl ParamStore {
     /// (checkpoint inspection, tests).
     pub fn add(&mut self, name: impl Into<String>, value: Mat) -> ParamId {
         let id = ParamId(self.values.len());
-        self.grads.push(Mat::zeros(value.rows(), value.cols()));
         self.values.push(value);
         self.names.push(name.into());
         id
@@ -97,54 +107,14 @@ impl ParamStore {
         &mut self.values[id.0]
     }
 
-    /// Accumulated gradient of a parameter.
-    #[inline]
-    pub fn grad(&self, id: ParamId) -> &Mat {
-        &self.grads[id.0]
-    }
-
-    /// Add `g` into the parameter's gradient accumulator.
-    pub fn accumulate_grad(&mut self, id: ParamId, g: &Mat) {
-        self.grads[id.0].add_assign(g);
-    }
-
-    /// Reset all gradients to zero (call before each optimization step's
-    /// backward passes).
-    pub fn zero_grads(&mut self) {
-        for g in &mut self.grads {
-            g.fill_zero();
-        }
-    }
-
-    /// `n` zeroed [`GradShard`]s shaped like this store's parameter list
-    /// (one per worker of a data-parallel backward pass).
-    pub fn grad_shards(&self, n: usize) -> Vec<GradShard> {
-        (0..n)
-            .map(|_| GradShard {
-                grads: self
-                    .values
-                    .iter()
-                    .map(|v| Mat::zeros(v.rows(), v.cols()))
-                    .collect(),
-            })
-            .collect()
-    }
-
-    /// Reduce detached shards into this store's gradient accumulators,
-    /// strictly in slice order. The fixed reduction order is what makes
-    /// parallel training bit-identical across thread counts: callers hand
-    /// shards over in a schedule-independent order (batch position), not
-    /// in thread-completion order.
-    pub fn merge_grads(&mut self, shards: &[GradShard]) {
-        for shard in shards {
-            assert_eq!(
-                shard.grads.len(),
-                self.grads.len(),
-                "shard/store parameter count mismatch"
-            );
-            for (acc, g) in self.grads.iter_mut().zip(&shard.grads) {
-                acc.add_assign(g);
-            }
+    /// A zeroed [`GradShard`] shaped like this store's parameter list.
+    pub fn grad_shard(&self) -> GradShard {
+        GradShard {
+            grads: self
+                .values
+                .iter()
+                .map(|v| Mat::zeros(v.rows(), v.cols()))
+                .collect(),
         }
     }
 
@@ -176,15 +146,6 @@ impl ParamStore {
             .sum::<f32>()
             .sqrt()
     }
-
-    /// L2 norm over all accumulated gradients (telemetry / diagnostics).
-    pub fn grad_norm(&self) -> f32 {
-        self.grads
-            .iter()
-            .map(|m| m.data().iter().map(|&x| x * x).sum::<f32>())
-            .sum::<f32>()
-            .sqrt()
-    }
 }
 
 impl Default for ParamStore {
@@ -196,6 +157,13 @@ impl Default for ParamStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A store with one `1 × 2` parameter.
+    fn one_param() -> (ParamStore, ParamId) {
+        let mut s = ParamStore::new();
+        let w = s.add("w", Mat::zeros(1, 2));
+        (s, w)
+    }
 
     #[test]
     fn add_and_access() {
@@ -209,25 +177,25 @@ mod tests {
 
     #[test]
     fn grad_accumulation_and_reset() {
-        let mut s = ParamStore::new();
-        let w = s.add("w", Mat::zeros(1, 2));
-        s.accumulate_grad(w, &Mat::row_vector(&[1.0, 2.0]));
-        s.accumulate_grad(w, &Mat::row_vector(&[0.5, 0.5]));
-        assert_eq!(s.grad(w).data(), &[1.5, 2.5]);
-        s.zero_grads();
-        assert_eq!(s.grad(w).data(), &[0.0, 0.0]);
+        let (s, w) = one_param();
+        let mut shard = s.grad_shard();
+        shard.accumulate(w, &Mat::row_vector(&[1.0, 2.0]));
+        shard.accumulate(w, &Mat::row_vector(&[0.5, 0.5]));
+        assert_eq!(shard.grad(w).data(), &[1.5, 2.5]);
+        shard.zero();
+        assert_eq!(shard.grad(w).data(), &[0.0, 0.0]);
     }
 
     #[test]
     fn shards_merge_in_slice_order() {
-        let mut s = ParamStore::new();
-        let w = s.add("w", Mat::zeros(1, 2));
-        let mut shards = s.grad_shards(3);
-        shards[0].accumulate_grad(w, &Mat::row_vector(&[1.0, 0.0]));
-        shards[1].accumulate_grad(w, &Mat::row_vector(&[0.0, 2.0]));
+        let (s, w) = one_param();
+        let mut shards = vec![s.grad_shard(); 3];
+        shards[0].accumulate(w, &Mat::row_vector(&[1.0, 0.0]));
+        shards[1].accumulate(w, &Mat::row_vector(&[0.0, 2.0]));
         // shard 2 stays zero — merging it must be a no-op
-        s.merge_grads(&shards);
-        assert_eq!(s.grad(w).data(), &[1.0, 2.0]);
+        let mut acc = s.grad_shard();
+        acc.merge(&shards);
+        assert_eq!(acc.grad(w).data(), &[1.0, 2.0]);
         // zeroing a shard lets it be reused for the next batch
         shards[0].zero();
         assert_eq!(shards[0].grad(w).data(), &[0.0, 0.0]);
@@ -235,34 +203,34 @@ mod tests {
 
     #[test]
     fn shard_merge_equals_direct_accumulation() {
-        // Route the same gradients through (a) the store directly and
-        // (b) one shard per contribution merged in order: results must be
-        // bitwise equal — the guarantee the determinism contract rests on.
+        // Route the same gradients through (a) one shard directly and
+        // (b) one shard per contribution merged in order into a zeroed
+        // accumulator: results must be bitwise equal — the guarantee the
+        // determinism contract rests on.
         let contributions = [[0.1f32, -0.2], [0.3, 0.7], [-0.5, 0.11]];
-        let mut direct = ParamStore::new();
-        let wd = direct.add("w", Mat::zeros(1, 2));
+        let (s, w) = one_param();
+        let mut direct = s.grad_shard();
         for c in &contributions {
-            GradSink::accumulate_grad(&mut direct, wd, &Mat::row_vector(c));
+            direct.accumulate(w, &Mat::row_vector(c));
         }
-        let mut sharded = ParamStore::new();
-        let ws = sharded.add("w", Mat::zeros(1, 2));
-        let mut shards = sharded.grad_shards(contributions.len());
+        let mut shards = vec![s.grad_shard(); contributions.len()];
         for (shard, c) in shards.iter_mut().zip(&contributions) {
-            shard.accumulate_grad(ws, &Mat::row_vector(c));
+            shard.accumulate(w, &Mat::row_vector(c));
         }
-        sharded.merge_grads(&shards);
-        let (a, b) = (direct.grad(wd).data(), sharded.grad(ws).data());
+        let mut merged = s.grad_shard();
+        merged.merge(&shards);
+        let (a, b) = (direct.grad(w).data(), merged.grad(w).data());
         assert!(a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits()));
     }
 
     #[test]
     fn grad_norm_tracks_accumulated_gradients() {
-        let mut s = ParamStore::new();
-        let w = s.add("w", Mat::zeros(1, 2));
-        assert_eq!(s.grad_norm(), 0.0);
-        s.accumulate_grad(w, &Mat::row_vector(&[3.0, 4.0]));
-        assert!((s.grad_norm() - 5.0).abs() < 1e-6);
-        s.zero_grads();
-        assert_eq!(s.grad_norm(), 0.0);
+        let (s, w) = one_param();
+        let mut shard = s.grad_shard();
+        assert_eq!(shard.norm(), 0.0);
+        shard.accumulate(w, &Mat::row_vector(&[3.0, 4.0]));
+        assert!((shard.norm() - 5.0).abs() < 1e-6);
+        shard.zero();
+        assert_eq!(shard.norm(), 0.0);
     }
 }

@@ -3,7 +3,9 @@
 //! A [`Tape`] is built per forward pass; every operation eagerly computes
 //! its value and records an [`Op`] node. [`Tape::backward`] walks the tape
 //! in reverse, accumulating gradients; gradients of [`Tape::param`] leaves
-//! are routed into the [`ParamStore`].
+//! are routed into a [`GradShard`]. A training tape ([`Tape::train`]) owns
+//! the RNG its dropout masks are drawn from; an eval tape
+//! ([`Tape::eval`]) has none, so dropout is the identity there.
 //!
 //! The op set is exactly what the LSS architecture needs (GIN message
 //! passing, structured self-attention, MLPs, the Eq. 3/5 losses) plus a
@@ -11,7 +13,9 @@
 //! tested against.
 
 use crate::mat::Mat;
-use crate::param::{GradSink, ParamId, ParamStore};
+use crate::param::{GradShard, ParamId, ParamStore};
+use rand::rngs::SmallRng;
+use rand::Rng;
 use std::sync::Arc;
 
 /// Handle to a tape node.
@@ -91,22 +95,27 @@ fn op_name(op: &Op) -> &'static str {
 pub struct Tape {
     nodes: Vec<Node>,
     grads: Vec<Option<Mat>>,
-    train: bool,
+    /// Dropout mask source; `None` on an eval tape.
+    rng: Option<SmallRng>,
 }
 
 impl Tape {
-    /// New tape. `train` controls stochastic ops (dropout).
-    pub fn new(train: bool) -> Self {
+    /// An eval-mode tape: deterministic, dropout is the identity.
+    pub fn eval() -> Self {
         Tape {
             nodes: Vec::new(),
             grads: Vec::new(),
-            train,
+            rng: None,
         }
     }
 
-    /// Whether the tape is in training mode.
-    pub fn is_train(&self) -> bool {
-        self.train
+    /// A training tape whose dropout masks are drawn from `rng`, in op
+    /// order.
+    pub fn train(rng: SmallRng) -> Self {
+        Tape {
+            rng: Some(rng),
+            ..Self::eval()
+        }
     }
 
     fn push(&mut self, value: Mat, op: Op) -> Var {
@@ -256,12 +265,12 @@ impl Tape {
         self.push(v, Op::LogSoftmaxRows(a))
     }
 
-    /// Inverted dropout with keep-probability `1 - p`. Identity when the
-    /// tape is in eval mode or `p == 0`.
-    pub fn dropout<R: rand::Rng>(&mut self, a: Var, p: f32, rng: &mut R) -> Var {
-        if !self.train || p <= 0.0 {
+    /// Inverted dropout with keep-probability `1 - p`, drawing the mask
+    /// from the tape's RNG. Identity on an eval tape or when `p == 0`.
+    pub fn dropout(&mut self, a: Var, p: f32) -> Var {
+        let Some(rng) = self.rng.as_mut().filter(|_| p > 0.0) else {
             return a;
-        }
+        };
         assert!(p < 1.0, "dropout probability must be < 1");
         let x = &self.nodes[a.0].value;
         let scale = 1.0 / (1.0 - p);
@@ -371,10 +380,9 @@ impl Tape {
     }
 
     /// Reverse pass from a scalar `loss` node; parameter gradients are
-    /// accumulated into `sink` (a [`ParamStore`] directly, or a detached
-    /// [`crate::param::GradShard`] when backward passes run on worker
-    /// threads), node gradients are retained for [`Tape::grad`].
-    pub fn backward<S: GradSink + ?Sized>(&mut self, loss: Var, sink: &mut S) {
+    /// accumulated into `grads` (made by [`ParamStore::grad_shard`]),
+    /// node gradients are retained for [`Tape::grad`].
+    pub fn backward(&mut self, loss: Var, grads: &mut GradShard) {
         assert_eq!(
             self.nodes[loss.0].value.shape(),
             (1, 1),
@@ -397,7 +405,7 @@ impl Tape {
                         "non-finite parameter gradient for {id:?}: {:?}",
                         g.first_non_finite()
                     );
-                    sink.accumulate_grad(id, &g);
+                    grads.accumulate(id, &g);
                 }
                 Op::MatMul(a, b) => {
                     let (a, b) = (*a, *b);
@@ -604,34 +612,35 @@ mod tests {
     #[test]
     fn scalar_chain_gradient() {
         // loss = mean((2x)^2) with x = [1, 2] → d/dx = 4x ⇒ [4, 8] / 2
-        let mut t = Tape::new(false);
+        let mut t = Tape::eval();
         let x = t.input(Mat::row_vector(&[1.0, 2.0]));
         let y = t.scale(x, 2.0);
         let y2 = t.mul(y, y);
         let loss = t.mean_all(y2);
-        let mut store = ParamStore::new();
-        t.backward(loss, &mut store);
+        let mut grads = ParamStore::new().grad_shard();
+        t.backward(loss, &mut grads);
         let g = t.grad(x);
         assert!((g.get(0, 0) - 4.0).abs() < 1e-5);
         assert!((g.get(0, 1) - 8.0).abs() < 1e-5);
     }
 
     #[test]
-    fn param_grads_routed_to_store() {
+    fn param_grads_routed_to_shard() {
         let mut store = ParamStore::new();
         let w = store.add("w", Mat::row_vector(&[3.0]));
-        let mut t = Tape::new(true);
+        let mut grads = store.grad_shard();
+        let mut t = Tape::train(SmallRng::seed_from_u64(0));
         let wv = t.param(&store, w);
         let sq = t.mul(wv, wv);
         let loss = t.sum_all(sq);
-        t.backward(loss, &mut store);
+        t.backward(loss, &mut grads);
         // d(w^2)/dw = 2w = 6
-        assert!((store.grad(w).get(0, 0) - 6.0).abs() < 1e-5);
+        assert!((grads.grad(w).get(0, 0) - 6.0).abs() < 1e-5);
     }
 
     #[test]
     fn softmax_rows_sum_to_one() {
-        let mut t = Tape::new(false);
+        let mut t = Tape::eval();
         let x = t.input(Mat::from_vec(2, 3, vec![1., 2., 3., 10., 10., 10.]));
         let s = t.softmax_rows(x);
         for r in 0..2 {
@@ -644,10 +653,9 @@ mod tests {
 
     #[test]
     fn dropout_eval_is_identity() {
-        let mut t = Tape::new(false);
+        let mut t = Tape::eval();
         let x = t.input(Mat::row_vector(&[1.0, 2.0, 3.0]));
-        let mut rng = rand::rngs::mock::StepRng::new(0, 1);
-        let d = t.dropout(x, 0.5, &mut rng);
+        let d = t.dropout(x, 0.5);
         assert_eq!(d, x);
     }
 
@@ -655,7 +663,7 @@ mod tests {
     fn graph_agg_triangle() {
         // path 0-1-2, eps=0: out[1] = x1 + x0 + x2
         let adj: Adjacency = Arc::new(vec![vec![1], vec![0, 2], vec![1]]);
-        let mut t = Tape::new(false);
+        let mut t = Tape::eval();
         let x = t.input(Mat::from_vec(3, 1, vec![1.0, 10.0, 100.0]));
         let y = t.graph_agg(x, adj, 0.0);
         assert_eq!(t.value(y).data(), &[11.0, 111.0, 110.0]);
@@ -664,14 +672,13 @@ mod tests {
     #[test]
     fn dropout_backward_applies_the_same_mask() {
         // loss = sum(dropout(x)); grad must equal the forward mask exactly
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(1);
-        let mut t = Tape::new(true);
+        let mut t = Tape::train(SmallRng::seed_from_u64(1));
         let x = t.input(Mat::full(1, 64, 1.0));
-        let d = t.dropout(x, 0.5, &mut rng);
+        let d = t.dropout(x, 0.5);
         let forward = t.value(d).data().to_vec();
         let loss = t.sum_all(d);
-        let mut store = ParamStore::new();
-        t.backward(loss, &mut store);
+        let mut grads = ParamStore::new().grad_shard();
+        t.backward(loss, &mut grads);
         let g = t.grad(x);
         for (gv, fv) in g.data().iter().zip(&forward) {
             // mask is 0 or 2.0 (inverted dropout at p = 0.5); forward value
@@ -684,7 +691,7 @@ mod tests {
     #[cfg_attr(not(debug_assertions), ignore = "finiteness guards are debug-only")]
     #[should_panic(expected = "non-finite value in forward input")]
     fn nan_input_is_caught_at_entry() {
-        let mut t = Tape::new(false);
+        let mut t = Tape::eval();
         t.input(Mat::row_vector(&[1.0, f32::NAN]));
     }
 
@@ -692,7 +699,7 @@ mod tests {
     #[cfg_attr(not(debug_assertions), ignore = "finiteness guards are debug-only")]
     #[should_panic(expected = "non-finite value in forward")]
     fn overflow_is_caught_at_the_op_that_produced_it() {
-        let mut t = Tape::new(false);
+        let mut t = Tape::eval();
         let x = t.input(Mat::row_vector(&[f32::MAX]));
         let y = t.scale(x, 2.0); // f32::MAX * 2 → +Inf
         let _ = t.mul(y, y);
@@ -700,12 +707,12 @@ mod tests {
 
     #[test]
     fn finite_pass_trips_no_guard() {
-        let mut t = Tape::new(false);
+        let mut t = Tape::eval();
         let x = t.input(Mat::row_vector(&[1e30, -1e30]));
         let y = t.tanh(x);
         let loss = t.mean_all(y);
-        let mut store = ParamStore::new();
-        t.backward(loss, &mut store);
+        let mut grads = ParamStore::new().grad_shard();
+        t.backward(loss, &mut grads);
         assert!(t.grad(x).all_finite());
     }
 
@@ -727,7 +734,7 @@ mod tests {
 
     #[test]
     fn flatten_and_slice() {
-        let mut t = Tape::new(false);
+        let mut t = Tape::eval();
         let x = t.input(Mat::from_vec(2, 2, vec![1., 2., 3., 4.]));
         let f = t.flatten(x);
         assert_eq!(t.value(f).shape(), (1, 4));

@@ -61,9 +61,8 @@ proptest! {
         let mut store = ParamStore::new();
         let mlp = Mlp::new(&mut store, "m", &[3, 5, 2], Activation::Tanh, 0.0, &mut rng);
         let report = check_gradients(&mut store, 1e-2, |t, s| {
-            let mut r = SmallRng::seed_from_u64(0);
             let xv = t.input(x.clone());
-            let y = mlp.forward(t, s, xv, &mut r);
+            let y = mlp.forward(t, s, xv);
             let sq = t.mul(y, y);
             t.mean_all(sq)
         });
@@ -142,14 +141,13 @@ proptest! {
 fn dropout_train_scales_expectation() {
     // with keep prob 1−p and 1/(1−p) scaling, the expected output equals
     // the input; check empirically over many masks
-    let mut rng = SmallRng::seed_from_u64(0);
     let x = Mat::full(1, 1000, 1.0);
     let mut acc = vec![0.0f64; 1000];
     let trials = 200;
-    for _ in 0..trials {
-        let mut t = Tape::new(true);
+    for trial in 0..trials {
+        let mut t = Tape::train(SmallRng::seed_from_u64(trial));
         let xv = t.input(x.clone());
-        let d = t.dropout(xv, 0.3, &mut rng);
+        let d = t.dropout(xv, 0.3);
         for (a, &v) in acc.iter_mut().zip(t.value(d).data()) {
             *a += v as f64;
         }

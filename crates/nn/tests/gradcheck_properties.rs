@@ -54,9 +54,8 @@ proptest! {
         let targets: Vec<f32> =
             (0..rows).map(|i| 1.0 + ((seed + i as u64) % 7) as f32).collect();
         let report = check_gradients(&mut store, 1e-2, |t, s| {
-            let mut r = SmallRng::seed_from_u64(0);
             let xv = t.input(x.clone());
-            let y = mlp.forward(t, s, xv, &mut r);
+            let y = mlp.forward(t, s, xv);
             mse_log_loss(t, y, &targets)
         });
         prop_assert!(report.checked > 0);

@@ -150,6 +150,19 @@ fn control_ops_and_malformed_input() {
     let bad_query = client.estimate(9, "this is not a graph", None).unwrap();
     assert!(!bad_query.ok);
 
+    // An extra label equal to the wildcard (u32::MAX) is malformed input,
+    // not a crash: the same connection still answers the next request.
+    let wildcard_extra = client
+        .estimate(10, "t 1 0\nv 0 0 4294967295\n", None)
+        .unwrap();
+    assert!(!wildcard_extra.ok);
+    assert!(
+        wildcard_extra.error.contains("line 2"),
+        "{}",
+        wildcard_extra.error
+    );
+    assert!(client.call(&Request::control("ping")).unwrap().ok);
+
     // A non-JSON line gets an ok:false response, not a dropped connection.
     use std::io::{BufRead, BufReader, Write};
     let mut raw = std::net::TcpStream::connect(&addr).unwrap();

@@ -18,8 +18,8 @@
 //!   ([`core::LearnedSketch`] is the one-call facade);
 //! * [`ghd`] — GHD query optimization with AGM vs learned costing (§6.6);
 //! * [`datasets`] — synthetic Table 2 analogues and Table 3 workloads;
-//! * [`serve`] — the batched TCP estimate server with canonical-query
-//!   caching and deadline fallback (`alss serve` / `alss query`).
+//! * [`serve`] — the TCP estimate server with canonical-query caching
+//!   and deadline fallback (`alss serve` / `alss query`).
 //!
 //! ## Quickstart
 //!
