@@ -15,8 +15,11 @@ use rand::SeedableRng;
 fn bucket_of(truth: f64) -> usize {
     // buckets: [1,1e2), [1e2,1e4), [1e4,1e6), [1e6,inf)
     let l = truth.max(1.0).log10();
-    // l/2 ∈ [0, 155) for finite counts, then clamped to the 4 buckets
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "l/2 ∈ [0, 155) for finite counts, then clamped to the 4 buckets"
+    )]
     let b = (l / 2.0).floor() as usize;
     b.min(3)
 }

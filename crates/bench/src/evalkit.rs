@@ -256,11 +256,12 @@ pub fn train_eval_config(
         .iter()
         .map(|q| (q.count as f64, sketch.estimate(&q.graph)))
         .collect();
-    (
-        // analyzer: allow(no-expect) - bench harness entry point; an empty test workload is a caller bug and aborting the run is the right behavior
-        alss_core::QErrorStats::from_pairs(&pairs).expect("non-empty test"),
-        report,
-    )
+    #[expect(
+        clippy::expect_used,
+        reason = "bench harness entry point; an empty test workload is a caller bug"
+    )]
+    let stats = alss_core::QErrorStats::from_pairs(&pairs).expect("non-empty test");
+    (stats, report)
 }
 
 /// Which LSS encodings apply to a dataset (yago-like: embedding only, the

@@ -16,14 +16,24 @@
 //! * `ALSS_FULL=1` — paper-fidelity model (3×64 GIN, 4-head attention)
 //!   instead of the fast default (2×32, 2 heads).
 
-// Test modules opt back out of the library panic/numeric policy: a panic
-// IS the failure report there, and fixtures are tiny.
+// Library code reports failures as `Result`, prints only through
+// `alss_telemetry`, and waives a lint only with `#[expect(.., reason)]`.
+#![deny(
+    clippy::expect_used,
+    clippy::panic,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 #![cfg_attr(
     test,
     allow(
         clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
         clippy::float_cmp,
-        clippy::cast_possible_truncation
+        clippy::cast_possible_truncation,
+        reason = "a panic is a test's failure report, and fixtures are tiny"
     )
 )]
 

@@ -122,7 +122,10 @@ pub fn load_dataset(name: &str) -> Graph {
         "scenario",
         &format!("generating dataset {name} at scale {:.3}", scale()),
     );
-    // analyzer: allow(no-panic) - bench CLI surface; an unknown dataset name is a usage error and must abort with the name in the message
+    #[expect(
+        clippy::panic,
+        reason = "bench CLI surface; an unknown dataset name is a usage error"
+    )]
     let g = by_name(name, scale(), 0xA155).unwrap_or_else(|| panic!("unknown dataset {name}"));
     if let Ok(text) = serde_json::to_string(&g) {
         std::fs::write(&path, text).ok();

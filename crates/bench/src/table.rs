@@ -60,6 +60,7 @@ impl TableWriter {
     }
 
     /// Print to stdout.
+    #[expect(clippy::print_stdout, reason = "the figure binaries' table output")]
     pub fn print(&self) {
         print!("{}", self.render());
     }

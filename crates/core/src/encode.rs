@@ -197,8 +197,10 @@ impl Encoder {
         out.extend(std::iter::repeat_n(0.0, self.num_labels));
         for &l in labels {
             if l != WILDCARD && (l as usize) < self.num_labels {
-                // feature narrowing: selectivities are O(1) magnitudes
-                #[allow(clippy::cast_possible_truncation)]
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "selectivities are O(1) magnitudes"
+                )]
                 let sel = self.stats.selectivity(l) as f32;
                 out[start + l as usize] = sel - 1.0;
             }
@@ -231,8 +233,10 @@ impl Encoder {
         (0..self.num_edge_labels)
             .map(|i| {
                 if label != WILDCARD && label as usize == i {
-                    // feature narrowing: selectivities are O(1) magnitudes
-                    #[allow(clippy::cast_possible_truncation)]
+                    #[expect(
+                        clippy::cast_possible_truncation,
+                        reason = "selectivities are O(1) magnitudes"
+                    )]
                     {
                         self.stats.edge_selectivity(label) as f32
                     }

@@ -59,8 +59,11 @@ impl QErrorStats {
         // NaN, but the sort must not rely on that.
         qs.sort_by(f64::total_cmp);
         let pct = |p: f64| -> f64 {
-            // quantile position: p ∈ [0, 1] keeps the product within 0..len.
-            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+            #[expect(
+                clippy::cast_possible_truncation,
+                clippy::cast_sign_loss,
+                reason = "p ∈ [0, 1] keeps the quantile position within 0..len"
+            )]
             let idx = (p * (qs.len() - 1) as f64).round() as usize;
             qs[idx]
         };

@@ -234,8 +234,10 @@ impl LssModel {
     /// Build the Eq. (6) multi-task loss for one labeled query.
     pub fn loss(&self, tape: &mut Tape, query: &EncodedQuery, true_count: u64) -> Var {
         let (reg, logits) = self.forward(tape, query);
-        // log10 of a u64 fits comfortably in f32 (< 20)
-        #[allow(clippy::cast_possible_truncation)]
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "log10 of a u64 is < 20, which f32 holds comfortably"
+        )]
         let target_log = (true_count.max(1) as f64).log10() as f32;
         let l_reg = mse_log_loss(tape, reg, &[target_log]);
         let cls = magnitude_class(true_count as f64, self.cfg.num_classes);

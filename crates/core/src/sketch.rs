@@ -186,7 +186,10 @@ pub struct ActiveRoundReport {
 /// Run one uncertainty-sampling round (§5 steps ①–④): score the pool,
 /// sample `budget` queries, label them with `oracle`, move them into
 /// `train_items`, and fine-tune the model on the enlarged training set.
-#[allow(clippy::too_many_arguments)] // the §5 loop genuinely has this arity
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the §5 loop genuinely has this arity"
+)]
 pub fn active_round<R: Rng>(
     sketch: &mut LearnedSketch,
     train_items: &mut Vec<EncodedItem>,

@@ -133,7 +133,10 @@ struct ItemOutcome {
 /// batch position, fanning positions out over `workers` threads in
 /// contiguous chunks (the first chunk runs on the calling thread).
 /// Outcomes come back in batch-position order.
-#[allow(clippy::too_many_arguments)] // private batch kernel; the arity is the loop state
+#[expect(
+    clippy::too_many_arguments,
+    reason = "private batch kernel; the arity is the loop state"
+)]
 fn run_batch(
     model: &LssModel,
     items: &[EncodedItem],

@@ -38,8 +38,11 @@ pub struct Workload {
 /// `⌊frac · n⌉` clamped to `0..=n`: the one float→usize cast for
 /// workload split sizes, total by construction.
 fn split_size(n: usize, frac: f64) -> usize {
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    // clamped to [0, n] immediately above the cast; n < 2^53 in practice
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "clamped to [0, n] before the cast; n < 2^53 in practice"
+    )]
     let k = ((n as f64) * frac).round().clamp(0.0, n as f64) as usize;
     k
 }

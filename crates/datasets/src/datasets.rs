@@ -35,8 +35,11 @@ pub struct DatasetSpec {
 
 /// The six Table 2 rows at default (scaled-down) sizes.
 pub fn all_specs(scale: f64) -> Vec<DatasetSpec> {
-    // scale is a shrink factor in (0, 1]; the product stays within usize
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "scale is a shrink factor in (0, 1]; the product stays within usize"
+    )]
     let s = |n: usize| ((n as f64 * scale) as usize).max(64);
     vec![
         DatasetSpec {
@@ -124,7 +127,10 @@ pub fn generate(spec: &DatasetSpec, seed: u64) -> Graph {
             alss_graph::label_id(spec.edge_labels),
             &mut rng,
         ),
-        // analyzer: allow(no-panic) - spec names come from the static DATASETS table validated one frame up; reachable only through a bug in this file
+        #[expect(
+            clippy::panic,
+            reason = "spec names come from the static DATASETS table; reachable only through a bug in this file"
+        )]
         other => panic!("unknown dataset spec '{other}'"),
     };
     let labels = assign_labels(n, spec.labels, spec.entropy, &mut rng);

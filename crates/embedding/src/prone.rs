@@ -92,12 +92,17 @@ pub fn spectral_propagate(
 
     let mut t_prev = flat.clone(); // T_0 = X
     let mut t_cur = apply_l(&flat); // T_1 = L̃ X
-                                    // Chebyshev coefficients are O(1); narrowing to f32 is intentional.
-    #[allow(clippy::cast_possible_truncation)]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "Chebyshev coefficients are O(1)"
+    )]
     let c0 = bessel_j(0, theta as f64) as f32;
     let mut acc: Vec<f32> = t_prev.iter().map(|&x| c0 * x).collect();
     for k in 1..=order {
-        #[allow(clippy::cast_possible_truncation)] // same O(1) coefficient narrowing
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "Chebyshev coefficients are O(1)"
+        )]
         let ck = (2.0 * if k % 2 == 0 { 1.0 } else { -1.0 } * bessel_j(k, theta as f64)) as f32;
         for (a, &t) in acc.iter_mut().zip(&t_cur) {
             *a += ck * t;

@@ -62,8 +62,11 @@ impl NegativeTable {
             return NegativeTable { table };
         }
         for (v, &p) in pow.iter().enumerate() {
-            // p/total ∈ [0, 1], so cnt ≤ size: no truncation possible
-            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+            #[expect(
+                clippy::cast_possible_truncation,
+                clippy::cast_sign_loss,
+                reason = "p/total ∈ [0, 1], so cnt ≤ size"
+            )]
             let cnt = ((p / total) * size as f64).round() as usize;
             for _ in 0..cnt.max(if p > 0.0 { 1 } else { 0 }) {
                 table.push(alss_graph::node_id(v));
@@ -109,7 +112,7 @@ pub fn train_skipgram<R: Rng>(
                 // Progress is computed in f64 so large step counts (beyond
                 // f32's 24-bit mantissa) don't truncate; only the ratio in
                 // [0, 1] is narrowed.
-                #[allow(clippy::cast_possible_truncation)] // ratio ∈ [0, 1]
+                #[expect(clippy::cast_possible_truncation, reason = "ratio ∈ [0, 1]")]
                 let progress = (step as f64 / total_steps as f64) as f32;
                 let lr = cfg.lr * (1.0 - progress).max(1e-4);
                 let lo = i.saturating_sub(cfg.window);

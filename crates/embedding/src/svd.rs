@@ -96,14 +96,18 @@ pub fn jacobi_eigen(a: &[f32], k: usize, sweeps: usize) -> (Vec<f32>, Vec<f32>) 
             .partial_cmp(&m[i * k + i])
             .unwrap_or(std::cmp::Ordering::Equal)
     });
-    // eigenvalues/eigenvectors of a normalized operator are O(1):
-    // narrowing back to the crate's working precision is intentional
-    #[allow(clippy::cast_possible_truncation)]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "eigenvalues of a normalized operator are O(1)"
+    )]
     let vals: Vec<f32> = order.iter().map(|&i| m[i * k + i] as f32).collect();
     let mut vecs = vec![0.0f32; k * k];
     for (newc, &oldc) in order.iter().enumerate() {
         for r in 0..k {
-            #[allow(clippy::cast_possible_truncation)] // same O(1) narrowing
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "eigenvectors of a normalized operator are O(1)"
+            )]
             {
                 vecs[r * k + newc] = v[r * k + oldc] as f32;
             }

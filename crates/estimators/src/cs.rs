@@ -29,8 +29,11 @@ impl<'g> CorrelatedSampling<'g> {
     /// The sampled subgraph is materialized once and reused for all queries.
     pub fn new(data: &'g Graph, p: f64, seed: u64, budget_per_query: u64) -> Self {
         assert!((0.0..=1.0).contains(&p), "p must be a probability");
-        // p ∈ [0, 1] is asserted above, so the product lies in [0, 2^64).
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "p ∈ [0, 1] is asserted above, so the product lies in [0, 2^64)"
+        )]
         let threshold = (p * u64::MAX as f64) as u64;
         let keep: Vec<bool> = data
             .nodes()

@@ -160,7 +160,10 @@ pub fn enumerate_ghds(q: &Graph, max_bags: usize) -> Vec<Decomposition> {
     let mut out = Vec::new();
     let mut assign = vec![0usize; m];
 
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the recursion threads its state explicitly"
+    )]
     fn rec(
         pos: usize,
         num_bags: usize,

@@ -123,7 +123,7 @@ pub struct EdgeRef {
 }
 
 impl Graph {
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "one argument per CSR part")]
     pub(crate) fn from_parts(
         offsets: Vec<u32>,
         neighbors: Vec<NodeId>,

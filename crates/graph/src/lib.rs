@@ -38,14 +38,24 @@
 //! assert_eq!(subs.len(), 4);
 //! ```
 
-// Test modules opt back out of the library panic/numeric policy: a panic
-// IS the failure report there, and fixtures are tiny.
+// Library code reports failures as `Result`, prints only through
+// `alss_telemetry`, and waives a lint only with `#[expect(.., reason)]`.
+#![deny(
+    clippy::expect_used,
+    clippy::panic,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 #![cfg_attr(
     test,
     allow(
         clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
         clippy::float_cmp,
-        clippy::cast_possible_truncation
+        clippy::cast_possible_truncation,
+        reason = "a panic is a test's failure report, and fixtures are tiny"
     )
 )]
 
@@ -85,8 +95,10 @@ pub fn node_id(i: usize) -> NodeId {
         u32::try_from(i).is_ok(),
         "node index {i} exceeds the u32 id space"
     );
-    #[allow(clippy::cast_possible_truncation)]
-    // bounded: checked above, and |V| < 2^32 by representation
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "checked above, and |V| < 2^32 by representation"
+    )]
     {
         i as NodeId
     }
@@ -100,8 +112,10 @@ pub fn label_id(i: usize) -> LabelId {
         u32::try_from(i).is_ok(),
         "label index {i} exceeds the u32 id space"
     );
-    #[allow(clippy::cast_possible_truncation)]
-    // bounded: checked above, and |Σ| < 2^32 by representation
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "checked above, and |Σ| < 2^32 by representation"
+    )]
     {
         i as LabelId
     }

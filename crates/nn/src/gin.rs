@@ -45,7 +45,10 @@ pub struct GinLayer {
 impl GinLayer {
     /// A layer mapping `in_dim` (+ `edge_dim` if edge-labeled) features to
     /// `out_dim`, with one hidden layer of `out_dim` units.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one argument per layer dimension and option"
+    )]
     pub fn new<R: Rng>(
         store: &mut ParamStore,
         name: &str,
@@ -136,7 +139,10 @@ impl GinEncoder {
     /// share the width, per the paper's setting of 3×64). ReLU activation,
     /// the canonical GIN choice; use [`GinEncoder::with_activation`] for a
     /// smooth activation (e.g. in gradient checks).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one argument per encoder dimension and option"
+    )]
     pub fn new<R: Rng>(
         store: &mut ParamStore,
         name: &str,
@@ -161,7 +167,10 @@ impl GinEncoder {
     }
 
     /// [`GinEncoder::new`] with an explicit per-layer MLP activation.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one argument per encoder dimension and option"
+    )]
     pub fn with_activation<R: Rng>(
         store: &mut ParamStore,
         name: &str,
@@ -188,7 +197,10 @@ impl GinEncoder {
     }
 
     /// Fully-parameterized constructor (activation + aggregation).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one argument per encoder dimension and option"
+    )]
     pub fn with_options<R: Rng>(
         store: &mut ParamStore,
         name: &str,

@@ -41,7 +41,6 @@ pub fn check_gradients(
     let mut checked = 0usize;
     for id in store.ids().collect::<Vec<_>>() {
         let n = store.value(id).len();
-        #[allow(clippy::needless_range_loop)] // e indexes two containers
         for e in 0..n {
             let orig = store.value(id).data()[e];
             store.value_mut(id).data_mut()[e] = orig + eps;

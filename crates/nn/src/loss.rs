@@ -50,8 +50,11 @@ pub fn multi_task_loss(tape: &mut Tape, reg: Var, cla: Var, lambda: f32) -> Var 
 /// Magnitude bucket of a true count: `clamp(⌊log10 max(c,1)⌋, 0, m−1)`.
 pub fn magnitude_class(count: f64, num_classes: usize) -> usize {
     let c = count.max(1.0);
-    // log10 of a finite f64 ≥ 1 lies in [0, 309); the cast cannot truncate.
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "log10 of a finite f64 ≥ 1 lies in [0, 309)"
+    )]
     let magnitude = c.log10().floor().clamp(0.0, 308.0) as usize;
     magnitude.min(num_classes.saturating_sub(1))
 }

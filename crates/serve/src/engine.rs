@@ -64,7 +64,10 @@ pub fn load_sketch_with_retry(
 /// the largest `c ≤ 20` with `c ≤ log10`.
 pub fn magnitude_class_of(log10: f64) -> u64 {
     let mut class = 0u64;
-    #[allow(clippy::cast_precision_loss)] // class ≤ 20, exactly representable
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "class ≤ 20, exactly representable"
+    )]
     while class < 20 && ((class + 1) as f64) <= log10 {
         class += 1;
     }

@@ -1,4 +1,3 @@
-#![cfg_attr(test, allow(clippy::unwrap_used))]
 //! `alss-serve` — estimate serving for the learned sketch.
 //!
 //! A std-only, multi-threaded TCP server that loads a trained
@@ -24,6 +23,27 @@
 //! The wire protocol is documented in [`proto`]; [`client`] provides a
 //! blocking client plus the load generator used by the e2e tests and the
 //! CI smoke gate.
+
+// Library code reports failures as `Result`, prints only through
+// `alss_telemetry`, and waives a lint only with `#[expect(.., reason)]`.
+#![deny(
+    clippy::expect_used,
+    clippy::panic,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::float_cmp,
+        clippy::cast_possible_truncation,
+        reason = "a panic is a test's failure report, and fixtures are tiny"
+    )
+)]
 
 pub mod cache;
 pub mod client;

@@ -344,7 +344,7 @@ fn dispatch(req: &Request, started: Instant, shared: &Shared, est: Estimator<'_>
 /// `stats` reuses the numeric response fields: `estimate` = cache entries,
 /// `magnitude_class` = cache capacity. `degraded` reports modelless mode.
 fn stats_response(req: &Request, shared: &Shared) -> Response {
-    #[allow(clippy::cast_precision_loss)] // diagnostics, not counts
+    #[expect(clippy::cast_precision_loss, reason = "diagnostics, not counts")]
     Response {
         id: req.id,
         ok: true,
@@ -368,6 +368,9 @@ fn estimate_response(
         Ok(q) => q,
         Err(e) => return Response::failure(req.id, format!("query: {e}")),
     };
+    if query.num_nodes() == 0 {
+        return Response::failure(req.id, "query: no nodes");
+    }
     let key = canonical_key(&query);
 
     if let Some(hit) = shared.cache.get(&key) {

@@ -163,6 +163,15 @@ fn control_ops_and_malformed_input() {
     );
     assert!(client.call(&Request::control("ping")).unwrap().ok);
 
+    // A zero-node query is refused on the model path (cache miss) and on
+    // the fallback path (expired deadline) alike, and the connection lives.
+    for (id, deadline_ms) in [(11, None), (12, Some(0))] {
+        let empty = client.estimate(id, "t 0 0\n", deadline_ms).unwrap();
+        assert!(!empty.ok);
+        assert!(empty.error.contains("no nodes"), "{}", empty.error);
+        assert!(client.call(&Request::control("ping")).unwrap().ok);
+    }
+
     // A non-JSON line gets an ok:false response, not a dropped connection.
     use std::io::{BufRead, BufReader, Write};
     let mut raw = std::net::TcpStream::connect(&addr).unwrap();

@@ -41,14 +41,24 @@
 //! {"type":"snapshot","counters":{"matching.nodes_expanded":10234},"gauges":{},"histograms":{"span.matching.count_us":{"count":96,"sum":5120,"mean":53.3,"p50":48,"p95":96,"p99":96,"max":101}}}
 //! ```
 
-// Test modules opt back out of the library panic/numeric policy: a panic
-// IS the failure report there, and fixtures are tiny.
+// Library code reports failures as `Result`, prints only through
+// `alss_telemetry`, and waives a lint only with `#[expect(.., reason)]`.
+#![deny(
+    clippy::expect_used,
+    clippy::panic,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 #![cfg_attr(
     test,
     allow(
         clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
         clippy::float_cmp,
-        clippy::cast_possible_truncation
+        clippy::cast_possible_truncation,
+        reason = "a panic is a test's failure report, and fixtures are tiny"
     )
 )]
 
@@ -91,7 +101,6 @@ impl Category {
 }
 
 static MASK: AtomicU8 = AtomicU8::new(0);
-#[allow(clippy::type_complexity)]
 static SINK: RwLock<Option<Arc<dyn Sink + Send + Sync>>> = RwLock::new(None);
 
 /// Is recording for `cat` enabled? One relaxed atomic load of the mask.
@@ -290,6 +299,10 @@ pub fn emit_snapshot() {
 /// sink when one is present, and to stderr in the standard
 /// `[alss:<topic>] <message>` format otherwise (or when the sink asks for
 /// an echo, as the JSON-lines sink does).
+#[expect(
+    clippy::print_stderr,
+    reason = "progress must stay visible with no sink installed"
+)]
 pub fn progress(topic: &str, message: &str) {
     let ev = Event::Progress {
         topic: topic.to_string(),
@@ -303,8 +316,6 @@ pub fn progress(topic: &str, message: &str) {
         }
     }
     if !echoed {
-        // analyzer: allow(no-println) - this is the telemetry stderr escape
-        // hatch itself: progress must stay visible with no sink installed
         eprintln!("{}", ev.progress_line());
     }
 }

@@ -227,9 +227,11 @@ impl Sink for JsonLinesSink {
 pub struct StderrSink;
 
 impl Sink for StderrSink {
+    #[expect(
+        clippy::print_stderr,
+        reason = "this sink is the sanctioned stderr path for library output"
+    )]
     fn emit(&self, event: &Event) {
-        // analyzer: allow(no-println) - this sink IS the sanctioned stderr
-        // reporting path the no-println rule points library code at
         eprintln!("{}", event.progress_line());
     }
 

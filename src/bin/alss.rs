@@ -200,7 +200,11 @@ fn cmd_train(args: &Args) -> Result<(), String> {
 
 fn cmd_estimate(args: &Args) -> Result<(), String> {
     let sketch = LearnedSketch::load(args.require("sketch")?).map_err(|e| e.to_string())?;
-    let q = load_graph(args.require("query")?)?;
+    let path = args.require("query")?;
+    let q = load_graph(path)?;
+    if q.num_nodes() == 0 {
+        return Err(format!("query {path}: no nodes"));
+    }
     let pred = sketch.predict(&q);
     println!("estimate: {:.1}", pred.count());
     println!("log10:    {:.3}", pred.log10_count);

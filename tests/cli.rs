@@ -121,6 +121,26 @@ fn full_cli_pipeline() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("estimate:"), "missing estimate in: {text}");
 
+    // a zero-node query is an error message, not a panic
+    let empty = dir.join("empty.txt");
+    std::fs::write(&empty, "t 0 0\n").expect("write query");
+    let out = alss()
+        .args([
+            "estimate",
+            "--sketch",
+            sketch.to_str().unwrap(),
+            "--query",
+            empty.to_str().unwrap(),
+        ])
+        .output()
+        .expect("run estimate");
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("no nodes") && !err.contains("panicked"),
+        "{err}"
+    );
+
     // exact count
     let out = alss()
         .args([
