@@ -1,8 +1,7 @@
 //! # alss-bench
 //!
 //! Shared harness for the figure/table reproduction binaries (one binary
-//! per table and figure of §6 — see DESIGN.md's experiment index) and the
-//! Criterion micro-benchmarks.
+//! per table and figure of §6 — see DESIGN.md's experiment index).
 //!
 //! The harness generates the synthetic Table 2 analogues and Table 3
 //! workloads once and caches them as JSON under `bench_data/`, so repeated

@@ -118,18 +118,6 @@ impl Encoder {
         e
     }
 
-    /// Concatenated encoder from an existing `G_L` embedding.
-    pub fn concatenated_from(
-        data: &Graph,
-        hops: u32,
-        gl_embedding: &Embedding,
-        augment_base: usize,
-    ) -> Self {
-        let mut e = Self::embedding_from(data, hops, gl_embedding, augment_base);
-        e.kind = EncodingKind::Concatenated;
-        e
-    }
-
     /// Which variant this encoder produces.
     pub fn kind(&self) -> EncodingKind {
         self.kind

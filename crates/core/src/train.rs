@@ -361,14 +361,9 @@ pub fn eval_loss_with(model: &LssModel, items: &[EncodedItem], par: Parallelism)
     losses.iter().sum::<f64>() / items.len().max(1) as f64
 }
 
-/// Deterministically seeded helper used across benches/tests.
+/// Deterministically seeded RNG, shared by the integration tests.
 pub fn seeded_rng(seed: u64) -> SmallRng {
     SmallRng::seed_from_u64(seed)
-}
-
-/// Re-export the magnitude-class helper at the crate's training surface.
-pub fn magnitude_of(count: u64, num_classes: usize) -> usize {
-    alss_nn::loss::magnitude_class(count as f64, num_classes)
 }
 
 /// Fenwick (binary-indexed) tree over per-item weights: prefix sums and
@@ -449,8 +444,8 @@ impl FenwickTree {
 
 /// Draw `k` distinct indices weighted by `weights` (weighted sampling
 /// without replacement; uniform fallback when the remaining mass is ~0;
-/// non-finite weights are treated as 0). Shared by the active learner and
-/// benches. O(n + k log n) via a Fenwick tree and a running total.
+/// non-finite weights are treated as 0). Used by the active learner.
+/// O(n + k log n) via a Fenwick tree and a running total.
 pub fn weighted_sample_without_replacement<R: Rng>(
     weights: &[f64],
     k: usize,

@@ -46,12 +46,6 @@ impl Embedding {
         &self.data[v * self.dim..(v + 1) * self.dim]
     }
 
-    /// Mutable vector of node `v`.
-    #[inline]
-    pub fn vector_mut(&mut self, v: usize) -> &mut [f32] {
-        &mut self.data[v * self.dim..(v + 1) * self.dim]
-    }
-
     /// Cosine similarity between two nodes' vectors (0 when either is 0).
     pub fn cosine(&self, a: usize, b: usize) -> f32 {
         let (va, vb) = (self.vector(a), self.vector(b));

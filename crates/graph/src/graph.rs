@@ -414,12 +414,6 @@ impl Graph {
             })
     }
 
-    /// The unique edge list (`u < v`) without labels.
-    #[inline]
-    pub fn edge_list(&self) -> &[(NodeId, NodeId)] {
-        &self.edges
-    }
-
     /// Maximum degree over all nodes (0 for the empty graph).
     pub fn max_degree(&self) -> usize {
         self.nodes().map(|v| self.degree(v)).max().unwrap_or(0)
@@ -445,13 +439,6 @@ impl Graph {
             }
         }
         cnt == n
-    }
-
-    /// Relabel check helper: does data node `dv` satisfy the label of query
-    /// node `qv` of query `q`?
-    #[inline]
-    pub fn node_compatible(&self, q: &Graph, qv: NodeId, dv: NodeId) -> bool {
-        self.node_matches(dv, q.label(qv))
     }
 }
 

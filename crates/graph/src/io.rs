@@ -65,6 +65,13 @@ pub fn to_text(g: &Graph) -> String {
 
 /// Parse a graph from the text format.
 pub fn from_text(text: &str) -> Result<Graph, ParseError> {
+    from_text_bounded(text, usize::MAX)
+}
+
+/// [`from_text`] for untrusted input: a `t` record declaring more than
+/// `max_nodes` nodes is an error, raised before any node storage is
+/// allocated (the builder sizes its per-node vectors from the header).
+pub fn from_text_bounded(text: &str, max_nodes: usize) -> Result<Graph, ParseError> {
     let mut builder: Option<GraphBuilder> = None;
     for (i, raw) in text.lines().enumerate() {
         let ln = i + 1;
@@ -80,6 +87,12 @@ pub fn from_text(text: &str) -> Result<Graph, ParseError> {
                     .ok_or_else(|| err(ln, "missing node count"))?
                     .parse()
                     .map_err(|_| err(ln, "bad node count"))?;
+                if n > max_nodes {
+                    return Err(err(
+                        ln,
+                        format!("node count {n} exceeds the limit of {max_nodes}"),
+                    ));
+                }
                 builder = Some(GraphBuilder::new(n));
             }
             Some("v") => {
@@ -176,6 +189,10 @@ mod tests {
         let e = from_text(&format!("t 1 0\nv 0 0 {WILDCARD}\n")).unwrap_err();
         assert_eq!(e.line, 2);
         assert!(e.message.contains("wildcard"));
+        // Every `t` record is checked against the bound, not only the first.
+        let e = from_text_bounded("t 1 0\nv 0 0\nt 5000 0\n", 1024).unwrap_err();
+        assert_eq!(e.line, 3);
+        assert!(e.message.contains("limit of 1024"), "{}", e.message);
     }
 
     #[test]

@@ -71,16 +71,6 @@ impl SelfAttention {
     pub fn out_dim(&self) -> usize {
         self.r * self.d
     }
-
-    /// Number of attention rows.
-    pub fn num_heads(&self) -> usize {
-        self.r
-    }
-
-    /// Attention hidden width.
-    pub fn hidden_dim(&self) -> usize {
-        self.da
-    }
 }
 
 #[cfg(test)]

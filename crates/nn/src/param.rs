@@ -137,15 +137,6 @@ impl ParamStore {
     pub fn ids(&self) -> impl Iterator<Item = ParamId> {
         (0..self.values.len()).map(ParamId)
     }
-
-    /// L2 norm over all parameters (diagnostics / tests).
-    pub fn weight_norm(&self) -> f32 {
-        self.values
-            .iter()
-            .map(|m| m.data().iter().map(|&x| x * x).sum::<f32>())
-            .sum::<f32>()
-            .sqrt()
-    }
 }
 
 impl Default for ParamStore {

@@ -20,7 +20,8 @@ use crate::engine::{fallback_outcome, load_sketch_with_retry, model_outcome, Out
 use crate::proto::{from_line, to_line, Request, Response};
 use alss_core::LearnedSketch;
 use alss_estimators::{LabelIndex, WanderJoin};
-use alss_graph::{canonical_key, io::from_text, Graph};
+use alss_graph::io::{from_text, from_text_bounded};
+use alss_graph::{canonical_key, Graph};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -34,6 +35,11 @@ const WJ_SAMPLES: usize = 64;
 
 /// Live connections the server holds at once.
 const MAX_CONNECTIONS: usize = 1024;
+
+/// Largest node count a query header may declare. The parser sizes its
+/// node storage from the header, so a larger one is refused before it can
+/// exhaust memory; served queries have at most a few dozen nodes.
+const MAX_QUERY_NODES: usize = 1024;
 
 /// Server configuration.
 #[derive(Clone, Debug)]
@@ -104,11 +110,6 @@ impl ServerHandle {
         if let Some(t) = self.listener_thread.take() {
             let _ = t.join();
         }
-    }
-
-    /// `true` once a stop was requested.
-    pub fn stopping(&self) -> bool {
-        self.shared.stop.load(Ordering::SeqCst)
     }
 }
 
@@ -364,7 +365,7 @@ fn estimate_response(
     shared: &Shared,
     est: Estimator<'_>,
 ) -> Response {
-    let query = match from_text(&req.query) {
+    let query = match from_text_bounded(&req.query, MAX_QUERY_NODES) {
         Ok(q) => q,
         Err(e) => return Response::failure(req.id, format!("query: {e}")),
     };

@@ -172,6 +172,13 @@ fn control_ops_and_malformed_input() {
         assert!(client.call(&Request::control("ping")).unwrap().ok);
     }
 
+    // A header declaring four billion nodes is refused before the parser
+    // allocates node storage for it, and the connection lives.
+    let oversized = client.estimate(13, "t 4000000000 0\n", None).unwrap();
+    assert!(!oversized.ok);
+    assert!(oversized.error.contains("limit"), "{}", oversized.error);
+    assert!(client.call(&Request::control("ping")).unwrap().ok);
+
     // A non-JSON line gets an ok:false response, not a dropped connection.
     use std::io::{BufRead, BufReader, Write};
     let mut raw = std::net::TcpStream::connect(&addr).unwrap();
