@@ -253,7 +253,7 @@ impl Encoder {
         let adj = adjacency_from_edges(n, &edges);
         let edge_sums = (self.num_edge_labels > 0).then(|| {
             let efeats: Vec<Vec<f32>> = g.edges().map(|e| self.edge_features(e.label)).collect();
-            edge_feature_sums(n, &edges, &efeats)
+            edge_feature_sums(n, self.num_edge_labels, &edges, &efeats)
         });
         EncodedSubstructure {
             features: Mat::from_vec(n, dim, feats),
@@ -360,5 +360,11 @@ mod tests {
             let es = s.edge_sums.as_ref().expect("edge sums expected");
             assert_eq!(es.cols(), 2);
         }
+        // A one-node query has no edges, but its edge sums keep the
+        // model's edge width (they were one column wide, which the GIN
+        // input-width check rejected).
+        let single = alss_graph::GraphBuilder::new(1).build();
+        let es = enc.encode_query(&single).subs[0].edge_sums.clone();
+        assert_eq!(es.map(|m| m.shape()), Some((1, 2)));
     }
 }

@@ -5,7 +5,10 @@
 
 use crate::encode::EncodedQuery;
 use alss_nn::loss::{cross_entropy_loss, magnitude_class, mse_log_loss, multi_task_loss};
-use alss_nn::{Activation, Aggregation, GinEncoder, Mlp, ParamStore, SelfAttention, Tape, Var};
+use alss_nn::{
+    Activation, Aggregation, GinEncoder, Mat, Mlp, PackedGraphs, ParamStore, SelfAttention, Tape,
+    Var,
+};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -204,8 +207,9 @@ impl LssModel {
         self.store.num_weights()
     }
 
-    /// Forward pass (Algorithm 1): returns the regression node (`1 × 1`,
-    /// `log10 c_Θ(q)`) and the classification logits (`1 × m`).
+    /// Forward pass (Algorithm 1) on a tape, for training and losses:
+    /// returns the regression node (`1 × 1`, `log10 c_Θ(q)`) and the
+    /// classification logits (`1 × m`). Inference uses [`LssModel::predict`].
     pub fn forward(&self, tape: &mut Tape, query: &EncodedQuery) -> (Var, Var) {
         assert!(
             !query.subs.is_empty(),
@@ -246,20 +250,37 @@ impl LssModel {
     }
 
     /// Inference: predict count and magnitude posterior (eval mode; no
-    /// dropout, deterministic).
+    /// dropout, deterministic). Builds no tape and clones no weights: every
+    /// substructure is stacked into one node matrix over a block-diagonal
+    /// graph, so each GIN layer is one aggregate and one MLP pass. The
+    /// result is bit-identical to [`LssModel::forward`] on an eval tape
+    /// followed by a softmax of the logits.
     pub fn predict(&self, query: &EncodedQuery) -> Prediction {
         let _span = alss_telemetry::Span::enter("model.forward");
-        let mut tape = Tape::eval();
-        let (reg, logits) = self.forward(&mut tape, query);
-        let log10_count = tape.value(reg).scalar() as f64;
-        let probs_node = {
-            let mut t2 = tape; // reuse: softmax on the logits node
-            let sm = t2.softmax_rows(logits);
-            t2.value(sm).row(0).iter().map(|&p| p as f64).collect()
+        assert!(
+            !query.subs.is_empty(),
+            "query decomposed into no substructures"
+        );
+        let graphs = PackedGraphs::new(query.subs.iter().map(|s| s.adj.as_slice()));
+        let features: Vec<&Mat> = query.subs.iter().map(|s| &s.features).collect();
+        let x = Mat::stack_rows(&features);
+        let edge_sums = query
+            .subs
+            .iter()
+            .map(|s| s.edge_sums.as_ref())
+            .collect::<Option<Vec<&Mat>>>()
+            .map(|parts| Mat::stack_rows(&parts));
+        let h_q = self.gin.infer(&self.store, &x, &graphs, edge_sums.as_ref());
+        let e_q = match &self.att {
+            Some(att) => att.infer(&self.store, &h_q),
+            None => h_q.sum_rows(),
         };
+        let out = self.mlp.infer(&self.store, &e_q);
+        let mut probs = Mat::row_vector(&out.row(0)[1..1 + self.cfg.num_classes]);
+        probs.softmax_rows_in_place();
         Prediction {
-            log10_count,
-            class_probs: probs_node,
+            log10_count: f64::from(out.get(0, 0)),
+            class_probs: probs.data().iter().map(|&p| f64::from(p)).collect(),
         }
     }
 }

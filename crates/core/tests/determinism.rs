@@ -5,6 +5,7 @@
 //! item)`, so the floating-point computation is schedule-independent; this
 //! suite is the executable statement of that contract.
 
+use alss_core::model::Aggregator;
 use alss_core::train::{
     encode_workload_with, eval_loss_with, evaluate_with, seeded_rng, train_model, TrainConfig,
 };
@@ -13,8 +14,8 @@ use alss_core::{
     Strategy, Workload,
 };
 use alss_graph::builder::graph_from_edges;
-use alss_graph::Graph;
-use alss_nn::AdamConfig;
+use alss_graph::{Graph, GraphBuilder};
+use alss_nn::{AdamConfig, Aggregation, Tape};
 
 fn data_graph() -> Graph {
     graph_from_edges(&[0, 0, 1, 1, 2], &[(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
@@ -204,4 +205,123 @@ fn ensemble_select_batch_matches_serial() {
     let serial = ens.select_batch_with(&pool, 3, &mut rng_a, Parallelism::serial());
     let parallel = ens.select_batch_with(&pool, 3, &mut rng_b, Parallelism::fixed(4));
     assert_eq!(serial, parallel);
+}
+
+/// `predict` (the tape-free packed forward) must equal the eval-tape
+/// `forward` followed by a softmax of the logits, bit for bit.
+fn assert_predict_matches_tape(model: &LssModel, enc: &Encoder, queries: &[Graph], what: &str) {
+    for (i, q) in queries.iter().enumerate() {
+        let eq = enc.encode_query(q);
+        let pred = model.predict(&eq);
+        let mut tape = Tape::eval();
+        let (reg, logits) = model.forward(&mut tape, &eq);
+        let probs = tape.softmax_rows(logits);
+        assert_eq!(
+            pred.log10_count.to_bits(),
+            f64::from(tape.value(reg).scalar()).to_bits(),
+            "{what}: query {i} log10_count"
+        );
+        let tape_probs: Vec<u64> = tape
+            .value(probs)
+            .row(0)
+            .iter()
+            .map(|&p| f64::from(p).to_bits())
+            .collect();
+        let pred_probs: Vec<u64> = pred.class_probs.iter().map(|p| p.to_bits()).collect();
+        assert_eq!(pred_probs, tape_probs, "{what}: query {i} class_probs");
+    }
+}
+
+/// The suite's workload plus a one-node query and two queries whose
+/// substructures repeat GIN input rows (all nodes alike), so the forward's
+/// row dedup takes effect at every layer.
+fn oracle_queries() -> Vec<Graph> {
+    let mut qs: Vec<Graph> = workload().queries.iter().map(|q| q.graph.clone()).collect();
+    qs.push(graph_from_edges(&[1], &[]));
+    qs.push(graph_from_edges(
+        &[0, 0, 0, 0],
+        &[(0, 1), (1, 2), (2, 3), (3, 0)],
+    ));
+    qs.push(graph_from_edges(&[1, 0, 0, 0], &[(0, 1), (0, 2), (0, 3)]));
+    qs
+}
+
+fn trained_with(cfg: LssConfig, enc: &Encoder, workload: &Workload) -> LssModel {
+    let mut rng = seeded_rng(11);
+    let mut model = LssModel::new(cfg, enc.node_dim(), enc.edge_dim(), &mut rng);
+    let items = encode_workload_with(enc, workload, Parallelism::serial());
+    train_model(&mut model, &items, &train_config(1));
+    model
+}
+
+#[test]
+fn predict_matches_the_eval_tape_forward_bit_for_bit() {
+    let enc = Encoder::frequency(&data_graph(), 3);
+    let queries = oracle_queries();
+    for aggregator in [Aggregator::Attention, Aggregator::SumPool] {
+        for gnn_aggregation in [Aggregation::Sum, Aggregation::Mean] {
+            let cfg = LssConfig {
+                aggregator,
+                gnn_aggregation,
+                ..dropout_config()
+            };
+            let model = trained_with(cfg, &enc, &workload());
+            let what = format!("{aggregator:?}/{gnn_aggregation:?}");
+            assert_predict_matches_tape(&model, &enc, &queries, &what);
+        }
+    }
+}
+
+#[test]
+fn predict_matches_the_eval_tape_forward_with_edge_labels() {
+    let labeled = |labels: &[u32], edges: &[(u32, u32, u32)]| {
+        let mut b = GraphBuilder::new(labels.len());
+        for (v, &l) in (0u32..).zip(labels) {
+            b.set_label(v, l);
+        }
+        for &(u, v, l) in edges {
+            b.add_labeled_edge(u, v, l);
+        }
+        b.build()
+    };
+    let data = labeled(
+        &[0, 0, 1, 1, 2],
+        &[(0, 1, 0), (1, 2, 1), (2, 3, 0), (3, 4, 1), (0, 4, 0)],
+    );
+    let enc = Encoder::frequency(&data, 3);
+    assert!(enc.edge_dim() > 0, "the data graph carries edge labels");
+    let queries = vec![
+        labeled(&[0, 0], &[(0, 1, 0)]),
+        labeled(&[0, 1, 1], &[(0, 1, 1), (1, 2, 0)]),
+        labeled(&[0, 0, 1, 2], &[(0, 1, 0), (1, 2, 1), (2, 3, 1)]),
+        labeled(&[1, 1, 1], &[(0, 1, 0), (1, 2, 0), (2, 0, 0)]),
+        labeled(&[2], &[]),
+    ];
+    let workload = Workload::from_queries(
+        queries
+            .iter()
+            .zip([30u64, 200, 4_000, 60, 3])
+            .map(|(q, c)| LabeledQuery::new(q.clone(), c))
+            .collect(),
+    );
+    for gnn_aggregation in [Aggregation::Sum, Aggregation::Mean] {
+        let cfg = LssConfig {
+            gnn_aggregation,
+            ..dropout_config()
+        };
+        let model = trained_with(cfg, &enc, &workload);
+        for q in &queries {
+            assert!(enc
+                .encode_query(q)
+                .subs
+                .iter()
+                .all(|s| s.edge_sums.is_some()));
+        }
+        assert_predict_matches_tape(
+            &model,
+            &enc,
+            &queries,
+            &format!("edges/{gnn_aggregation:?}"),
+        );
+    }
 }

@@ -16,6 +16,7 @@
 //! (verified by tests here and property tests in `alss-core`).
 
 use crate::init::xavier_uniform;
+use crate::mat::Mat;
 use crate::param::{ParamId, ParamStore};
 use crate::tape::{Tape, Var};
 use rand::Rng;
@@ -67,6 +68,19 @@ impl SelfAttention {
         (eq, a)
     }
 
+    /// Inference forward without a tape, reading the weights in place:
+    /// `e_q (1 × r·d)`, bit-identical to [`SelfAttention::forward`] on an
+    /// eval tape.
+    pub fn infer(&self, store: &ParamStore, h_q: &Mat) -> Mat {
+        assert_eq!(h_q.cols(), self.d, "H_q width mismatch");
+        let mut z = store.value(self.w1).matmul(&h_q.transpose()); // da × n
+        z.map_in_place(f32::tanh);
+        let mut a = store.value(self.w2).matmul(&z); // r × n
+        a.softmax_rows_in_place();
+        let e = a.matmul(h_q); // r × d
+        Mat::row_vector(e.data())
+    }
+
     /// Output width `r·d`.
     pub fn out_dim(&self) -> usize {
         self.r * self.d
@@ -76,7 +90,6 @@ impl SelfAttention {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mat::Mat;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 

@@ -121,6 +121,40 @@ impl GinLayer {
         self.mlp.forward(tape, store, input)
     }
 
+    /// Inference forward for every graph of `graphs` at once, without a
+    /// tape; row for row bit-identical to [`GinLayer::forward`] on an eval
+    /// tape. `h` and `edge_sum` are stacked in `graphs`' row order.
+    pub fn infer(
+        &self,
+        store: &ParamStore,
+        h: &Mat,
+        graphs: &PackedGraphs,
+        edge_sum: Option<&Mat>,
+    ) -> Mat {
+        assert_eq!(h.rows(), graphs.num_nodes(), "packed row mismatch");
+        let mut agg = h.aggregate_neighbors(self.eps, |v| graphs.neighbors(v).iter().copied());
+        if self.aggregation == Aggregation::Mean {
+            for v in 0..agg.rows() {
+                let inv = 1.0 / (graphs.neighbors(v).len() as f32 + 1.0);
+                agg.row_mut(v).iter_mut().for_each(|e| *e *= inv);
+            }
+        }
+        let input = match (self.edge_dim, edge_sum) {
+            (0, _) => agg,
+            (_, Some(es)) => agg.concat_cols(es),
+            (d, None) => {
+                // Same misuse fall-through as `forward`.
+                debug_assert!(false, "GIN layer expects {d}-dim edge features");
+                agg
+            }
+        };
+        // The MLP maps each row on its own (`Mat::matmul` row i reads only
+        // lhs row i), so each distinct input row is computed once and its
+        // output copied to the duplicates, with no change in any bit.
+        let (distinct, index) = input.distinct_rows();
+        self.mlp.infer(store, &distinct).gather_rows(&index)
+    }
+
     /// Output dimension.
     pub fn out_dim(&self) -> usize {
         self.mlp.out_dim()
@@ -252,10 +286,88 @@ impl GinEncoder {
         tape.sum_rows(h)
     }
 
+    /// Inference forward without a tape: encode every graph of `graphs`
+    /// from its stacked node features `x` into one row of the
+    /// `graphs × hidden` result. Row `g` is bit-identical to
+    /// [`GinEncoder::encode`] of graph `g` alone on an eval tape.
+    pub fn infer(
+        &self,
+        store: &ParamStore,
+        x: &Mat,
+        graphs: &PackedGraphs,
+        edge_sum: Option<&Mat>,
+    ) -> Mat {
+        let mut h: Option<Mat> = None;
+        for layer in &self.layers {
+            h = Some(layer.infer(store, h.as_ref().unwrap_or(x), graphs, edge_sum));
+        }
+        let h = h.as_ref().unwrap_or(x);
+        let mut out = Mat::zeros(graphs.num_graphs(), h.cols());
+        for g in 0..graphs.num_graphs() {
+            let rows = graphs.rows(g);
+            let readout = h.sum_rows_range(rows.start, rows.end);
+            out.row_mut(g).copy_from_slice(readout.data());
+        }
+        out
+    }
+
     /// Representation width.
     pub fn out_dim(&self) -> usize {
         // Constructors reject zero-layer encoders; 0 keeps this total.
         self.layers.last().map_or(0, |l| l.out_dim())
+    }
+}
+
+/// Several graphs packed into one block-diagonal graph, the layout the
+/// inference forward runs GIN on: node `v` of graph `g` is row
+/// `rows(g).start + v` of the stacked node matrix, and each node keeps its
+/// neighbors in their original order.
+#[derive(Clone, Debug)]
+pub struct PackedGraphs {
+    /// Graph `g` owns rows `node_start[g]..node_start[g + 1]`.
+    node_start: Vec<usize>,
+    /// Row `v`'s neighbors are `nbrs[nbr_start[v]..nbr_start[v + 1]]`.
+    nbr_start: Vec<usize>,
+    nbrs: Vec<usize>,
+}
+
+impl PackedGraphs {
+    /// Pack the given adjacencies in order.
+    pub fn new<'a>(graphs: impl IntoIterator<Item = &'a [Vec<u32>]>) -> Self {
+        let mut packed = PackedGraphs {
+            node_start: vec![0],
+            nbr_start: vec![0],
+            nbrs: Vec::new(),
+        };
+        for adj in graphs {
+            let base = packed.num_nodes();
+            for nbrs in adj {
+                packed.nbrs.extend(nbrs.iter().map(|&u| base + u as usize));
+                packed.nbr_start.push(packed.nbrs.len());
+            }
+            packed.node_start.push(packed.num_nodes());
+        }
+        packed
+    }
+
+    /// Number of packed graphs.
+    pub fn num_graphs(&self) -> usize {
+        self.node_start.len() - 1
+    }
+
+    /// Total node count (rows of the stacked node matrix).
+    pub fn num_nodes(&self) -> usize {
+        self.nbr_start.len() - 1
+    }
+
+    /// Rows of graph `g`.
+    pub fn rows(&self, g: usize) -> std::ops::Range<usize> {
+        self.node_start[g]..self.node_start[g + 1]
+    }
+
+    /// Packed neighbor rows of row `v`.
+    pub fn neighbors(&self, v: usize) -> &[usize] {
+        &self.nbrs[self.nbr_start[v]..self.nbr_start[v + 1]]
     }
 }
 
@@ -273,14 +385,16 @@ pub fn adjacency_from_edges(n: usize, edges: &[(u32, u32)]) -> Adjacency {
 }
 
 /// Sum of initial edge features incident to each node: `edge_feats[i]` is
-/// the feature of `edges[i]`; returns an `n × edge_dim` matrix.
-pub fn edge_feature_sums(n: usize, edges: &[(u32, u32)], edge_feats: &[Vec<f32>]) -> Mat {
+/// the `dim`-wide feature of `edges[i]`; returns an `n × dim` matrix (all
+/// zeros for an edgeless graph, so its width still matches the model).
+pub fn edge_feature_sums(
+    n: usize,
+    dim: usize,
+    edges: &[(u32, u32)],
+    edge_feats: &[Vec<f32>],
+) -> Mat {
     assert_eq!(edges.len(), edge_feats.len(), "edge feature count mismatch");
-    let dim = edge_feats.first().map(|f| f.len()).unwrap_or(0);
-    let mut m = Mat::zeros(n, dim.max(1));
-    if dim == 0 {
-        return m;
-    }
+    let mut m = Mat::zeros(n, dim);
     for (&(u, v), f) in edges.iter().zip(edge_feats) {
         assert_eq!(f.len(), dim, "ragged edge features");
         for (c, &x) in f.iter().enumerate() {
@@ -343,10 +457,12 @@ mod tests {
 
     #[test]
     fn edge_feature_sums_accumulate() {
-        let m = edge_feature_sums(3, &[(0, 1), (1, 2)], &[vec![1.0, 0.0], vec![0.0, 2.0]]);
+        let m = edge_feature_sums(3, 2, &[(0, 1), (1, 2)], &[vec![1.0, 0.0], vec![0.0, 2.0]]);
         assert_eq!(m.row(0), &[1.0, 0.0]);
         assert_eq!(m.row(1), &[1.0, 2.0]);
         assert_eq!(m.row(2), &[0.0, 2.0]);
+        // an edgeless graph still gets `dim` columns
+        assert_eq!(edge_feature_sums(1, 2, &[], &[]).shape(), (1, 2));
     }
 
     #[test]

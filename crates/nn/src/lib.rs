@@ -14,7 +14,11 @@
 //!   only); [`param::GradShard`] — the gradient accumulator a backward
 //!   pass fills and the optimizer reads;
 //! * [`linear`] — `Linear` / `Mlp` layers; [`gin`] — GIN encoder;
-//!   [`attention`] — structured self-attention (Algorithm 1, lines 8–11);
+//!   [`attention`] — structured self-attention (Algorithm 1, lines 8–11).
+//!   Each layer has a tape `forward` for training and a tape-free `infer`
+//!   for inference, which reads weights in place and runs GIN over many
+//!   graphs packed into one ([`gin::PackedGraphs`]); the two share their
+//!   `Mat` kernels, so `infer` equals an eval-tape `forward` bit for bit;
 //! * [`loss`] — Eq. (3)/(5)/(6) losses; [`adam`] — Adam with weight decay
 //!   and LR decay;
 //! * [`gradcheck`] — finite-difference validation used by the test suite.
@@ -85,7 +89,9 @@ pub mod tape;
 
 pub use adam::{Adam, AdamConfig};
 pub use attention::SelfAttention;
-pub use gin::{adjacency_from_edges, edge_feature_sums, Aggregation, GinEncoder, GinLayer};
+pub use gin::{
+    adjacency_from_edges, edge_feature_sums, Aggregation, GinEncoder, GinLayer, PackedGraphs,
+};
 pub use linear::{Activation, Linear, Mlp};
 pub use mat::Mat;
 pub use param::{GradShard, ParamId, ParamStore};

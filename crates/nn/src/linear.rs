@@ -27,6 +27,15 @@ impl Activation {
             Activation::Tanh => tape.tanh(x),
         }
     }
+
+    /// Apply elementwise to a matrix, in place (the inference path).
+    pub fn apply_in_place(self, x: &mut Mat) {
+        match self {
+            Activation::None => {}
+            Activation::Relu => x.map_in_place(|e| e.max(0.0)),
+            Activation::Tanh => x.map_in_place(f32::tanh),
+        }
+    }
 }
 
 /// A dense layer `y = x W + b` (bias optional — the paper's attention MLP
@@ -71,6 +80,17 @@ impl Linear {
             }
             None => xw,
         }
+    }
+
+    /// Inference forward without a tape, reading the weights in place;
+    /// bit-identical to [`Linear::forward`] on an eval tape.
+    pub fn infer(&self, store: &ParamStore, x: &Mat) -> Mat {
+        debug_assert_eq!(x.cols(), self.in_dim, "linear input dim");
+        let mut y = x.matmul(store.value(self.w));
+        if let Some(b) = self.b {
+            y.add_row_assign(store.value(b));
+        }
+        y
     }
 
     /// Input dimension.
@@ -131,6 +151,21 @@ impl Mlp {
                 h = self.activation.apply(tape, h);
                 h = tape.dropout(h, self.dropout);
             }
+        }
+        h
+    }
+
+    /// Inference forward without a tape (dropout is the identity);
+    /// bit-identical to [`Mlp::forward`] on an eval tape.
+    pub fn infer(&self, store: &ParamStore, x: &Mat) -> Mat {
+        let mut layers = self.layers.iter();
+        let Some(first) = layers.next() else {
+            return x.clone();
+        };
+        let mut h = first.infer(store, x);
+        for layer in layers {
+            self.activation.apply_in_place(&mut h);
+            h = layer.infer(store, &h);
         }
         h
     }

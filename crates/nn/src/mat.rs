@@ -6,6 +6,8 @@
 //! mismatch is a programming error, not a runtime condition.
 
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// A dense `rows × cols` matrix of `f32`, row-major.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -175,6 +177,112 @@ impl Mat {
         }
     }
 
+    /// Elementwise map in place.
+    pub fn map_in_place(&mut self, f: impl Fn(f32) -> f32) {
+        self.data.iter_mut().for_each(|x| *x = f(*x));
+    }
+
+    /// Row-broadcast sum in place: `self (n×c) += row (1×c)`.
+    pub fn add_row_assign(&mut self, row: &Mat) {
+        assert_eq!(row.rows, 1, "add_row needs a row vector");
+        assert_eq!(self.cols, row.cols, "add_row col mismatch");
+        for r in 0..self.rows {
+            for (o, &b) in self.row_mut(r).iter_mut().zip(&row.data) {
+                *o += b;
+            }
+        }
+    }
+
+    /// Numerically stable softmax of every row, in place.
+    pub fn softmax_rows_in_place(&mut self) {
+        for r in 0..self.rows {
+            let row = self.row_mut(r);
+            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            let mut sum = 0.0;
+            for e in row.iter_mut() {
+                *e = (*e - max).exp();
+                sum += *e;
+            }
+            for e in row.iter_mut() {
+                *e /= sum;
+            }
+        }
+    }
+
+    /// Column-wise sum of rows `start..end`, added in order → `1 × cols`.
+    pub fn sum_rows_range(&self, start: usize, end: usize) -> Mat {
+        let mut out = Mat::zeros(1, self.cols);
+        for r in start..end {
+            for (o, &e) in out.data.iter_mut().zip(self.row(r)) {
+                *o += e;
+            }
+        }
+        out
+    }
+
+    /// Column-wise sum of all rows → `1 × cols`.
+    pub fn sum_rows(&self) -> Mat {
+        self.sum_rows_range(0, self.rows)
+    }
+
+    /// GIN aggregation over a fixed graph: row `v` of the result is
+    /// `(1+eps)·self[v] + Σ_{u ∈ neighbors(v)} self[u]`, with the
+    /// neighbor rows added in the order `neighbors(v)` yields them.
+    pub fn aggregate_neighbors<I>(&self, eps: f32, neighbors: impl Fn(usize) -> I) -> Mat
+    where
+        I: IntoIterator<Item = usize>,
+    {
+        let mut out = self.map(|e| e * (1.0 + eps));
+        for v in 0..self.rows {
+            for u in neighbors(v) {
+                let src = &self.data[u * self.cols..(u + 1) * self.cols];
+                let dst = &mut out.data[v * self.cols..(v + 1) * self.cols];
+                for (o, &a) in dst.iter_mut().zip(src) {
+                    *o += a;
+                }
+            }
+        }
+        out
+    }
+
+    /// The distinct rows (compared bit for bit) in first-occurrence order,
+    /// and for every row of `self` the index of its copy among them, so
+    /// `distinct.gather_rows(&index) == self`.
+    pub fn distinct_rows(&self) -> (Mat, Vec<usize>) {
+        let mut slot_of: HashMap<RowBits<'_>, usize, BuildHasherDefault<RowHasher>> =
+            HashMap::default();
+        let mut data = Vec::new();
+        let index = (0..self.rows)
+            .map(|r| {
+                let row = self.row(r);
+                let next = slot_of.len();
+                *slot_of.entry(RowBits::new(row)).or_insert_with(|| {
+                    data.extend_from_slice(row);
+                    next
+                })
+            })
+            .collect();
+        let distinct = Mat {
+            rows: slot_of.len(),
+            cols: self.cols,
+            data,
+        };
+        (distinct, index)
+    }
+
+    /// A matrix whose row `i` is `self[index[i]]`.
+    pub fn gather_rows(&self, index: &[usize]) -> Mat {
+        let mut data = Vec::with_capacity(index.len() * self.cols);
+        for &r in index {
+            data.extend_from_slice(self.row(r));
+        }
+        Mat {
+            rows: index.len(),
+            cols: self.cols,
+            data,
+        }
+    }
+
     /// Set every element to zero (reusing the allocation).
     pub fn fill_zero(&mut self) {
         self.data.iter_mut().for_each(|x| *x = 0.0);
@@ -236,6 +344,63 @@ impl Mat {
     }
 }
 
+/// FxHash's multiply-rotate step.
+fn fx_mix(h: u64, v: u64) -> u64 {
+    (h.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95)
+}
+
+/// A matrix row keyed by its bit pattern, with the hash computed once.
+struct RowBits<'a> {
+    hash: u64,
+    row: &'a [f32],
+}
+
+impl<'a> RowBits<'a> {
+    fn new(row: &'a [f32]) -> Self {
+        let hash = row.iter().fold(0, |h, x| fx_mix(h, u64::from(x.to_bits())));
+        RowBits { hash, row }
+    }
+}
+
+impl PartialEq for RowBits<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.row.len() == other.row.len()
+            && self
+                .row
+                .iter()
+                .zip(other.row)
+                .all(|(a, b)| a.to_bits() == b.to_bits())
+    }
+}
+
+impl Eq for RowBits<'_> {}
+
+impl Hash for RowBits<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+/// Passes a [`RowBits`] precomputed hash through unchanged.
+#[derive(Default)]
+struct RowHasher(u64);
+
+impl Hasher for RowHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = fx_mix(self.0, u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, h: u64) {
+        self.0 = h;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,6 +442,27 @@ mod tests {
         let a = Mat::zeros(2, 3);
         let b = Mat::zeros(2, 3);
         let _ = a.matmul(&b);
+    }
+
+    #[test]
+    fn distinct_rows_round_trip_through_gather() {
+        let m = Mat::from_vec(5, 2, vec![1., 2., 3., 4., 1., 2., 0., -0., 3., 4.]);
+        let (distinct, index) = m.distinct_rows();
+        // -0.0 and 0.0 differ in bits, so [0, -0] is its own row
+        assert_eq!(distinct.data(), &[1., 2., 3., 4., 0., -0.]);
+        assert_eq!(index, vec![0, 1, 0, 2, 1]);
+        let back = distinct.gather_rows(&index);
+        let bits = |m: &Mat| m.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&back), bits(&m));
+    }
+
+    #[test]
+    fn aggregate_neighbors_adds_rows_in_order() {
+        // path 0-1-2, eps = 0: out[1] = x1 + x0 + x2
+        let x = Mat::from_vec(3, 1, vec![1.0, 10.0, 100.0]);
+        let adj = [vec![1], vec![0, 2], vec![1]];
+        let y = x.aggregate_neighbors(0.0, |v| adj[v].iter().copied());
+        assert_eq!(y.data(), &[11.0, 111.0, 110.0]);
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Define-by-run reverse-mode automatic differentiation on [`Mat`].
 //!
-//! A [`Tape`] is built per forward pass; every operation eagerly computes
-//! its value and records an [`Op`] node. [`Tape::backward`] walks the tape
+//! A [`Tape`] is built per training or loss forward pass; every operation
+//! eagerly computes its value and records an [`Op`] node. (Inference runs
+//! the layers' tape-free `infer` methods, which call the same [`Mat`]
+//! kernels and so match an eval tape bit for bit.) [`Tape::backward`] walks the tape
 //! in reverse, accumulating gradients; gradients of [`Tape::param`] leaves
 //! are routed into a [`GradShard`]. A training tape ([`Tape::train`]) owns
 //! the RNG its dropout masks are drawn from; an eval tape
@@ -176,15 +178,8 @@ impl Tape {
 
     /// Row-broadcast sum: `a (n×c) + row (1×c)`.
     pub fn add_row(&mut self, a: Var, row: Var) -> Var {
-        let (x, r) = (&self.nodes[a.0].value, &self.nodes[row.0].value);
-        assert_eq!(r.rows(), 1, "add_row needs a row vector");
-        assert_eq!(x.cols(), r.cols(), "add_row col mismatch");
-        let mut v = x.clone();
-        for i in 0..v.rows() {
-            for (o, &b) in v.row_mut(i).iter_mut().zip(r.row(0)) {
-                *o += b;
-            }
-        }
+        let mut v = self.nodes[a.0].value.clone();
+        v.add_row_assign(&self.nodes[row.0].value);
         self.push(v, Op::AddRow(a, row))
     }
 
@@ -233,20 +228,8 @@ impl Tape {
 
     /// Row-wise softmax.
     pub fn softmax_rows(&mut self, a: Var) -> Var {
-        let x = &self.nodes[a.0].value;
-        let mut v = x.clone();
-        for i in 0..v.rows() {
-            let row = v.row_mut(i);
-            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let mut sum = 0.0;
-            for e in row.iter_mut() {
-                *e = (*e - max).exp();
-                sum += *e;
-            }
-            for e in row.iter_mut() {
-                *e /= sum;
-            }
-        }
+        let mut v = self.nodes[a.0].value.clone();
+        v.softmax_rows_in_place();
         self.push(v, Op::SoftmaxRows(a))
     }
 
@@ -300,13 +283,7 @@ impl Tape {
 
     /// Column-wise sum over rows: `(n×c) → (1×c)` (the GIN sum-Readout).
     pub fn sum_rows(&mut self, a: Var) -> Var {
-        let x = &self.nodes[a.0].value;
-        let mut v = Mat::zeros(1, x.cols());
-        for i in 0..x.rows() {
-            for (o, &e) in v.row_mut(0).iter_mut().zip(x.row(i)) {
-                *o += e;
-            }
-        }
+        let v = self.nodes[a.0].value.sum_rows();
         self.push(v, Op::SumRows(a))
     }
 
@@ -346,15 +323,7 @@ impl Tape {
     pub fn graph_agg(&mut self, x: Var, adj: Adjacency, eps: f32) -> Var {
         let xv = &self.nodes[x.0].value;
         assert_eq!(xv.rows(), adj.len(), "adjacency/feature row mismatch");
-        let mut v = xv.map(|e| e * (1.0 + eps));
-        for (node, nbrs) in adj.iter().enumerate() {
-            for &u in nbrs {
-                for c in 0..xv.cols() {
-                    let add = xv.get(u as usize, c);
-                    v.set(node, c, v.get(node, c) + add);
-                }
-            }
-        }
+        let v = xv.aggregate_neighbors(eps, |node| adj[node].iter().map(|&u| u as usize));
         self.push(v, Op::GraphAgg(x, adj, eps))
     }
 
@@ -582,15 +551,8 @@ impl Tape {
                 Op::GraphAgg(x, adj, eps) => {
                     let (x, adj, eps) = (*x, Arc::clone(adj), *eps);
                     // (A + (1+eps) I) is symmetric → backward is the same op.
-                    let mut dx = g.map(|e| e * (1.0 + eps));
-                    for (node, nbrs) in adj.iter().enumerate() {
-                        for &u in nbrs {
-                            for c in 0..g.cols() {
-                                let add = g.get(u as usize, c);
-                                dx.set(node, c, dx.get(node, c) + add);
-                            }
-                        }
-                    }
+                    let dx =
+                        g.aggregate_neighbors(eps, |node| adj[node].iter().map(|&u| u as usize));
                     self.add_grad(x, dx);
                 }
                 Op::Flatten(a) => {

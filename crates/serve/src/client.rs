@@ -20,6 +20,11 @@ impl Client {
         stream
             .set_read_timeout(Some(Duration::from_secs(30)))
             .map_err(|e| format!("set timeout: {e}"))?;
+        // Each request is one write; send it at once rather than letting
+        // Nagle hold it for the server's delayed ACK.
+        stream
+            .set_nodelay(true)
+            .map_err(|e| format!("set nodelay: {e}"))?;
         let writer = stream.try_clone().map_err(|e| format!("clone: {e}"))?;
         Ok(Client {
             writer,
@@ -29,10 +34,10 @@ impl Client {
 
     /// Send one request and block for its response.
     pub fn call(&mut self, req: &Request) -> Result<Response, String> {
-        let line = to_line(req)?;
+        let mut line = to_line(req)?;
+        line.push('\n');
         self.writer
             .write_all(line.as_bytes())
-            .and_then(|()| self.writer.write_all(b"\n"))
             .map_err(|e| format!("send: {e}"))?;
         let mut reply = String::new();
         self.reader

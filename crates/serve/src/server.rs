@@ -6,7 +6,9 @@
 //! [`Response`] line per request, in request order. Estimate requests first
 //! consult the sharded canonical cache; a miss is computed on the handler
 //! thread itself. Control requests (`ping`, `stats`, `shutdown`) are
-//! answered inline. At most `MAX_CONNECTIONS` connections are live at a
+//! answered inline. Every reply is one write on a `TCP_NODELAY` socket.
+//! A request line longer than `MAX_LINE_BYTES` gets one `ok:false` reply
+//! and is skipped. At most `MAX_CONNECTIONS` connections are live at a
 //! time; one past the cap gets a single `ok:false` line and is closed.
 //!
 //! Shutdown is cooperative: a `shutdown` request (or [`ServerHandle::stop`])
@@ -22,7 +24,7 @@ use alss_core::LearnedSketch;
 use alss_estimators::{LabelIndex, WanderJoin};
 use alss_graph::io::{from_text, from_text_bounded};
 use alss_graph::{canonical_key, Graph};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -35,6 +37,11 @@ const WJ_SAMPLES: usize = 64;
 
 /// Live connections the server holds at once.
 const MAX_CONNECTIONS: usize = 1024;
+
+/// Longest request line, newline included. A longer line gets one
+/// `ok:false` reply and is discarded up to its newline; the connection
+/// stays open.
+const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Largest node count a query header may declare. The parser sizes its
 /// node storage from the header, so a larger one is refused before it can
@@ -190,6 +197,9 @@ fn accept_loop(
                 break;
             }
             let Ok(mut stream) = conn else { continue };
+            // Each reply is one write; send it at once rather than letting
+            // Nagle hold it for the client's delayed ACK.
+            let _ = stream.set_nodelay(true);
             let Some(slot) = slots.try_acquire() else {
                 alss_telemetry::counter("serve.overloaded").inc();
                 write_response(
@@ -255,13 +265,37 @@ fn handle_connection(stream: TcpStream, addr: SocketAddr, shared: &Shared, est: 
     let mut writer = write_half;
     let mut reader = BufReader::new(stream);
     // Accumulate across timeouts with `read_until` (unlike `read_line`, it
-    // keeps already-read bytes in the buffer when a read times out).
+    // keeps already-read bytes in the buffer when a read times out). The
+    // `take` keeps the buffer within `MAX_LINE_BYTES`.
     let mut buf: Vec<u8> = Vec::new();
+    // Set while skipping the rest of an over-long line already answered.
+    let mut discarding = false;
     loop {
-        match reader.read_until(b'\n', &mut buf) {
-            Ok(0) => break,                             // EOF
-            Ok(_) if !buf.ends_with(b"\n") => continue, // partial line
-            Ok(_) => {}
+        let room = MAX_LINE_BYTES - buf.len();
+        match (&mut reader).take(room as u64).read_until(b'\n', &mut buf) {
+            Ok(0) => break, // EOF
+            Ok(_) if buf.ends_with(b"\n") && discarding => {
+                buf.clear();
+                discarding = false;
+                continue;
+            }
+            Ok(_) if buf.ends_with(b"\n") => {}
+            Ok(_) if buf.len() < MAX_LINE_BYTES => continue, // partial line
+            Ok(_) => {
+                buf.clear();
+                if !discarding {
+                    discarding = true;
+                    alss_telemetry::counter("serve.line_too_long").inc();
+                    let reply = Response::failure(
+                        0,
+                        format!("request line exceeds {MAX_LINE_BYTES} bytes"),
+                    );
+                    if !write_response(&mut writer, &reply) {
+                        break;
+                    }
+                }
+                continue;
+            }
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
@@ -306,15 +340,14 @@ fn handle_connection(stream: TcpStream, addr: SocketAddr, shared: &Shared, est: 
     }
 }
 
-/// Write one response line; `false` when the connection is unusable.
+/// Write one response line, newline included, in a single `write_all`;
+/// `false` when the connection is unusable.
 fn write_response(writer: &mut TcpStream, response: &Response) -> bool {
-    let Ok(out_line) = to_line(response) else {
+    let Ok(mut out_line) = to_line(response) else {
         return false;
     };
-    writer
-        .write_all(out_line.as_bytes())
-        .and_then(|()| writer.write_all(b"\n"))
-        .is_ok()
+    out_line.push('\n');
+    writer.write_all(out_line.as_bytes()).is_ok()
 }
 
 /// Elapsed microseconds, saturated into `u64`.

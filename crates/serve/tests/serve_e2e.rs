@@ -194,6 +194,54 @@ fn control_ops_and_malformed_input() {
 }
 
 #[test]
+fn sequential_pings_do_not_wait_for_delayed_acks() {
+    // A reply or request split over two writes without TCP_NODELAY waits
+    // about 40 ms for the peer's delayed ACK; 100 round trips then take
+    // seconds instead of milliseconds.
+    let (graph, sketch) = fixtures("nodelay");
+    let handle = alss_serve::serve(&config(graph, Some(sketch))).unwrap();
+    let mut client = Client::connect(&handle.addr.to_string(), Duration::from_secs(5)).unwrap();
+    let started = std::time::Instant::now();
+    for _ in 0..100 {
+        assert!(client.call(&Request::control("ping")).unwrap().ok);
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "100 sequential pings took {elapsed:?}"
+    );
+
+    handle.stop();
+    handle.join();
+}
+
+#[test]
+fn over_long_line_is_refused_and_the_connection_lives() {
+    use std::io::{BufRead, BufReader, Write};
+    let (graph, sketch) = fixtures("longline");
+    let handle = alss_serve::serve(&config(graph, Some(sketch))).unwrap();
+    let mut raw = std::net::TcpStream::connect(handle.addr).unwrap();
+    let mut reader = BufReader::new(raw.try_clone().unwrap());
+    // A 2 MiB line (twice the cap), then a ping on the same connection.
+    let mut long = vec![b'x'; 2 << 20];
+    long.push(b'\n');
+    raw.write_all(&long).unwrap();
+    raw.write_all(b"{\"op\":\"ping\",\"id\":7}\n").unwrap();
+
+    let mut refused = String::new();
+    reader.read_line(&mut refused).unwrap();
+    assert!(refused.contains("\"ok\":false"), "{refused}");
+    assert!(refused.contains("exceeds"), "{refused}");
+    let mut pong = String::new();
+    reader.read_line(&mut pong).unwrap();
+    assert!(pong.contains("\"ok\":true"), "{pong}");
+    assert!(pong.contains("\"id\":7"), "{pong}");
+
+    handle.stop();
+    handle.join();
+}
+
+#[test]
 fn modelless_server_degrades_everything() {
     let (graph, _) = fixtures("modelless");
     let missing = PathBuf::from("/nonexistent/alss-serve-sketch.json");
