@@ -7,9 +7,10 @@ use alss_embedding::Embedding;
 use alss_graph::augmented::label_augmented_graph;
 use alss_graph::labels::LabelStats;
 use alss_graph::{Graph, Substructure, WILDCARD};
-use alss_nn::{adjacency_from_edges, edge_feature_sums, Adjacency, Mat};
+use alss_nn::{Mat, PackedGraphs};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Which node encoding variant to use (the LSS-fre / LSS-emb / LSS-con of
 /// §6.2).
@@ -33,24 +34,22 @@ impl std::fmt::Display for EncodingKind {
     }
 }
 
-/// A ready-to-train encoded substructure.
-#[derive(Clone, Debug)]
-pub struct EncodedSubstructure {
-    /// `n × in_dim` initial node features `e_v^{(0)}`.
-    pub features: Mat,
-    /// Substructure adjacency for GIN aggregation.
-    pub adj: Adjacency,
-    /// `n × edge_dim` per-node sums of initial edge features (Eq. 4),
-    /// present iff the encoder has an edge encoding.
-    pub edge_sums: Option<Mat>,
-}
-
-/// A fully encoded query: one [`EncodedSubstructure`] per decomposed
-/// substructure. Cached by the trainer so encoding runs once per query.
+/// A fully encoded query in the layout the GIN reads (the `H_q` input of
+/// Algorithm 1): its decomposed substructures packed into one
+/// block-diagonal graph, with every substructure node's features and edge
+/// sums stacked in the same row order. Cached by the trainer so encoding
+/// runs once per query.
 #[derive(Clone, Debug)]
 pub struct EncodedQuery {
-    /// The encoded substructures.
-    pub subs: Vec<EncodedSubstructure>,
+    /// `N × node_dim` initial node features `e_v^{(0)}`, row for row.
+    pub features: Mat,
+    /// One packed graph per substructure, in decomposition order. Shared
+    /// by `Arc`, so the training tapes that read it, on the trainer's
+    /// worker threads, copy nothing.
+    pub graphs: Arc<PackedGraphs>,
+    /// `N × edge_dim` per-node sums of incident initial edge features
+    /// (Eq. 4), present iff the encoder has an edge encoding.
+    pub edge_sums: Option<Mat>,
 }
 
 /// The §4.3 feature encoder: holds the data-graph statistics and the
@@ -235,30 +234,41 @@ impl Encoder {
             .collect()
     }
 
-    /// Encode one decomposed substructure.
-    pub fn encode_substructure(&self, s: &Substructure) -> EncodedSubstructure {
-        let g = &s.graph;
-        let n = g.num_nodes();
-        let dim = self.node_dim();
-        let mut feats = Vec::with_capacity(n * dim);
-        for v in g.nodes() {
-            let labels: Vec<u32> = if g.label(v) == WILDCARD {
-                vec![WILDCARD]
-            } else {
-                g.labels_of(v).collect()
-            };
-            feats.extend(self.node_features_multi(&labels));
+    /// Encode decomposed substructures, in the given order, straight into
+    /// the packed layout: each substructure's CSR adjacency (neighbors
+    /// ascending) becomes one packed graph, and a node's edge sum adds its
+    /// incident edges' features in that same neighbor order.
+    pub fn encode_substructures(&self, subs: &[Substructure]) -> EncodedQuery {
+        let graphs = || subs.iter().map(|s| &s.graph);
+        let packed = PackedGraphs::new(graphs().map(|g| g.nodes().map(move |v| g.neighbors(v))));
+        let (node_dim, edge_dim) = (self.node_dim(), self.edge_dim());
+        let mut features = Vec::with_capacity(packed.num_nodes() * node_dim);
+        let mut edge_sums = Vec::with_capacity(packed.num_nodes() * edge_dim);
+        for g in graphs() {
+            for v in g.nodes() {
+                let labels: Vec<u32> = if g.label(v) == WILDCARD {
+                    vec![WILDCARD]
+                } else {
+                    g.labels_of(v).collect()
+                };
+                features.extend(self.node_features_multi(&labels));
+                if edge_dim > 0 {
+                    let mut sum = vec![0.0f32; edge_dim];
+                    for i in 0..g.degree(v) {
+                        let label = g.neighbor_edge_labels(v).map_or(WILDCARD, |l| l[i]);
+                        for (o, x) in sum.iter_mut().zip(self.edge_features(label)) {
+                            *o += x;
+                        }
+                    }
+                    edge_sums.extend(sum);
+                }
+            }
         }
-        let edges: Vec<(u32, u32)> = g.edges().map(|e| (e.u, e.v)).collect();
-        let adj = adjacency_from_edges(n, &edges);
-        let edge_sums = (self.num_edge_labels > 0).then(|| {
-            let efeats: Vec<Vec<f32>> = g.edges().map(|e| self.edge_features(e.label)).collect();
-            edge_feature_sums(n, self.num_edge_labels, &edges, &efeats)
-        });
-        EncodedSubstructure {
-            features: Mat::from_vec(n, dim, feats),
-            adj,
-            edge_sums,
+        let n = packed.num_nodes();
+        EncodedQuery {
+            features: Mat::from_vec(n, node_dim, features),
+            graphs: Arc::new(packed),
+            edge_sums: (edge_dim > 0).then(|| Mat::from_vec(n, edge_dim, edge_sums)),
         }
     }
 
@@ -266,11 +276,7 @@ impl Encoder {
     /// §4.3).
     pub fn encode_query(&self, q: &Graph) -> EncodedQuery {
         let _span = alss_telemetry::Span::enter("encode.query");
-        let subs = alss_graph::decompose(q, self.hops)
-            .iter()
-            .map(|s| self.encode_substructure(s))
-            .collect();
-        EncodedQuery { subs }
+        self.encode_substructures(&alss_graph::decompose(q, self.hops))
     }
 }
 
@@ -339,11 +345,10 @@ mod tests {
         let enc = Encoder::frequency(&d, 3);
         let q = graph_from_edges(&[0, 1, 2], &[(0, 1), (1, 2)]);
         let eq = enc.encode_query(&q);
-        assert_eq!(eq.subs.len(), 3);
-        for s in &eq.subs {
-            assert_eq!(s.features.cols(), 3);
-            assert!(s.edge_sums.is_none());
-        }
+        assert_eq!(eq.graphs.num_graphs(), 3);
+        // each BFS tree of the 3-node path holds all three nodes
+        assert_eq!(eq.features.shape(), (9, 3));
+        assert!(eq.edge_sums.is_none());
     }
 
     #[test]
@@ -354,17 +359,21 @@ mod tests {
         let d = b.build();
         let enc = Encoder::frequency(&d, 2);
         assert_eq!(enc.edge_dim(), 2);
-        let q = d.clone();
-        let eq = enc.encode_query(&q);
-        for s in &eq.subs {
-            let es = s.edge_sums.as_ref().expect("edge sums expected");
-            assert_eq!(es.cols(), 2);
-        }
+        let eq = enc.encode_query(&d);
+        let es = eq.edge_sums.as_ref().expect("edge sums expected");
+        assert_eq!(es.shape(), (eq.features.rows(), 2));
+        // Substructure 0 is the tree rooted at node 0: node 0 has the
+        // label-0 edge, node 1 both edges, node 2 the label-1 edge.
+        let (f0, f1) = (enc.edge_features(0), enc.edge_features(1));
+        assert_eq!(eq.graphs.rows(0), 0..3);
+        assert_eq!(es.row(0), f0.as_slice());
+        assert_eq!(es.row(1), &[f0[0] + f1[0], f0[1] + f1[1]]);
+        assert_eq!(es.row(2), f1.as_slice());
         // A one-node query has no edges, but its edge sums keep the
         // model's edge width (they were one column wide, which the GIN
         // input-width check rejected).
         let single = alss_graph::GraphBuilder::new(1).build();
-        let es = enc.encode_query(&single).subs[0].edge_sums.clone();
+        let es = enc.encode_query(&single).edge_sums;
         assert_eq!(es.map(|m| m.shape()), Some((1, 2)));
     }
 }

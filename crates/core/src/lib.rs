@@ -8,11 +8,12 @@
 //!
 //! Pipeline (Fig. 2 / Algorithm 1):
 //!
-//! 1. [`alss_graph::decompose`] a query into per-node 3-hop BFS-tree
+//! 1. [`alss_graph::decompose()`] a query into per-node 3-hop BFS-tree
 //!    substructures;
 //! 2. [`encode`] each substructure — frequency-based, pre-trained-embedding
 //!    (ProNE on the label-augmented graph), or concatenated features, with
-//!    the Eq. (4) edge-label extension;
+//!    the Eq. (4) edge-label extension — into one packed
+//!    [`EncodedQuery`], the layout the GIN reads;
 //! 3. a GIN encoder produces per-substructure representations
 //!    (`σ(·)` of Eq. 2), structured self-attention learns query-specific
 //!    weights (`w(·)`), and a multi-task MLP emits `log10 c_Θ(q)` plus a
@@ -64,7 +65,6 @@ pub use model::{LssConfig, LssModel, Prediction};
 pub use parallel::{par_map, Parallelism};
 pub use sketch::{active_round, ActiveRoundReport, LearnedSketch, PoolItem, SketchConfig};
 pub use train::{
-    encode_workload, encode_workload_with, evaluate, evaluate_with, train_model, TrainConfig,
-    TrainReport,
+    encode_workload, encode_workload_with, evaluate_with, train_model, TrainConfig, TrainReport,
 };
 pub use workload::{LabeledQuery, Workload};

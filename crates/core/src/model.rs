@@ -6,8 +6,7 @@
 use crate::encode::EncodedQuery;
 use alss_nn::loss::{cross_entropy_loss, magnitude_class, mse_log_loss, multi_task_loss};
 use alss_nn::{
-    Activation, Aggregation, GinEncoder, Mat, Mlp, PackedGraphs, ParamStore, SelfAttention, Tape,
-    Var,
+    Activation, Aggregation, GinEncoder, Mat, Mlp, ParamStore, SelfAttention, Tape, Var,
 };
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -210,16 +209,25 @@ impl LssModel {
     /// Forward pass (Algorithm 1) on a tape, for training and losses:
     /// returns the regression node (`1 × 1`, `log10 c_Θ(q)`) and the
     /// classification logits (`1 × m`). Inference uses [`LssModel::predict`].
+    ///
+    /// The tape runs GIN one substructure at a time, in decomposition
+    /// order: that fixes the order dropout masks are drawn in and the
+    /// order each weight gradient sums its per-substructure terms.
     pub fn forward(&self, tape: &mut Tape, query: &EncodedQuery) -> (Var, Var) {
+        let graphs = &query.graphs;
         assert!(
-            !query.subs.is_empty(),
+            graphs.num_graphs() > 0,
             "query decomposed into no substructures"
         );
-        let mut reps: Vec<Var> = Vec::with_capacity(query.subs.len());
-        for s in &query.subs {
-            let x = tape.input(s.features.clone());
-            let es = s.edge_sums.as_ref().map(|m| tape.input(m.clone()));
-            let h = self.gin.encode(tape, &self.store, x, &s.adj, es);
+        let mut reps: Vec<Var> = Vec::with_capacity(graphs.num_graphs());
+        for g in 0..graphs.num_graphs() {
+            let rows = graphs.rows(g);
+            let x = tape.input(query.features.slice_rows(rows.clone()));
+            let es = query
+                .edge_sums
+                .as_ref()
+                .map(|m| tape.input(m.slice_rows(rows)));
+            let h = self.gin.encode(tape, &self.store, x, graphs, g, es);
             reps.push(h);
         }
         let h_q = tape.concat_rows(&reps); // n × hidden (Alg. 1 line 8)
@@ -250,27 +258,25 @@ impl LssModel {
     }
 
     /// Inference: predict count and magnitude posterior (eval mode; no
-    /// dropout, deterministic). Builds no tape and clones no weights: every
-    /// substructure is stacked into one node matrix over a block-diagonal
-    /// graph, so each GIN layer is one aggregate and one MLP pass. The
-    /// result is bit-identical to [`LssModel::forward`] on an eval tape
-    /// followed by a softmax of the logits.
+    /// dropout, deterministic). Builds no tape and clones no weights: GIN
+    /// runs over the query's packed substructures as encoded, so each GIN
+    /// layer is one aggregate and one MLP pass. The result is
+    /// bit-identical to [`LssModel::forward`] on an eval tape followed by
+    /// a softmax of the logits.
     pub fn predict(&self, query: &EncodedQuery) -> Prediction {
         let _span = alss_telemetry::Span::enter("model.forward");
+        let EncodedQuery {
+            features,
+            graphs,
+            edge_sums,
+        } = query;
         assert!(
-            !query.subs.is_empty(),
+            graphs.num_graphs() > 0,
             "query decomposed into no substructures"
         );
-        let graphs = PackedGraphs::new(query.subs.iter().map(|s| s.adj.as_slice()));
-        let features: Vec<&Mat> = query.subs.iter().map(|s| &s.features).collect();
-        let x = Mat::stack_rows(&features);
-        let edge_sums = query
-            .subs
-            .iter()
-            .map(|s| s.edge_sums.as_ref())
-            .collect::<Option<Vec<&Mat>>>()
-            .map(|parts| Mat::stack_rows(&parts));
-        let h_q = self.gin.infer(&self.store, &x, &graphs, edge_sums.as_ref());
+        let h_q = self
+            .gin
+            .infer(&self.store, features, graphs, edge_sums.as_ref());
         let e_q = match &self.att {
             Some(att) => att.infer(&self.store, &h_q),
             None => h_q.sum_rows(),

@@ -4,10 +4,11 @@
 //!
 //! Training is **data-parallel and deterministic**: within each
 //! mini-batch the per-item forward+backward passes fan out over worker
-//! threads, each accumulating into its own [`GradShard`]; shards are
-//! merged into one zeroed accumulator shard in batch-position order, and
-//! every item's training tape draws its dropout masks from an RNG derived
-//! from `(seed, epoch, item)` rather than a shared sequential RNG. The
+//! threads through [`par_map`], each item filling its own zeroed
+//! [`GradShard`]; the shards are merged into one zeroed accumulator shard
+//! in batch-position order, and every item's training tape draws its
+//! dropout masks from an RNG derived from `(seed, epoch, item)` rather
+//! than a shared sequential RNG. The
 //! floating-point operations — and therefore losses and final weights —
 //! are bit-identical for any [`Parallelism`] thread count, including 1.
 
@@ -121,88 +122,38 @@ fn item_rng(seed: u64, epoch: u64, item: u64) -> SmallRng {
     SmallRng::seed_from_u64(mixed)
 }
 
-/// Per-item outcome of a batch fan-out.
+/// One batch item's forward+backward pass.
 struct ItemOutcome {
     /// Unscaled multi-task loss value.
     loss: f64,
     /// Forward+backward wall time (0 when telemetry timing is off).
     micros: f64,
+    /// The item's gradients, scaled by `1 / batch size`, from a zeroed
+    /// shard.
+    grads: GradShard,
 }
 
-/// Run one mini-batch's forward+backward passes, one [`GradShard`] per
-/// batch position, fanning positions out over `workers` threads in
-/// contiguous chunks (the first chunk runs on the calling thread).
-/// Outcomes come back in batch-position order.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "private batch kernel; the arity is the loop state"
-)]
-fn run_batch(
+/// Run one batch item on a training tape that draws its dropout masks
+/// from `rng`.
+fn run_item(
     model: &LssModel,
-    items: &[EncodedItem],
-    batch: &[usize],
-    shards: &mut [GradShard],
+    (eq, count): &EncodedItem,
     scale: f32,
-    seed: u64,
-    epoch: u64,
-    workers: usize,
+    rng: SmallRng,
     timing_on: bool,
-) -> Vec<ItemOutcome> {
-    let run_one = |&i: &usize, shard: &mut GradShard| -> ItemOutcome {
-        let watch = timing_on.then(alss_telemetry::Stopwatch::start);
-        let (eq, count) = &items[i];
-        let mut tape = Tape::train(item_rng(seed, epoch, i as u64));
-        let l = model.loss(&mut tape, eq, *count);
-        let scaled = tape.scale(l, scale);
-        let loss = tape.value(l).scalar() as f64;
-        tape.backward(scaled, shard);
-        ItemOutcome {
-            loss,
-            micros: watch.map_or(0.0, |w| w.record("train.batch_item_us")),
-        }
-    };
-
-    let n = batch.len();
-    let workers = workers.min(n).max(1);
-    if workers <= 1 {
-        return batch
-            .iter()
-            .zip(shards.iter_mut())
-            .map(|(i, shard)| run_one(i, shard))
-            .collect();
+) -> ItemOutcome {
+    let watch = timing_on.then(alss_telemetry::Stopwatch::start);
+    let mut tape = Tape::train(rng);
+    let l = model.loss(&mut tape, eq, *count);
+    let scaled = tape.scale(l, scale);
+    let loss = tape.value(l).scalar() as f64;
+    let mut grads = model.store().grad_shard();
+    tape.backward(scaled, &mut grads);
+    ItemOutcome {
+        loss,
+        micros: watch.map_or(0.0, |w| w.record("train.batch_item_us")),
+        grads,
     }
-    let chunk = n.div_ceil(workers);
-    let mut out: Vec<ItemOutcome> = Vec::with_capacity(n);
-    let (head_idx, tail_idx) = batch.split_at(chunk);
-    let (head_shards, tail_shards) = shards[..n].split_at_mut(chunk);
-    std::thread::scope(|s| {
-        let run_one = &run_one;
-        let handles: Vec<_> = tail_idx
-            .chunks(chunk)
-            .zip(tail_shards.chunks_mut(chunk))
-            .map(|(idx, sh)| {
-                s.spawn(move || {
-                    idx.iter()
-                        .zip(sh.iter_mut())
-                        .map(|(i, shard)| run_one(i, shard))
-                        .collect::<Vec<ItemOutcome>>()
-                })
-            })
-            .collect();
-        out.extend(
-            head_idx
-                .iter()
-                .zip(head_shards.iter_mut())
-                .map(|(i, shard)| run_one(i, shard)),
-        );
-        for h in handles {
-            match h.join() {
-                Ok(v) => out.extend(v),
-                Err(panic) => std::panic::resume_unwind(panic),
-            }
-        }
-    });
-    out
 }
 
 /// Train `model` on pre-encoded items.
@@ -228,9 +179,7 @@ pub fn train_model(model: &mut LssModel, items: &[EncodedItem], cfg: &TrainConfi
     let mut order: Vec<usize> = (0..items.len()).collect();
     let mut epoch_losses = Vec::with_capacity(cfg.epochs);
     let workers = cfg.parallelism.effective();
-    // One shard per batch position, merged into `grads` in position order.
     let mut grads = model.store().grad_shard();
-    let mut shards = vec![grads.clone(); cfg.batch_size.min(items.len())];
 
     for epoch in 0..cfg.epochs {
         let epoch_watch = alss_telemetry::Stopwatch::start();
@@ -240,25 +189,15 @@ pub fn train_model(model: &mut LssModel, items: &[EncodedItem], cfg: &TrainConfi
         let mut grad_norm_sum = 0.0f64;
         let mut num_batches = 0u64;
         for batch in order.chunks(cfg.batch_size) {
-            for shard in &mut shards[..batch.len()] {
-                shard.zero();
-            }
             let scale = 1.0 / batch.len() as f32;
-            let outcomes = run_batch(
-                model,
-                items,
-                batch,
-                &mut shards,
-                scale,
-                cfg.seed,
-                epoch as u64,
-                workers,
-                timing_on,
-            );
+            let outcomes = par_map(cfg.parallelism, batch, |_, &i| {
+                let rng = item_rng(cfg.seed, epoch as u64, i as u64);
+                run_item(model, &items[i], scale, rng, timing_on)
+            });
+            // Reduce in batch-position order: keeps the f32 gradient and
+            // f64 loss sums identical to the single-threaded pass.
             grads.zero();
-            grads.merge(&shards[..batch.len()]);
-            // Reduce in batch-position order: keeps the f64 sum identical
-            // to the single-threaded pass.
+            grads.merge(outcomes.iter().map(|o| &o.grads));
             for o in &outcomes {
                 epoch_loss += o.loss;
                 item_us_sum += o.micros;
@@ -330,28 +269,18 @@ pub fn finetune_model(
     train_model(model, items, &cfg)
 }
 
-/// Evaluate: `(true, estimated)` count pairs over encoded items. Fans
-/// out over the auto-detected thread count (prediction is pure per item,
-/// so the output is independent of it).
-pub fn evaluate(model: &LssModel, items: &[EncodedItem]) -> Vec<(f64, f64)> {
-    evaluate_with(model, items, Parallelism::auto())
-}
-
-/// [`evaluate`] with an explicit thread count.
+/// Evaluate: `(true, estimated)` count pairs over encoded items, fanned
+/// out over `par` (prediction is pure per item, so the output is
+/// independent of it).
 pub fn evaluate_with(model: &LssModel, items: &[EncodedItem], par: Parallelism) -> Vec<(f64, f64)> {
     par_map(par, items, |_, (eq, c)| {
         (*c as f64, model.predict(eq).count())
     })
 }
 
-/// Mean multi-task loss of `model` on `items` (eval mode). Fans out over
-/// the auto-detected thread count.
-pub fn eval_loss(model: &LssModel, items: &[EncodedItem]) -> f64 {
-    eval_loss_with(model, items, Parallelism::auto())
-}
-
-/// [`eval_loss`] with an explicit thread count. Per-item losses are
-/// summed in item order, so the result is bit-identical for any `par`.
+/// Mean multi-task loss of `model` on `items` (eval mode), fanned out
+/// over `par`. Per-item losses are summed in item order, so the result is
+/// bit-identical for any `par`.
 pub fn eval_loss_with(model: &LssModel, items: &[EncodedItem], par: Parallelism) -> f64 {
     let losses = par_map(par, items, |_, (eq, c)| {
         let mut tape = Tape::eval();
@@ -538,9 +467,9 @@ mod tests {
         let mut rng = seeded_rng(0);
         let mut model = LssModel::new(LssConfig::tiny(), enc.node_dim(), enc.edge_dim(), &mut rng);
         let items = encode_workload(&enc, &toy_workload());
-        let before = eval_loss(&model, &items);
+        let before = eval_loss_with(&model, &items, Parallelism::auto());
         let report = train_model(&mut model, &items, &TrainConfig::quick(40));
-        let after = eval_loss(&model, &items);
+        let after = eval_loss_with(&model, &items, Parallelism::auto());
         assert_eq!(report.epoch_losses.len(), 40);
         assert!(
             after < before * 0.5,

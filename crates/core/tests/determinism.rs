@@ -131,25 +131,22 @@ fn encode_workload_is_order_stable() {
     let serial = encode_workload_with(&enc, &w, Parallelism::serial());
     let parallel = encode_workload_with(&enc, &w, Parallelism::fixed(4));
     assert_eq!(serial.len(), parallel.len());
-    // EncodedQuery carries no PartialEq; compare every feature matrix,
-    // adjacency list, and edge-sum block bitwise.
+    // EncodedQuery carries no PartialEq; compare the packed graphs, and
+    // the stacked feature and edge-sum matrices bitwise.
+    let bits = |m: &alss_nn::Mat| m.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     for (i, (a, b)) in serial.iter().zip(&parallel).enumerate() {
         assert_eq!(a.1, b.1, "item {i} count");
-        assert_eq!(a.0.subs.len(), b.0.subs.len(), "item {i} substructures");
-        for (j, (sa, sb)) in a.0.subs.iter().zip(&b.0.subs).enumerate() {
-            let bits = |m: &alss_nn::Mat| m.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(
-                bits(&sa.features),
-                bits(&sb.features),
-                "item {i} sub {j} features"
-            );
-            assert_eq!(*sa.adj, *sb.adj, "item {i} sub {j} adjacency");
-            assert_eq!(
-                sa.edge_sums.as_ref().map(&bits),
-                sb.edge_sums.as_ref().map(&bits),
-                "item {i} sub {j} edge sums"
-            );
-        }
+        assert_eq!(a.0.graphs, b.0.graphs, "item {i} packed graphs");
+        assert_eq!(
+            bits(&a.0.features),
+            bits(&b.0.features),
+            "item {i} features"
+        );
+        assert_eq!(
+            a.0.edge_sums.as_ref().map(&bits),
+            b.0.edge_sums.as_ref().map(&bits),
+            "item {i} edge sums"
+        );
     }
 }
 
@@ -311,11 +308,7 @@ fn predict_matches_the_eval_tape_forward_with_edge_labels() {
         };
         let model = trained_with(cfg, &enc, &workload);
         for q in &queries {
-            assert!(enc
-                .encode_query(q)
-                .subs
-                .iter()
-                .all(|s| s.edge_sums.is_some()));
+            assert!(enc.encode_query(q).edge_sums.is_some());
         }
         assert_predict_matches_tape(
             &model,

@@ -9,11 +9,11 @@
 //! This crate implements three of those methods without external ML
 //! dependencies:
 //!
-//! * [`deepwalk`] — uniform random walks + skip-gram with negative
+//! * [`deepwalk()`] — uniform random walks + skip-gram with negative
 //!   sampling ([`skipgram`]);
-//! * [`node2vec`] — p/q-biased second-order walks over the same skip-gram
+//! * [`node2vec()`] — p/q-biased second-order walks over the same skip-gram
 //!   trainer;
-//! * [`prone`] — a ProNE-style two-stage method: randomized truncated SVD
+//! * [`prone()`] — a ProNE-style two-stage method: randomized truncated SVD
 //!   of the normalized adjacency ([`svd`]) followed by Chebyshev spectral
 //!   propagation ([`prone::spectral_propagate`]).
 //!

@@ -58,9 +58,10 @@ impl<'g> LabelIndex<'g> {
     }
 }
 
-/// A traversal order over a (connected) query graph for random-walk
-/// sampling: nodes ordered so each non-first node has at least one earlier
-/// neighbor; per position, the earlier neighbor positions.
+/// A traversal order over a query graph for random-walk sampling: nodes
+/// ordered so each node other than the first of its connected component
+/// has at least one earlier neighbor; per position, the earlier neighbor
+/// positions.
 #[derive(Clone, Debug)]
 pub struct WalkOrder {
     /// Query node at each position.

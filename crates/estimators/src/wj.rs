@@ -45,22 +45,27 @@ impl<'g> WanderJoin<'g> {
         let data = self.index.data();
         let n = q.num_nodes();
         let mut map: Vec<NodeId> = Vec::with_capacity(n);
-        let root_label = q.label(wo.order[0]);
-        let c0 = self.index.candidate_count(root_label);
-        if c0 == 0 {
-            return 0.0;
-        }
-        let Some(root) = self.index.sample_candidate(root_label, rng) else {
-            return 0.0;
-        };
-        map.push(root);
-        let mut weight = c0 as f64;
+        let mut weight = 1.0f64;
 
-        for pos in 1..n {
+        for pos in 0..n {
             let qv = wo.order[pos];
             let bw = &wo.backward[pos];
-            debug_assert!(!bw.is_empty(), "walk order must be connected");
-            let anchor = bw[0];
+            let Some(&anchor) = bw.first() else {
+                // The first node of a connected component (position 0 of a
+                // connected query) has no walked neighbor: its image is a
+                // uniform sample of its label's candidates. Components
+                // are sampled independently, so their weights multiply.
+                let label = q.label(qv);
+                let Some(dv) = self.index.sample_candidate(label, rng) else {
+                    return 0.0;
+                };
+                if self.injective && map.contains(&dv) {
+                    return 0.0;
+                }
+                weight *= self.index.candidate_count(label) as f64;
+                map.push(dv);
+                continue;
+            };
             let au = map[anchor];
             let Some(ql) = q.edge_label(wo.order[anchor], qv) else {
                 // An anchor is by construction an already-walked neighbor;
@@ -228,5 +233,20 @@ mod tests {
         let est_h = wj_h.estimate(&q, &mut rng);
         assert!(!est_h.failed);
         assert!(est_h.count > 0.0);
+    }
+
+    #[test]
+    fn disconnected_queries_multiply_component_estimates() {
+        // Two isolated nodes: every walk scores |label-0| · |label-2| = 2,
+        // the homomorphism count; injectively, the one label-2 data node
+        // cannot host both label-2 query nodes.
+        let d = graph_from_edges(&[0, 1, 2, 0], &[(0, 1), (1, 2), (2, 3)]);
+        let idx = LabelIndex::new(&d);
+        let mut rng = SmallRng::seed_from_u64(4);
+        let est = WanderJoin::new(&idx, 50).estimate(&graph_from_edges(&[0, 2], &[]), &mut rng);
+        assert_eq!((est.failed, est.count), (false, 2.0));
+        let q = graph_from_edges(&[2, 2], &[]);
+        let iso = WanderJoin::new_isomorphism(&idx, 50).estimate(&q, &mut rng);
+        assert!(iso.failed, "{iso:?}");
     }
 }

@@ -93,6 +93,9 @@ pub fn from_text_bounded(text: &str, max_nodes: usize) -> Result<Graph, ParseErr
                         format!("node count {n} exceeds the limit of {max_nodes}"),
                     ));
                 }
+                if builder.is_some() {
+                    return Err(err(ln, "second t record (one graph per input)"));
+                }
                 builder = Some(GraphBuilder::new(n));
             }
             Some("v") => {
@@ -193,6 +196,11 @@ mod tests {
         let e = from_text_bounded("t 1 0\nv 0 0\nt 5000 0\n", 1024).unwrap_err();
         assert_eq!(e.line, 3);
         assert!(e.message.contains("limit of 1024"), "{}", e.message);
+        // A second `t` record is an error, not a fresh graph that
+        // silently replaces the first.
+        let e = from_text("t 2 1\nv 0 0\nv 1 0\ne 0 1\nt 1 0\n").unwrap_err();
+        assert_eq!(e.line, 5);
+        assert!(e.message.contains("second t record"), "{}", e.message);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! * [`GraphBuilder`] — an ergonomic incremental builder;
 //! * [`LabelStats`] — label frequencies `F(l)` and the label entropy
 //!   `Ent(Σ)` reported in Table 2;
-//! * [`bfs_tree`] / [`decompose`] — the `l`-hop BFS-tree query
+//! * [`bfs_tree`] / [`decompose()`] — the `l`-hop BFS-tree query
 //!   decomposition of §4.2 (Algorithm 1, line 1);
 //! * [`augmented::label_augmented_graph`] — the label-augmented graph
 //!   `G_L` of §4.3 (Fig. 3) used for embedding pre-training;

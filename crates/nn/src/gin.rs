@@ -11,13 +11,18 @@
 //! Edge labels (Eq. 4) are supported by concatenating, per node, the sum of
 //! incident initial edge features to the aggregated neighbor sum — exact for
 //! sum aggregation since `Σ_u [h_u ‖ e_uv] = [Σ_u h_u ‖ Σ_u e_uv]`.
+//!
+//! Graphs reach GIN in one format, [`PackedGraphs`]: a query's
+//! substructures as one block-diagonal graph, with their node features
+//! and edge sums stacked in the same row order.
 
 use crate::linear::{Activation, Mlp};
 use crate::mat::Mat;
 use crate::param::ParamStore;
-use crate::tape::{Adjacency, Tape, Var};
+use crate::tape::{Tape, Var};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Neighborhood aggregation variant (the GNN ablation of DESIGN.md):
 /// injective **sum** (GIN, as powerful as the WL test — the paper's
@@ -43,48 +48,9 @@ pub struct GinLayer {
 }
 
 impl GinLayer {
-    /// A layer mapping `in_dim` (+ `edge_dim` if edge-labeled) features to
-    /// `out_dim`, with one hidden layer of `out_dim` units.
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "one argument per layer dimension and option"
-    )]
-    pub fn new<R: Rng>(
-        store: &mut ParamStore,
-        name: &str,
-        in_dim: usize,
-        out_dim: usize,
-        edge_dim: usize,
-        dropout: f32,
-        activation: Activation,
-        rng: &mut R,
-    ) -> Self {
-        let mlp = Mlp::new(
-            store,
-            name,
-            &[in_dim + edge_dim, out_dim, out_dim],
-            activation,
-            dropout,
-            rng,
-        );
-        GinLayer {
-            mlp,
-            eps: 0.0,
-            edge_dim,
-            aggregation: Aggregation::Sum,
-        }
-    }
-
-    /// Switch this layer to mean aggregation (GNN ablation).
-    pub fn with_aggregation(mut self, aggregation: Aggregation) -> Self {
-        self.aggregation = aggregation;
-        self
-    }
-
-    /// Forward for one substructure.
+    /// Forward for one substructure, graph `g` of `graphs`.
     ///
-    /// * `h` — `n × in_dim` node features;
-    /// * `adj` — substructure adjacency;
+    /// * `h` — `n × in_dim` features of the graph's `n` nodes;
     /// * `edge_sum` — `n × edge_dim` sums of incident initial edge features
     ///   (required iff the layer was built with `edge_dim > 0`).
     pub fn forward(
@@ -92,18 +58,22 @@ impl GinLayer {
         tape: &mut Tape,
         store: &ParamStore,
         h: Var,
-        adj: &Adjacency,
+        graphs: &Arc<PackedGraphs>,
+        g: usize,
         edge_sum: Option<Var>,
     ) -> Var {
-        let mut agg = tape.graph_agg(h, Adjacency::clone(adj), self.eps);
+        let mut agg = tape.graph_agg(h, graphs, g, self.eps);
         if self.aggregation == Aggregation::Mean {
             // divide each node's aggregate by deg(v)+1 (constant wrt params)
             let dim = tape.value(agg).cols();
-            let inv: Vec<f32> = adj
-                .iter()
-                .flat_map(|nbrs| std::iter::repeat_n(1.0 / (nbrs.len() as f32 + 1.0), dim))
+            let rows = graphs.rows(g);
+            let inv: Vec<f32> = rows
+                .clone()
+                .flat_map(|v| {
+                    std::iter::repeat_n(1.0 / (graphs.neighbors(v).len() as f32 + 1.0), dim)
+                })
                 .collect();
-            let inv_m = tape.input(Mat::from_vec(adj.len(), dim, inv));
+            let inv_m = tape.input(Mat::from_vec(rows.len(), dim, inv));
             agg = tape.mul(agg, inv_m);
         }
         let input = match (self.edge_dim, edge_sum) {
@@ -170,9 +140,10 @@ pub struct GinEncoder {
 
 impl GinEncoder {
     /// `num_layers` GIN layers from `in_dim` to `hidden` (all hidden layers
-    /// share the width, per the paper's setting of 3×64). ReLU activation,
-    /// the canonical GIN choice; use [`GinEncoder::with_activation`] for a
-    /// smooth activation (e.g. in gradient checks).
+    /// share the width, per the paper's setting of 3×64). ReLU activation
+    /// and sum aggregation, the canonical GIN choices; use
+    /// [`GinEncoder::with_options`] for others (e.g. a smooth activation in
+    /// gradient checks).
     #[expect(
         clippy::too_many_arguments,
         reason = "one argument per encoder dimension and option"
@@ -187,35 +158,6 @@ impl GinEncoder {
         dropout: f32,
         rng: &mut R,
     ) -> Self {
-        Self::with_activation(
-            store,
-            name,
-            in_dim,
-            hidden,
-            num_layers,
-            edge_dim,
-            dropout,
-            Activation::Relu,
-            rng,
-        )
-    }
-
-    /// [`GinEncoder::new`] with an explicit per-layer MLP activation.
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "one argument per encoder dimension and option"
-    )]
-    pub fn with_activation<R: Rng>(
-        store: &mut ParamStore,
-        name: &str,
-        in_dim: usize,
-        hidden: usize,
-        num_layers: usize,
-        edge_dim: usize,
-        dropout: f32,
-        activation: Activation,
-        rng: &mut R,
-    ) -> Self {
         Self::with_options(
             store,
             name,
@@ -224,7 +166,7 @@ impl GinEncoder {
             num_layers,
             edge_dim,
             dropout,
-            activation,
+            Activation::Relu,
             Aggregation::Sum,
             rng,
         )
@@ -251,37 +193,43 @@ impl GinEncoder {
         let mut layers = Vec::with_capacity(num_layers);
         let mut d = in_dim;
         for k in 0..num_layers {
-            layers.push(
-                GinLayer::new(
-                    store,
-                    &format!("{name}.gin{k}"),
-                    d,
-                    hidden,
-                    edge_dim,
-                    dropout,
-                    activation,
-                    rng,
-                )
-                .with_aggregation(aggregation),
+            // `d` (+ `edge_dim` if edge-labeled) features to `hidden`,
+            // through one hidden layer of `hidden` units.
+            let widths = [d + edge_dim, hidden, hidden];
+            let mlp = Mlp::new(
+                store,
+                &format!("{name}.gin{k}"),
+                &widths,
+                activation,
+                dropout,
+                rng,
             );
+            layers.push(GinLayer {
+                mlp,
+                eps: 0.0,
+                edge_dim,
+                aggregation,
+            });
             d = hidden;
         }
         GinEncoder { layers }
     }
 
-    /// Encode one substructure: node features `x (n × in_dim)` →
-    /// graph-level representation (`1 × hidden`) via sum Readout.
+    /// Encode one substructure, graph `g` of `graphs`: its node features
+    /// `x (n × in_dim)` → graph-level representation (`1 × hidden`) via
+    /// sum Readout.
     pub fn encode(
         &self,
         tape: &mut Tape,
         store: &ParamStore,
         x: Var,
-        adj: &Adjacency,
+        graphs: &Arc<PackedGraphs>,
+        g: usize,
         edge_sum: Option<Var>,
     ) -> Var {
         let mut h = x;
         for layer in &self.layers {
-            h = layer.forward(tape, store, h, adj, edge_sum);
+            h = layer.forward(tape, store, h, graphs, g, edge_sum);
         }
         tape.sum_rows(h)
     }
@@ -304,9 +252,8 @@ impl GinEncoder {
         let h = h.as_ref().unwrap_or(x);
         let mut out = Mat::zeros(graphs.num_graphs(), h.cols());
         for g in 0..graphs.num_graphs() {
-            let rows = graphs.rows(g);
-            let readout = h.sum_rows_range(rows.start, rows.end);
-            out.row_mut(g).copy_from_slice(readout.data());
+            out.row_mut(g)
+                .copy_from_slice(h.sum_rows_range(graphs.rows(g)).data());
         }
         out
     }
@@ -318,11 +265,13 @@ impl GinEncoder {
     }
 }
 
-/// Several graphs packed into one block-diagonal graph, the layout the
-/// inference forward runs GIN on: node `v` of graph `g` is row
-/// `rows(g).start + v` of the stacked node matrix, and each node keeps its
-/// neighbors in their original order.
-#[derive(Clone, Debug)]
+/// Several graphs packed into one block-diagonal graph, the layout GIN
+/// runs on: node `v` of graph `g` is row `rows(g).start + v` of the
+/// stacked node matrix, and each node keeps its neighbors in their
+/// original order. Inference aggregates over all graphs at once; a
+/// training tape aggregates one graph at a time through
+/// [`PackedGraphs::local_neighbors`].
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PackedGraphs {
     /// Graph `g` owns rows `node_start[g]..node_start[g + 1]`.
     node_start: Vec<usize>,
@@ -332,17 +281,23 @@ pub struct PackedGraphs {
 }
 
 impl PackedGraphs {
-    /// Pack the given adjacencies in order.
-    pub fn new<'a>(graphs: impl IntoIterator<Item = &'a [Vec<u32>]>) -> Self {
+    /// Pack the given graphs in order. Each graph is its nodes' neighbor
+    /// lists, in node order, with neighbors numbered within the graph.
+    pub fn new<G, N>(graphs: impl IntoIterator<Item = G>) -> Self
+    where
+        G: IntoIterator<Item = N>,
+        N: AsRef<[u32]>,
+    {
         let mut packed = PackedGraphs {
             node_start: vec![0],
             nbr_start: vec![0],
             nbrs: Vec::new(),
         };
-        for adj in graphs {
+        for graph in graphs {
             let base = packed.num_nodes();
-            for nbrs in adj {
-                packed.nbrs.extend(nbrs.iter().map(|&u| base + u as usize));
+            for nbrs in graph {
+                let nbrs = nbrs.as_ref().iter().map(|&u| base + u as usize);
+                packed.nbrs.extend(nbrs);
                 packed.nbr_start.push(packed.nbrs.len());
             }
             packed.node_start.push(packed.num_nodes());
@@ -369,40 +324,12 @@ impl PackedGraphs {
     pub fn neighbors(&self, v: usize) -> &[usize] {
         &self.nbrs[self.nbr_start[v]..self.nbr_start[v + 1]]
     }
-}
 
-/// Build the adjacency + per-node edge-feature-sum inputs for a
-/// substructure given as an `alss_graph::Graph`-agnostic edge list.
-/// (Kept here so `alss-nn` stays independent of the graph crate; `alss-core`
-/// adapts its `Substructure` type to this form.)
-pub fn adjacency_from_edges(n: usize, edges: &[(u32, u32)]) -> Adjacency {
-    let mut adj = vec![Vec::new(); n];
-    for &(u, v) in edges {
-        adj[u as usize].push(v);
-        adj[v as usize].push(u);
+    /// Neighbors of node `v` of graph `g`, numbered within that graph.
+    pub fn local_neighbors(&self, g: usize, v: usize) -> impl Iterator<Item = usize> + '_ {
+        let base = self.node_start[g];
+        self.neighbors(base + v).iter().map(move |&u| u - base)
     }
-    std::sync::Arc::new(adj)
-}
-
-/// Sum of initial edge features incident to each node: `edge_feats[i]` is
-/// the `dim`-wide feature of `edges[i]`; returns an `n × dim` matrix (all
-/// zeros for an edgeless graph, so its width still matches the model).
-pub fn edge_feature_sums(
-    n: usize,
-    dim: usize,
-    edges: &[(u32, u32)],
-    edge_feats: &[Vec<f32>],
-) -> Mat {
-    assert_eq!(edges.len(), edge_feats.len(), "edge feature count mismatch");
-    let mut m = Mat::zeros(n, dim);
-    for (&(u, v), f) in edges.iter().zip(edge_feats) {
-        assert_eq!(f.len(), dim, "ragged edge features");
-        for (c, &x) in f.iter().enumerate() {
-            m.set(u as usize, c, m.get(u as usize, c) + x);
-            m.set(v as usize, c, m.get(v as usize, c) + x);
-        }
-    }
-    m
 }
 
 #[cfg(test)]
@@ -411,17 +338,12 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
-    fn encode_graph(
-        enc: &GinEncoder,
-        store: &ParamStore,
-        feats: Mat,
-        edges: &[(u32, u32)],
-    ) -> Vec<f32> {
-        let n = feats.rows();
-        let adj = adjacency_from_edges(n, edges);
+    /// Encode one graph, given as its nodes' neighbor lists.
+    fn encode_graph(enc: &GinEncoder, store: &ParamStore, feats: Mat, adj: &[&[u32]]) -> Vec<f32> {
+        let graphs = Arc::new(PackedGraphs::new([adj]));
         let mut t = Tape::eval();
         let x = t.input(feats);
-        let h = enc.encode(&mut t, store, x, &adj, None);
+        let h = enc.encode(&mut t, store, x, &graphs, 0, None);
         t.value(h).data().to_vec()
     }
 
@@ -432,12 +354,10 @@ mod tests {
         let enc = GinEncoder::new(&mut store, "g", 2, 8, 2, 0, 0.0, &mut rng);
         // path a-b-c with features in two different node orders
         let f1 = Mat::from_vec(3, 2, vec![1., 0., 0., 1., 1., 0.]);
-        let e1 = vec![(0, 1), (1, 2)];
         // permuted: node order c, a, b
         let f2 = Mat::from_vec(3, 2, vec![1., 0., 1., 0., 0., 1.]);
-        let e2 = vec![(2, 0), (1, 2)];
-        let h1 = encode_graph(&enc, &store, f1, &e1);
-        let h2 = encode_graph(&enc, &store, f2, &e2);
+        let h1 = encode_graph(&enc, &store, f1, &[&[1], &[0, 2], &[1]]);
+        let h2 = encode_graph(&enc, &store, f2, &[&[2], &[2], &[0, 1]]);
         for (a, b) in h1.iter().zip(&h2) {
             assert!((a - b).abs() < 1e-4, "{h1:?} vs {h2:?}");
         }
@@ -449,20 +369,10 @@ mod tests {
         let mut store = ParamStore::new();
         let enc = GinEncoder::new(&mut store, "g", 1, 8, 2, 0, 0.0, &mut rng);
         let feats = Mat::from_vec(3, 1, vec![1., 1., 1.]);
-        let path = encode_graph(&enc, &store, feats.clone(), &[(0, 1), (1, 2)]);
-        let tri = encode_graph(&enc, &store, feats, &[(0, 1), (1, 2), (0, 2)]);
+        let path = encode_graph(&enc, &store, feats.clone(), &[&[1], &[0, 2], &[1]]);
+        let tri = encode_graph(&enc, &store, feats, &[&[1, 2], &[0, 2], &[0, 1]]);
         let diff: f32 = path.iter().zip(&tri).map(|(a, b)| (a - b).abs()).sum();
         assert!(diff > 1e-4, "path and triangle should differ");
-    }
-
-    #[test]
-    fn edge_feature_sums_accumulate() {
-        let m = edge_feature_sums(3, 2, &[(0, 1), (1, 2)], &[vec![1.0, 0.0], vec![0.0, 2.0]]);
-        assert_eq!(m.row(0), &[1.0, 0.0]);
-        assert_eq!(m.row(1), &[1.0, 2.0]);
-        assert_eq!(m.row(2), &[0.0, 2.0]);
-        // an edgeless graph still gets `dim` columns
-        assert_eq!(edge_feature_sums(1, 2, &[], &[]).shape(), (1, 2));
     }
 
     #[test]
@@ -487,21 +397,10 @@ mod tests {
             &mut rng2,
         );
         // same seed → same weights; mean output must differ on non-regular graphs
-        let adj = adjacency_from_edges(4, &[(0, 1), (0, 2), (0, 3)]);
-        let x = Mat::from_vec(4, 1, vec![1.0, 1.0, 1.0, 1.0]);
-        let mut t1 = Tape::eval();
-        let xv = t1.input(x.clone());
-        let h_sum = sum_enc.encode(&mut t1, &store, xv, &adj, None);
-        let mut t2 = Tape::eval();
-        let xv2 = t2.input(x);
-        let h_mean = mean_enc.encode(&mut t2, &store2, xv2, &adj, None);
-        let d: f32 = t1
-            .value(h_sum)
-            .data()
-            .iter()
-            .zip(t2.value(h_mean).data())
-            .map(|(a, b)| (a - b).abs())
-            .sum();
+        let star: &[&[u32]] = &[&[1, 2, 3], &[0], &[0], &[0]];
+        let h_sum = encode_graph(&sum_enc, &store, Mat::full(4, 1, 1.0), star);
+        let h_mean = encode_graph(&mean_enc, &store2, Mat::full(4, 1, 1.0), star);
+        let d: f32 = h_sum.iter().zip(&h_mean).map(|(a, b)| (a - b).abs()).sum();
         assert!(d > 1e-4, "mean and sum aggregation should differ: {d}");
     }
 
@@ -523,29 +422,19 @@ mod tests {
             Aggregation::Mean,
             &mut rng,
         );
-        // star with 2 leaves vs star with 4 leaves, all features equal:
-        // the CENTER node's representation is identical under mean
-        let center_rep = |k: usize| {
-            let edges: Vec<(u32, u32)> = (1..=k as u32).map(|i| (0, i)).collect();
-            let adj = adjacency_from_edges(k + 1, &edges);
-            let x = Mat::full(k + 1, 1, 1.0);
-            let mut t = Tape::eval();
-            let xv = t.input(x);
-            // encode handles readout; we need per-node values, so run a
-            // single layer manually via the encoder's first layer
-            let h = enc.encode(&mut t, &store, xv, &adj, None);
-            let _ = h;
-            // use readout difference per node count instead: center row of
-            // the layer output equals (sum/(deg+1)) = 1 for any k
-            t.value(h).data().to_vec()
+        // stars with 2 and 4 leaves, all features equal: under mean every
+        // node's aggregate is the same, so the readout per node matches
+        let per_node = |k: usize| {
+            let leaves: Vec<u32> = (1..=k as u32).collect();
+            let mut star: Vec<&[u32]> = vec![&leaves];
+            star.extend(std::iter::repeat_n(&[0][..], k));
+            let readout = encode_graph(&enc, &store, Mat::full(k + 1, 1, 1.0), &star);
+            readout
+                .iter()
+                .map(|v| v / (k + 1) as f32)
+                .collect::<Vec<_>>()
         };
-        let r2 = center_rep(2);
-        let r4 = center_rep(4);
-        // readout sums differ by leaf count, but per-node the center value
-        // saturates; compare normalized readouts
-        let n2: Vec<f32> = r2.iter().map(|v| v / 3.0).collect();
-        let n4: Vec<f32> = r4.iter().map(|v| v / 5.0).collect();
-        for (a, b) in n2.iter().zip(&n4) {
+        for (a, b) in per_node(2).iter().zip(&per_node(4)) {
             assert!((a - b).abs() < 1e-5, "mean-aggregated nodes should match");
         }
     }

@@ -74,7 +74,7 @@ pub fn check_gradients(
 mod tests {
     use super::*;
     use crate::attention::SelfAttention;
-    use crate::gin::{adjacency_from_edges, GinEncoder};
+    use crate::gin::{Aggregation, GinEncoder, PackedGraphs};
     use crate::linear::{Activation, Mlp};
     use crate::loss::{cross_entropy_loss, mse_log_loss, multi_task_loss};
     use crate::mat::Mat;
@@ -118,7 +118,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(44);
         let mut store = ParamStore::new();
         // tanh activation: ReLU kinks make central differences unreliable
-        let enc = GinEncoder::with_activation(
+        let enc = GinEncoder::with_options(
             &mut store,
             "g",
             2,
@@ -127,13 +127,14 @@ mod tests {
             0,
             0.0,
             Activation::Tanh,
+            Aggregation::Sum,
             &mut rng,
         );
-        let adj = adjacency_from_edges(3, &[(0, 1), (1, 2)]);
+        let path = std::sync::Arc::new(PackedGraphs::new([[vec![1], vec![0, 2], vec![1]]]));
         let x = Mat::from_vec(3, 2, vec![0.4, 0.1, -0.5, 0.8, 0.2, -0.2]);
         let report = check_gradients(&mut store, 1e-2, |t, s| {
             let xv = t.input(x.clone());
-            let h = enc.encode(t, s, xv, &adj, None);
+            let h = enc.encode(t, s, xv, &path, 0, None);
             let sq = t.mul(h, h);
             t.mean_all(sq)
         });

@@ -209,10 +209,19 @@ impl Mat {
         }
     }
 
-    /// Column-wise sum of rows `start..end`, added in order → `1 × cols`.
-    pub fn sum_rows_range(&self, start: usize, end: usize) -> Mat {
+    /// A copy of the contiguous rows `rows`.
+    pub fn slice_rows(&self, rows: std::ops::Range<usize>) -> Mat {
+        Mat {
+            rows: rows.len(),
+            cols: self.cols,
+            data: self.data[rows.start * self.cols..rows.end * self.cols].to_vec(),
+        }
+    }
+
+    /// Column-wise sum of rows `rows`, added in order → `1 × cols`.
+    pub fn sum_rows_range(&self, rows: std::ops::Range<usize>) -> Mat {
         let mut out = Mat::zeros(1, self.cols);
-        for r in start..end {
+        for r in rows {
             for (o, &e) in out.data.iter_mut().zip(self.row(r)) {
                 *o += e;
             }
@@ -222,7 +231,7 @@ impl Mat {
 
     /// Column-wise sum of all rows → `1 × cols`.
     pub fn sum_rows(&self) -> Mat {
-        self.sum_rows_range(0, self.rows)
+        self.sum_rows_range(0..self.rows)
     }
 
     /// GIN aggregation over a fixed graph: row `v` of the result is
@@ -434,6 +443,7 @@ mod tests {
         let s = Mat::stack_rows(&[&r1, &r2]);
         assert_eq!(s.shape(), (2, 2));
         assert_eq!(s.get(1, 0), 3.0);
+        assert_eq!(s.slice_rows(1..2), r2);
     }
 
     #[test]

@@ -41,12 +41,12 @@ impl GradShard {
         self.grads[id.0].add_assign(g);
     }
 
-    /// Add `shards` into this accumulator, strictly in slice order. The
+    /// Add `shards` into this accumulator, strictly in iteration order. The
     /// fixed reduction order is what makes parallel training bit-identical
     /// across thread counts: callers hand shards over in a
     /// schedule-independent order (batch position), not in
     /// thread-completion order.
-    pub fn merge(&mut self, shards: &[GradShard]) {
+    pub fn merge<'a>(&mut self, shards: impl IntoIterator<Item = &'a GradShard>) {
         for shard in shards {
             assert_eq!(
                 shard.grads.len(),

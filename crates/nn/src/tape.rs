@@ -1,19 +1,21 @@
 //! Define-by-run reverse-mode automatic differentiation on [`Mat`].
 //!
 //! A [`Tape`] is built per training or loss forward pass; every operation
-//! eagerly computes its value and records an [`Op`] node. (Inference runs
-//! the layers' tape-free `infer` methods, which call the same [`Mat`]
-//! kernels and so match an eval tape bit for bit.) [`Tape::backward`] walks the tape
-//! in reverse, accumulating gradients; gradients of [`Tape::param`] leaves
-//! are routed into a [`GradShard`]. A training tape ([`Tape::train`]) owns
-//! the RNG its dropout masks are drawn from; an eval tape
-//! ([`Tape::eval`]) has none, so dropout is the identity there.
+//! eagerly computes its value and records the op it came from.
+//! (Inference runs the layers' tape-free `infer` methods, which call the
+//! same [`Mat`] kernels and so match an eval tape bit for bit.)
+//! [`Tape::backward`] walks the tape in reverse, accumulating gradients;
+//! gradients of [`Tape::param`] leaves are routed into a [`GradShard`]. A
+//! training tape ([`Tape::train`]) owns the RNG its dropout masks are
+//! drawn from; an eval tape ([`Tape::eval`]) has none, so dropout is the
+//! identity there.
 //!
 //! The op set is exactly what the LSS architecture needs (GIN message
 //! passing, structured self-attention, MLPs, the Eq. 3/5 losses) plus a
 //! finite-difference grad-checker in [`crate::gradcheck`] that every op is
 //! tested against.
 
+use crate::gin::PackedGraphs;
 use crate::mat::Mat;
 use crate::param::{GradShard, ParamId, ParamStore};
 use rand::rngs::SmallRng;
@@ -23,14 +25,6 @@ use std::sync::Arc;
 /// Handle to a tape node.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Var(usize);
-
-/// Fixed (non-differentiable) adjacency of a substructure for GIN
-/// aggregation: `adj[v]` lists the neighbors of local node `v`.
-///
-/// Shared via `Arc` (not `Rc`) so encoded queries — and the tapes built
-/// over them — are `Send + Sync` and can be fanned out across worker
-/// threads by the data-parallel trainer.
-pub type Adjacency = Arc<Vec<Vec<u32>>>;
 
 enum Op {
     Leaf,
@@ -55,8 +49,9 @@ enum Op {
     ConcatCols(Var, Var),
     Transpose(Var),
     SliceCols(Var, usize, usize),
-    /// `(A + (1+eps) I) X` for a fixed symmetric adjacency (GIN aggregate).
-    GraphAgg(Var, Adjacency, f32),
+    /// `(A_g + (1+eps) I) X` for graph `g` of a fixed packed graph set
+    /// (GIN aggregate); `A_g` is symmetric.
+    GraphAgg(Var, Arc<PackedGraphs>, usize, f32),
     Flatten(Var),
 }
 
@@ -318,13 +313,18 @@ impl Tape {
         self.push(v, Op::SliceCols(a, start, end))
     }
 
-    /// GIN aggregation for a fixed symmetric adjacency:
-    /// `out[v] = (1+eps) · x[v] + Σ_{u ∈ adj[v]} x[u]`.
-    pub fn graph_agg(&mut self, x: Var, adj: Adjacency, eps: f32) -> Var {
+    /// GIN aggregation over graph `g` of `graphs` (shared, not copied),
+    /// whose nodes are the rows of `x`:
+    /// `out[v] = (1+eps) · x[v] + Σ_{u ∈ N(v)} x[u]`.
+    pub fn graph_agg(&mut self, x: Var, graphs: &Arc<PackedGraphs>, g: usize, eps: f32) -> Var {
         let xv = &self.nodes[x.0].value;
-        assert_eq!(xv.rows(), adj.len(), "adjacency/feature row mismatch");
-        let v = xv.aggregate_neighbors(eps, |node| adj[node].iter().map(|&u| u as usize));
-        self.push(v, Op::GraphAgg(x, adj, eps))
+        assert_eq!(
+            xv.rows(),
+            graphs.rows(g).len(),
+            "graph/feature row mismatch"
+        );
+        let v = xv.aggregate_neighbors(eps, |node| graphs.local_neighbors(g, node));
+        self.push(v, Op::GraphAgg(x, Arc::clone(graphs), g, eps))
     }
 
     /// Reshape `(r×c)` into a `(1, r·c)` row vector.
@@ -548,11 +548,10 @@ impl Tape {
                     }
                     self.add_grad(a, dx);
                 }
-                Op::GraphAgg(x, adj, eps) => {
-                    let (x, adj, eps) = (*x, Arc::clone(adj), *eps);
+                Op::GraphAgg(x, graphs, graph, eps) => {
+                    let (x, graphs, graph, eps) = (*x, Arc::clone(graphs), *graph, *eps);
                     // (A + (1+eps) I) is symmetric → backward is the same op.
-                    let dx =
-                        g.aggregate_neighbors(eps, |node| adj[node].iter().map(|&u| u as usize));
+                    let dx = g.aggregate_neighbors(eps, |node| graphs.local_neighbors(graph, node));
                     self.add_grad(x, dx);
                 }
                 Op::Flatten(a) => {
@@ -622,12 +621,14 @@ mod tests {
     }
 
     #[test]
-    fn graph_agg_triangle() {
-        // path 0-1-2, eps=0: out[1] = x1 + x0 + x2
-        let adj: Adjacency = Arc::new(vec![vec![1], vec![0, 2], vec![1]]);
+    fn graph_agg_path() {
+        // graph 1 of the pack is the path 0-1-2; eps=0: out[1] = x1 + x0 + x2
+        let edge: &[&[u32]] = &[&[1], &[0]];
+        let path: &[&[u32]] = &[&[1], &[0, 2], &[1]];
+        let graphs = Arc::new(PackedGraphs::new([edge, path]));
         let mut t = Tape::eval();
         let x = t.input(Mat::from_vec(3, 1, vec![1.0, 10.0, 100.0]));
-        let y = t.graph_agg(x, adj, 0.0);
+        let y = t.graph_agg(x, &graphs, 1, 0.0);
         assert_eq!(t.value(y).data(), &[11.0, 111.0, 110.0]);
     }
 
@@ -686,8 +687,8 @@ mod tests {
         fn assert_send<T: Send>() {}
         fn assert_sync<T: Sync>() {}
         assert_send::<Tape>();
-        assert_send::<Adjacency>();
-        assert_sync::<Adjacency>();
+        assert_send::<Arc<PackedGraphs>>();
+        assert_sync::<Arc<PackedGraphs>>();
         assert_send::<Mat>();
         assert_sync::<Mat>();
         assert_sync::<ParamStore>();

@@ -179,6 +179,19 @@ fn control_ops_and_malformed_input() {
     assert!(oversized.error.contains("limit"), "{}", oversized.error);
     assert!(client.call(&Request::control("ping")).unwrap().ok);
 
+    // A second `t` record is malformed, not a new query that replaces
+    // the first.
+    let two_headers = client
+        .estimate(14, "t 2 1\nv 0 0\nv 1 0\ne 0 1\nt 1 0\n", None)
+        .unwrap();
+    assert!(!two_headers.ok);
+    assert!(
+        two_headers.error.contains("line 5"),
+        "{}",
+        two_headers.error
+    );
+    assert!(client.call(&Request::control("ping")).unwrap().ok);
+
     // A non-JSON line gets an ok:false response, not a dropped connection.
     use std::io::{BufRead, BufReader, Write};
     let mut raw = std::net::TcpStream::connect(&addr).unwrap();
@@ -287,4 +300,104 @@ fn shutdown_op_stops_the_server_and_loadgen_sees_cache_hits() {
     // moment to tear the socket down).
     std::thread::sleep(Duration::from_millis(100));
     assert!(Client::connect(&addr, Duration::from_millis(500)).is_err());
+}
+
+/// Seeded fuzz of the request path: estimate and control lines, and the
+/// query text inside them, with dropped, duplicated or truncated records,
+/// hostile numbers (wildcard labels, out-of-range ids, values past
+/// `u32`/`u64`), flipped bits and truncated lines, sent one at a time over
+/// one connection. Every non-blank line gets exactly one reply.
+#[test]
+fn mutated_request_lines_each_get_one_reply() {
+    use alss_serve::proto::{from_line, to_line};
+    use alss_serve::Response;
+    use rand::{rngs::SmallRng, seq::SliceRandom, Rng, SeedableRng};
+    use std::io::{BufRead, BufReader, Write};
+
+    let (graph, sketch) = fixtures("fuzz");
+    let handle = alss_serve::serve(&config(graph, Some(sketch))).unwrap();
+    let mut raw = std::net::TcpStream::connect(handle.addr).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut reader = BufReader::new(raw.try_clone().unwrap());
+    let mut roundtrip = |line: &[u8]| -> Response {
+        raw.write_all(&[line, b"\n"].concat()).unwrap();
+        let mut reply = String::new();
+        let read = reader.read_line(&mut reply);
+        let shown = String::from_utf8_lossy(line);
+        assert!(matches!(read, Ok(n) if n > 0), "no reply to {shown:?}");
+        from_line(&reply).unwrap_or_else(|e| panic!("{e}: reply to {shown:?}"))
+    };
+
+    // Found by this loop: a disconnected query on the fallback path
+    // panicked the connection thread inside Wander Join.
+    let found = to_line(&Request::estimate(1, "t 3 2\ne 0 1", Some(0))).unwrap();
+    let reply = roundtrip(found.as_bytes());
+    assert!(reply.ok && reply.degraded, "{reply:?}");
+
+    let queries = [
+        query_and_permutation().0,
+        "t 3 3\nv 0 0 1 2\nv 1 -1\nv 2 2\ne 0 1 3\ne 1 2\ne 0 2\n".to_string(),
+    ];
+    let hostile = [
+        "-1",
+        "3",
+        "1024",
+        "4294967295",
+        "18446744073709551616",
+        "1e309",
+        "x",
+    ];
+    let ops = ["", "", "", "estimate", "ping", "stats", "bogus"];
+    let mut rng = SmallRng::seed_from_u64(0xF022);
+    let mut answered = 0;
+    for id in 0..1000u64 {
+        let query = queries.choose(&mut rng).unwrap();
+        let mut records: Vec<String> = query.lines().map(String::from).collect();
+        for _ in 0..rng.gen_range(1..=3) {
+            let i = rng.gen_range(0..records.len());
+            match rng.gen_range(0..4) {
+                0 if records.len() > 1 => drop(records.remove(i)),
+                1 => records.push(records[i].clone()),
+                2 => {
+                    let mut fields: Vec<&str> = records[i].split(' ').collect();
+                    let f = rng.gen_range(0..fields.len());
+                    fields[f] = hostile.choose(&mut rng).unwrap();
+                    records[i] = fields.join(" ");
+                }
+                _ => {
+                    let cut = rng.gen_range(0..=records[i].len());
+                    records[i].truncate(cut);
+                }
+            }
+        }
+        let request = Request {
+            id,
+            op: ops.choose(&mut rng).unwrap().to_string(),
+            query: records.join("\n"),
+            deadline_ms: *[None, Some(0), Some(u64::MAX)].choose(&mut rng).unwrap(),
+        };
+        let mut line = to_line(&request).unwrap().into_bytes();
+        let at = rng.gen_range(0..line.len());
+        match rng.gen_range(0..4) {
+            0 => line[at] ^= 1 << rng.gen_range(0..8u32),
+            1 => line.truncate(at),
+            2 => drop(line.splice(at..at, *b"99999999999999999999")),
+            _ => {}
+        }
+        line.retain(|&b| b != b'\n');
+        // A blank line gets no reply, by design.
+        if !String::from_utf8_lossy(&line).trim().is_empty() {
+            let reply = roundtrip(&line);
+            assert_ne!(reply.ok, !reply.error.is_empty(), "{reply:?}");
+            answered += 1;
+        }
+    }
+    assert!(answered > 900, "only {answered} lines were sent");
+
+    // The next reply is this ping's: no line got a second reply.
+    let pong = roundtrip(b"{\"op\":\"ping\",\"id\":424242}");
+    assert!(pong.ok && pong.id == 424_242, "{pong:?}");
+
+    handle.stop();
+    handle.join();
 }

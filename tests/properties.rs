@@ -173,10 +173,10 @@ proptest! {
         let mut rng = SmallRng::seed_from_u64(seed);
         let model = LssModel::new(LssConfig::tiny(), enc.node_dim(), enc.edge_dim(), &mut rng);
 
-        let encoded = enc.encode_query(&g);
-        let mut shuffled = encoded.clone();
-        let mut srng = SmallRng::seed_from_u64(shuffle_seed);
-        shuffled.subs.shuffle(&mut srng);
+        let mut subs = decompose(&g, enc.hops());
+        let encoded = enc.encode_substructures(&subs);
+        subs.shuffle(&mut SmallRng::seed_from_u64(shuffle_seed));
+        let shuffled = enc.encode_substructures(&subs);
 
         let p1 = model.predict(&encoded).log10_count;
         let p2 = model.predict(&shuffled).log10_count;
