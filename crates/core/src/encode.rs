@@ -6,8 +6,8 @@ use alss_embedding::prone::{prone, ProneConfig};
 use alss_embedding::Embedding;
 use alss_graph::augmented::label_augmented_graph;
 use alss_graph::labels::LabelStats;
-use alss_graph::{Graph, Substructure, WILDCARD};
-use alss_nn::{Mat, PackedGraphs};
+use alss_graph::{Graph, PackedGraphs, WILDCARD};
+use alss_nn::Mat;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -234,49 +234,44 @@ impl Encoder {
             .collect()
     }
 
-    /// Encode decomposed substructures, in the given order, straight into
-    /// the packed layout: each substructure's CSR adjacency (neighbors
-    /// ascending) becomes one packed graph, and a node's edge sum adds its
-    /// incident edges' features in that same neighbor order.
-    pub fn encode_substructures(&self, subs: &[Substructure]) -> EncodedQuery {
-        let graphs = || subs.iter().map(|s| &s.graph);
-        let packed = PackedGraphs::new(graphs().map(|g| g.nodes().map(move |v| g.neighbors(v))));
-        let (node_dim, edge_dim) = (self.node_dim(), self.edge_dim());
-        let mut features = Vec::with_capacity(packed.num_nodes() * node_dim);
-        let mut edge_sums = Vec::with_capacity(packed.num_nodes() * edge_dim);
-        for g in graphs() {
-            for v in g.nodes() {
-                let labels: Vec<u32> = if g.label(v) == WILDCARD {
-                    vec![WILDCARD]
-                } else {
-                    g.labels_of(v).collect()
-                };
-                features.extend(self.node_features_multi(&labels));
-                if edge_dim > 0 {
-                    let mut sum = vec![0.0f32; edge_dim];
-                    for i in 0..g.degree(v) {
-                        let label = g.neighbor_edge_labels(v).map_or(WILDCARD, |l| l[i]);
-                        for (o, x) in sum.iter_mut().zip(self.edge_features(label)) {
-                            *o += x;
-                        }
-                    }
-                    edge_sums.extend(sum);
-                }
-            }
-        }
-        let n = packed.num_nodes();
-        EncodedQuery {
-            features: Mat::from_vec(n, node_dim, features),
-            graphs: Arc::new(packed),
-            edge_sums: (edge_dim > 0).then(|| Mat::from_vec(n, edge_dim, edge_sums)),
-        }
-    }
-
     /// Decompose and encode a whole query graph (Algorithm 1, line 1 +
-    /// §4.3).
+    /// §4.3). The packed trees are kept as they are; each query node's
+    /// features are computed once, for every row holding it, and a row's
+    /// edge sum adds its tree edges' features in packed neighbor order.
     pub fn encode_query(&self, q: &Graph) -> EncodedQuery {
         let _span = alss_telemetry::Span::enter("encode.query");
-        self.encode_substructures(&alss_graph::decompose(q, self.hops))
+        let d = alss_graph::decompose(q, self.hops);
+        let per_node: Vec<f32> = q
+            .nodes()
+            .flat_map(|v| {
+                let labels: Vec<u32> = if q.label(v) == WILDCARD {
+                    vec![WILDCARD]
+                } else {
+                    q.labels_of(v).collect()
+                };
+                self.node_features_multi(&labels)
+            })
+            .collect();
+        let rows: Vec<usize> = d.nodes.iter().map(|&v| v as usize).collect();
+        let features = Mat::from_vec(q.num_nodes(), self.node_dim(), per_node).gather_rows(&rows);
+        let edge_dim = self.edge_dim();
+        let edge_sums = (edge_dim > 0).then(|| {
+            let mut sums = Mat::zeros(rows.len(), edge_dim);
+            for r in 0..rows.len() {
+                for &u in d.graphs.neighbors(r) {
+                    let x = self.edge_features(d.edge_label(r, u));
+                    for (o, x) in sums.row_mut(r).iter_mut().zip(x) {
+                        *o += x;
+                    }
+                }
+            }
+            sums
+        });
+        EncodedQuery {
+            features,
+            graphs: Arc::new(d.graphs),
+            edge_sums,
+        }
     }
 }
 

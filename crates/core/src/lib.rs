@@ -9,11 +9,12 @@
 //! Pipeline (Fig. 2 / Algorithm 1):
 //!
 //! 1. [`alss_graph::decompose()`] a query into per-node 3-hop BFS-tree
-//!    substructures;
-//! 2. [`encode`] each substructure — frequency-based, pre-trained-embedding
-//!    (ProNE on the label-augmented graph), or concatenated features, with
-//!    the Eq. (4) edge-label extension — into one packed
-//!    [`EncodedQuery`], the layout the GIN reads;
+//!    substructures, written straight into the packed block-diagonal
+//!    graph the GIN reads;
+//! 2. [`encode`] the substructures' nodes — frequency-based,
+//!    pre-trained-embedding (ProNE on the label-augmented graph), or
+//!    concatenated features, computed once per query node, with the
+//!    Eq. (4) edge-label extension — into one packed [`EncodedQuery`];
 //! 3. a GIN encoder produces per-substructure representations
 //!    (`σ(·)` of Eq. 2), structured self-attention learns query-specific
 //!    weights (`w(·)`), and a multi-task MLP emits `log10 c_Θ(q)` plus a

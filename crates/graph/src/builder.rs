@@ -97,9 +97,10 @@ impl GraphBuilder {
     /// (keeping the first label).
     pub fn build(&self) -> Graph {
         let n = self.labels.len();
-        // Sort-dedup unique edges, keeping labels aligned.
+        // Sort-dedup unique edges, keeping labels aligned. The sort is
+        // stable, so a duplicate keeps the label it was first added with.
         let mut order: Vec<usize> = (0..self.edges.len()).collect();
-        order.sort_unstable_by_key(|&i| self.edges[i]);
+        order.sort_by_key(|&i| self.edges[i]);
         let mut edges: Vec<(NodeId, NodeId)> = Vec::with_capacity(self.edges.len());
         let mut edge_labels: Vec<LabelId> = Vec::with_capacity(self.edges.len());
         for &i in &order {
@@ -110,7 +111,9 @@ impl GraphBuilder {
             edge_labels.push(self.edge_labels[i]);
         }
 
-        // Degree counting for CSR.
+        // Degree counting for CSR. Filled from the sorted unique edges, node
+        // `x` gets the `u < x` of edges `(u, x)`, then the `v > x` of `(x, v)`,
+        // each ascending, so every adjacency comes out sorted.
         let mut deg = vec![0u32; n];
         for &(u, v) in &edges {
             deg[u as usize] += 1;
@@ -132,18 +135,6 @@ impl GraphBuilder {
             adj_labels[cursor[v as usize] as usize] = l;
             cursor[v as usize] += 1;
         }
-        // Sort each adjacency (labels move with neighbors).
-        for v in 0..n {
-            let s = offsets[v] as usize;
-            let e = offsets[v + 1] as usize;
-            let mut idx: Vec<usize> = (s..e).collect();
-            idx.sort_unstable_by_key(|&i| neighbors[i]);
-            let nb: Vec<NodeId> = idx.iter().map(|&i| neighbors[i]).collect();
-            let lb: Vec<LabelId> = idx.iter().map(|&i| adj_labels[i]).collect();
-            neighbors[s..e].copy_from_slice(&nb);
-            adj_labels[s..e].copy_from_slice(&lb);
-        }
-
         let num_node_labels = self
             .labels
             .iter()
@@ -177,8 +168,6 @@ impl GraphBuilder {
             neighbors,
             self.any_edge_label.then_some(adj_labels),
             self.labels.clone(),
-            edges,
-            self.any_edge_label.then_some(edge_labels),
             extra,
             num_node_labels,
             num_edge_labels,
@@ -208,6 +197,21 @@ mod tests {
         let g = b.build();
         assert_eq!(g.num_edges(), 1);
         assert_eq!(g.neighbors(0), &[1]);
+    }
+
+    #[test]
+    fn duplicate_edges_keep_their_first_label() {
+        // Enough duplicates that an unstable sort reorders some pairs.
+        let mut b = GraphBuilder::new(60);
+        for i in 0..59 {
+            b.add_labeled_edge(i, i + 1, 1);
+        }
+        for i in 0..59 {
+            b.add_labeled_edge(i + 1, i, 2);
+        }
+        let g = b.build();
+        assert_eq!(g.num_edges(), 59);
+        assert!(g.edges().all(|e| e.label == 1), "a later label won");
     }
 
     #[test]

@@ -11,8 +11,9 @@ use serde::{Deserialize, Serialize};
 ///   label matches a data node if it appears anywhere in the node's label
 ///   set — see [`Graph::node_matches`]).
 /// * Edges are undirected and stored twice in the adjacency (once per
-///   direction); the unique edge list (`u < v`) is kept separately so that
-///   relational-style estimators can treat `E` as an edge relation.
+///   direction). [`Graph::edges`] derives the unique edge list (`u < v`)
+///   from it, so relational-style estimators can treat `E` as an edge
+///   relation.
 /// * Edge labels are optional (only the yago-like dataset uses them).
 ///
 /// Construct with [`crate::GraphBuilder`]; the CSR arrays are immutable
@@ -25,10 +26,6 @@ pub struct Graph {
     /// Aligned with `neighbors`; present iff the graph has edge labels.
     adj_edge_labels: Option<Vec<LabelId>>,
     node_labels: Vec<LabelId>,
-    /// Unique undirected edges with `u <= v` is forbidden (no self loops),
-    /// stored with `u < v`.
-    edges: Vec<(NodeId, NodeId)>,
-    edge_labels: Option<Vec<LabelId>>,
     /// Extra (secondary) labels per node; present iff any node is
     /// multi-labeled. `extra_labels[v]` excludes the primary label.
     #[serde(default)]
@@ -60,11 +57,8 @@ pub enum CsrViolation {
     SelfLoop { node: NodeId },
     /// `v ∈ adj(u)` but `u ∉ adj(v)`.
     AsymmetricEdge { u: NodeId, v: NodeId },
-    /// The unique edge list disagrees with the adjacency
-    /// (`neighbors.len() != 2 * edges.len()`, an edge with `u >= v`, an
-    /// unsorted/duplicate edge list, or an edge absent from the adjacency).
-    EdgeListMismatch { detail: &'static str, index: usize },
-    /// An edge-label array is not aligned with its edge array.
+    /// A label array has the wrong length: the edge labels must align with
+    /// the adjacency, and the extra labels need one entry per node.
     LabelArrayMisaligned { expected: usize, found: usize },
 }
 
@@ -96,13 +90,10 @@ impl std::fmt::Display for CsrViolation {
                     "edge {u}-{v} present in adj({u}) but missing from adj({v})"
                 )
             }
-            CsrViolation::EdgeListMismatch { detail, index } => {
-                write!(f, "edge list mismatch at index {index}: {detail}")
-            }
             CsrViolation::LabelArrayMisaligned { expected, found } => {
                 write!(
                     f,
-                    "edge-label array misaligned: expected {expected}, found {found}"
+                    "label array misaligned: expected {expected}, found {found}"
                 )
             }
         }
@@ -123,14 +114,11 @@ pub struct EdgeRef {
 }
 
 impl Graph {
-    #[expect(clippy::too_many_arguments, reason = "one argument per CSR part")]
     pub(crate) fn from_parts(
         offsets: Vec<u32>,
         neighbors: Vec<NodeId>,
         adj_edge_labels: Option<Vec<LabelId>>,
         node_labels: Vec<LabelId>,
-        edges: Vec<(NodeId, NodeId)>,
-        edge_labels: Option<Vec<LabelId>>,
         extra_labels: Option<Vec<Vec<LabelId>>>,
         num_node_labels: usize,
         num_edge_labels: usize,
@@ -140,8 +128,6 @@ impl Graph {
             neighbors,
             adj_edge_labels,
             node_labels,
-            edges,
-            edge_labels,
             extra_labels,
             num_node_labels,
             num_edge_labels,
@@ -156,7 +142,7 @@ impl Graph {
 
     /// Check every CSR well-formedness invariant: offset shape and bounds,
     /// in-bounds sorted self-loop-free adjacencies, edge symmetry, and
-    /// agreement between the adjacency and the unique edge list.
+    /// label arrays of the right length.
     ///
     /// Construction through [`crate::GraphBuilder`] upholds these by
     /// design (and debug builds re-check). Call this after deserializing a
@@ -220,34 +206,6 @@ impl Graph {
                 }
             }
         }
-        if adj_len != 2 * self.edges.len() {
-            return Err(CsrViolation::EdgeListMismatch {
-                detail: "adjacency length is not twice the unique edge count",
-                index: 0,
-            });
-        }
-        for (i, &(u, v)) in self.edges.iter().enumerate() {
-            if u >= v || v as usize >= n {
-                return Err(CsrViolation::EdgeListMismatch {
-                    detail: "edge endpoints must satisfy u < v < num_nodes",
-                    index: i,
-                });
-            }
-            if i > 0 && self.edges[i - 1] >= (u, v) {
-                return Err(CsrViolation::EdgeListMismatch {
-                    detail: "unique edge list must be strictly sorted",
-                    index: i,
-                });
-            }
-            let adj = &self.neighbors
-                [self.offsets[u as usize] as usize..self.offsets[u as usize + 1] as usize];
-            if adj.binary_search(&v).is_err() {
-                return Err(CsrViolation::EdgeListMismatch {
-                    detail: "unique edge absent from the adjacency",
-                    index: i,
-                });
-            }
-        }
         if let Some(al) = &self.adj_edge_labels {
             if al.len() != adj_len {
                 return Err(CsrViolation::LabelArrayMisaligned {
@@ -256,19 +214,13 @@ impl Graph {
                 });
             }
         }
-        if let Some(el) = &self.edge_labels {
-            if el.len() != self.edges.len() {
+        if let Some(extra) = &self.extra_labels {
+            if extra.len() != n {
                 return Err(CsrViolation::LabelArrayMisaligned {
-                    expected: self.edges.len(),
-                    found: el.len(),
+                    expected: n,
+                    found: extra.len(),
                 });
             }
-        }
-        if self.node_labels.len() != n {
-            return Err(CsrViolation::LabelArrayMisaligned {
-                expected: n,
-                found: self.node_labels.len(),
-            });
         }
         Ok(())
     }
@@ -282,7 +234,7 @@ impl Graph {
     /// Number of unique undirected edges `|E|`.
     #[inline]
     pub fn num_edges(&self) -> usize {
-        self.edges.len()
+        self.neighbors.len() / 2
     }
 
     /// Number of distinct node labels `|Σ|` (upper bound; dense ids).
@@ -300,7 +252,7 @@ impl Graph {
     /// Whether the graph carries edge labels.
     #[inline]
     pub fn has_edge_labels(&self) -> bool {
-        self.edge_labels.is_some()
+        self.adj_edge_labels.is_some()
     }
 
     /// Primary label of node `v` ([`WILDCARD`] on an unlabeled query node).
@@ -402,16 +354,17 @@ impl Graph {
         0..crate::node_id(self.num_nodes())
     }
 
-    /// Iterate over unique undirected edges (`u < v`).
+    /// Iterate over unique undirected edges (`u < v`), sorted by `(u, v)`:
+    /// for each `u`, the neighbors above it in its sorted adjacency.
     pub fn edges(&self) -> impl Iterator<Item = EdgeRef> + '_ {
-        self.edges
-            .iter()
-            .enumerate()
-            .map(move |(i, &(u, v))| EdgeRef {
+        self.nodes().flat_map(move |u| {
+            let (nbrs, labels) = (self.neighbors(u), self.neighbor_edge_labels(u));
+            (nbrs.partition_point(|&v| v < u)..nbrs.len()).map(move |i| EdgeRef {
                 u,
-                v,
-                label: self.edge_labels.as_ref().map(|l| l[i]).unwrap_or(WILDCARD),
+                v: nbrs[i],
+                label: labels.map_or(WILDCARD, |l| l[i]),
             })
+        })
     }
 
     /// Maximum degree over all nodes (0 for the empty graph).
@@ -528,23 +481,6 @@ mod validate_tests {
     }
 
     #[test]
-    fn detects_edge_list_mismatch() {
-        let mut g = valid_path();
-        g.edges.pop();
-        assert!(matches!(
-            g.validate(),
-            Err(CsrViolation::EdgeListMismatch { .. })
-        ));
-
-        let mut g = valid_path();
-        g.edges[0] = (1, 0); // violates u < v
-        assert!(matches!(
-            g.validate(),
-            Err(CsrViolation::EdgeListMismatch { .. })
-        ));
-    }
-
-    #[test]
     fn detects_misaligned_labels() {
         let mut g = valid_path();
         g.node_labels.push(0);
@@ -552,11 +488,23 @@ mod validate_tests {
         assert!(g.validate().is_err());
 
         let mut g = valid_path();
-        g.edge_labels = Some(vec![1]); // 2 edges, 1 label
+        g.adj_edge_labels = Some(vec![1]); // 4 adjacency entries, 1 label
         assert!(matches!(
             g.validate(),
             Err(CsrViolation::LabelArrayMisaligned { .. })
         ));
+
+        // One extra-label list for three nodes: `extra_labels(2)` would
+        // index past its end.
+        let mut g = valid_path();
+        g.extra_labels = Some(vec![vec![1]]);
+        assert_eq!(
+            g.validate(),
+            Err(CsrViolation::LabelArrayMisaligned {
+                expected: 3,
+                found: 1
+            })
+        );
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! * [`LabelStats`] — label frequencies `F(l)` and the label entropy
 //!   `Ent(Σ)` reported in Table 2;
 //! * [`bfs_tree`] / [`decompose()`] — the `l`-hop BFS-tree query
-//!   decomposition of §4.2 (Algorithm 1, line 1);
+//!   decomposition of §4.2 (Algorithm 1, line 1), written straight into
+//!   [`PackedGraphs`], the block-diagonal layout the GIN of `alss-nn` reads;
 //! * [`augmented::label_augmented_graph`] — the label-augmented graph
 //!   `G_L` of §4.3 (Fig. 3) used for embedding pre-training;
 //! * [`extract`] — random connected-subgraph extraction, the query
@@ -33,9 +34,10 @@
 //! assert_eq!(g.num_edges(), 4);
 //! assert!(g.is_connected());
 //!
-//! // the paper's query decomposition: one BFS tree per node
-//! let subs = decompose(&g, 3);
-//! assert_eq!(subs.len(), 4);
+//! // the paper's query decomposition: one BFS tree per node, packed
+//! let d = decompose(&g, 3);
+//! assert_eq!(d.len(), 4);
+//! assert_eq!(d.query_nodes(3), &[3, 2, 0, 1]);
 //! ```
 
 // Library code reports failures as `Result`, prints only through
@@ -72,7 +74,7 @@ pub mod labels;
 pub use bfs::{bfs_tree, BfsTree};
 pub use builder::GraphBuilder;
 pub use canon::{canonical_hash, canonical_key, CanonicalKey};
-pub use decompose::{decompose, Substructure};
+pub use decompose::{decompose, Decomposition, PackedGraphs};
 pub use graph::{CsrViolation, EdgeRef, Graph};
 pub use labels::LabelStats;
 

@@ -65,6 +65,17 @@ proptest! {
         let json = serde_json::to_string(&g).expect("serialize");
         let back: Graph = serde_json::from_str(&json).expect("deserialize");
         prop_assert_eq!(back.validate(), Ok(()));
+        prop_assert_eq!(&back, &g);
+
+        // Older files also carry the unique edge list and its labels,
+        // which the CSR now derives; they still load, to the same graph.
+        let edges: Vec<(u32, u32)> = g.edges().map(|e| (e.u, e.v)).collect();
+        let old = format!(
+            "{{\"edges\":{},\"edge_labels\":null,{}",
+            serde_json::to_string(&edges).expect("serialize edges"),
+            json.strip_prefix('{').expect("a JSON object"),
+        );
+        let back: Graph = serde_json::from_str(&old).expect("deserialize old");
         prop_assert_eq!(back, g);
     }
 }

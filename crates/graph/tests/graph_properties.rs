@@ -17,18 +17,32 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
+/// Strategy: a random node-labeled graph with 1..=10 nodes, often
+/// disconnected.
 fn arbitrary_graph() -> impl Strategy<Value = Graph> {
-    (1usize..=10).prop_flat_map(|n| {
+    graph_with_edge_labels(false)
+}
+
+/// [`arbitrary_graph`], with edge labels `0..3` or unlabeled edges when
+/// `edge_labels`.
+fn graph_with_edge_labels(edge_labels: bool) -> impl Strategy<Value = Graph> {
+    (1usize..=10).prop_flat_map(move |n| {
         (
             proptest::collection::vec(0u32..5, n),
-            proptest::collection::vec((0u32..n as u32, 0u32..n as u32), 0..=2 * n),
+            proptest::collection::vec((0u32..n as u32, 0u32..n as u32, 0u32..4), 0..=2 * n),
         )
             .prop_map(move |(labels, edges)| {
                 let mut b = GraphBuilder::new(n);
                 b.set_labels(&labels);
-                for (u, v) in edges {
-                    if u != v {
-                        b.add_edge(u, v);
+                for (u, v, l) in edges {
+                    match (u != v, edge_labels && l < 3) {
+                        (false, _) => {}
+                        (true, true) => {
+                            b.add_labeled_edge(u, v, l);
+                        }
+                        (true, false) => {
+                            b.add_edge(u, v);
+                        }
                     }
                 }
                 b.build()
@@ -112,12 +126,53 @@ proptest! {
 
     #[test]
     fn decomposition_node_sets_cover_bfs_balls(g in arbitrary_graph(), l in 1u32..4) {
-        for s in decompose(&g, l) {
+        let d = decompose(&g, l);
+        for i in 0..d.len() {
             // the substructure's nodes are within l hops of its root
-            let t = bfs_tree(&g, s.original[0], l);
+            let nodes = d.query_nodes(i);
+            let t = bfs_tree(&g, nodes[0], l);
             let ball: std::collections::HashSet<_> = t.nodes.iter().collect();
-            for orig in &s.original {
+            for orig in nodes {
                 prop_assert!(ball.contains(orig));
+            }
+        }
+    }
+
+    /// Oracle: each packed tree is exactly `bfs_tree` from its root. Same
+    /// query nodes in the same order; each row's neighbors are its tree
+    /// edges, parent first, then children ascending; each tree edge's
+    /// label is the query's label of that edge.
+    #[test]
+    fn decomposition_matches_bfs_trees(
+        g in (any::<bool>()).prop_flat_map(graph_with_edge_labels),
+        l in 0u32..4,
+    ) {
+        let d = decompose(&g, l);
+        prop_assert_eq!(d.len(), g.num_nodes());
+        prop_assert_eq!(d.nodes.len(), d.graphs.num_nodes());
+        for root in g.nodes() {
+            let i = root as usize;
+            let t = bfs_tree(&g, root, l);
+            prop_assert_eq!(d.query_nodes(i), t.nodes.as_slice());
+            let local = |v: u32| t.nodes.iter().position(|&x| x == v).unwrap();
+            let mut expected: Vec<Vec<usize>> = vec![Vec::new(); t.len()];
+            for &(p, c) in &t.edges {
+                expected[local(c)].push(local(p));
+            }
+            for &(p, c) in &t.edges {
+                expected[local(p)].push(local(c));
+            }
+            let base = d.graphs.rows(i).start;
+            for (v, want) in expected.iter().enumerate() {
+                let got: Vec<usize> = d.graphs.local_neighbors(i, v).collect();
+                prop_assert_eq!(&got, want);
+                for &u in want {
+                    let (a, b) = (t.nodes[v], t.nodes[u]);
+                    prop_assert_eq!(
+                        Some(d.edge_label(base + v, base + u)),
+                        g.edge_label(a, b)
+                    );
+                }
             }
         }
     }

@@ -12,14 +12,15 @@
 //! incident initial edge features to the aggregated neighbor sum — exact for
 //! sum aggregation since `Σ_u [h_u ‖ e_uv] = [Σ_u h_u ‖ Σ_u e_uv]`.
 //!
-//! Graphs reach GIN in one format, [`PackedGraphs`]: a query's
-//! substructures as one block-diagonal graph, with their node features
-//! and edge sums stacked in the same row order.
+//! Graphs reach GIN in one format, `alss-graph`'s [`PackedGraphs`]: a
+//! query's substructures as one block-diagonal graph, with their node
+//! features and edge sums stacked in the same row order.
 
 use crate::linear::{Activation, Mlp};
 use crate::mat::Mat;
 use crate::param::ParamStore;
 use crate::tape::{Tape, Var};
+use alss_graph::PackedGraphs;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -262,73 +263,6 @@ impl GinEncoder {
     pub fn out_dim(&self) -> usize {
         // Constructors reject zero-layer encoders; 0 keeps this total.
         self.layers.last().map_or(0, |l| l.out_dim())
-    }
-}
-
-/// Several graphs packed into one block-diagonal graph, the layout GIN
-/// runs on: node `v` of graph `g` is row `rows(g).start + v` of the
-/// stacked node matrix, and each node keeps its neighbors in their
-/// original order. Inference aggregates over all graphs at once; a
-/// training tape aggregates one graph at a time through
-/// [`PackedGraphs::local_neighbors`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PackedGraphs {
-    /// Graph `g` owns rows `node_start[g]..node_start[g + 1]`.
-    node_start: Vec<usize>,
-    /// Row `v`'s neighbors are `nbrs[nbr_start[v]..nbr_start[v + 1]]`.
-    nbr_start: Vec<usize>,
-    nbrs: Vec<usize>,
-}
-
-impl PackedGraphs {
-    /// Pack the given graphs in order. Each graph is its nodes' neighbor
-    /// lists, in node order, with neighbors numbered within the graph.
-    pub fn new<G, N>(graphs: impl IntoIterator<Item = G>) -> Self
-    where
-        G: IntoIterator<Item = N>,
-        N: AsRef<[u32]>,
-    {
-        let mut packed = PackedGraphs {
-            node_start: vec![0],
-            nbr_start: vec![0],
-            nbrs: Vec::new(),
-        };
-        for graph in graphs {
-            let base = packed.num_nodes();
-            for nbrs in graph {
-                let nbrs = nbrs.as_ref().iter().map(|&u| base + u as usize);
-                packed.nbrs.extend(nbrs);
-                packed.nbr_start.push(packed.nbrs.len());
-            }
-            packed.node_start.push(packed.num_nodes());
-        }
-        packed
-    }
-
-    /// Number of packed graphs.
-    pub fn num_graphs(&self) -> usize {
-        self.node_start.len() - 1
-    }
-
-    /// Total node count (rows of the stacked node matrix).
-    pub fn num_nodes(&self) -> usize {
-        self.nbr_start.len() - 1
-    }
-
-    /// Rows of graph `g`.
-    pub fn rows(&self, g: usize) -> std::ops::Range<usize> {
-        self.node_start[g]..self.node_start[g + 1]
-    }
-
-    /// Packed neighbor rows of row `v`.
-    pub fn neighbors(&self, v: usize) -> &[usize] {
-        &self.nbrs[self.nbr_start[v]..self.nbr_start[v + 1]]
-    }
-
-    /// Neighbors of node `v` of graph `g`, numbered within that graph.
-    pub fn local_neighbors(&self, g: usize, v: usize) -> impl Iterator<Item = usize> + '_ {
-        let base = self.node_start[g];
-        self.neighbors(base + v).iter().map(move |&u| u - base)
     }
 }
 

@@ -74,10 +74,11 @@ pub fn check_gradients(
 mod tests {
     use super::*;
     use crate::attention::SelfAttention;
-    use crate::gin::{Aggregation, GinEncoder, PackedGraphs};
+    use crate::gin::{Aggregation, GinEncoder};
     use crate::linear::{Activation, Mlp};
     use crate::loss::{cross_entropy_loss, mse_log_loss, multi_task_loss};
     use crate::mat::Mat;
+    use crate::PackedGraphs;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 

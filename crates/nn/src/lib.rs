@@ -15,12 +15,13 @@
 //!   pass fills and the optimizer reads;
 //! * [`linear`] — `Linear` / `Mlp` layers; [`gin`] — GIN encoder;
 //!   [`attention`] — structured self-attention (Algorithm 1, lines 8–11);
-//! * [`gin::PackedGraphs`] — the one graph format GIN reads: many graphs
-//!   packed into one block-diagonal graph. Each layer has a tape-free
-//!   `infer` for inference, which reads weights in place and runs GIN
-//!   over all packed graphs at once, and a tape `forward` for training,
-//!   which runs one packed graph at a time; the two share their `Mat`
-//!   kernels, so `infer` equals an eval-tape `forward` bit for bit;
+//! * [`PackedGraphs`] (re-exported from `alss-graph`, whose query
+//!   decomposition writes it) — the one graph format GIN reads: many
+//!   graphs packed into one block-diagonal graph. Each layer has a
+//!   tape-free `infer` for inference, which reads weights in place and
+//!   runs GIN over all packed graphs at once, and a tape `forward` for
+//!   training, which runs one packed graph at a time; the two share their
+//!   `Mat` kernels, so `infer` equals an eval-tape `forward` bit for bit;
 //! * [`loss`] — Eq. (3)/(5)/(6) losses; [`adam`] — Adam with weight decay
 //!   and LR decay;
 //! * [`gradcheck`] — finite-difference validation used by the test suite.
@@ -90,8 +91,9 @@ pub mod param;
 pub mod tape;
 
 pub use adam::{Adam, AdamConfig};
+pub use alss_graph::PackedGraphs;
 pub use attention::SelfAttention;
-pub use gin::{Aggregation, GinEncoder, GinLayer, PackedGraphs};
+pub use gin::{Aggregation, GinEncoder, GinLayer};
 pub use linear::{Activation, Linear, Mlp};
 pub use mat::Mat;
 pub use param::{GradShard, ParamId, ParamStore};

@@ -15,9 +15,9 @@
 //! finite-difference grad-checker in [`crate::gradcheck`] that every op is
 //! tested against.
 
-use crate::gin::PackedGraphs;
 use crate::mat::Mat;
 use crate::param::{GradShard, ParamId, ParamStore};
+use alss_graph::PackedGraphs;
 use rand::rngs::SmallRng;
 use rand::Rng;
 use std::sync::Arc;

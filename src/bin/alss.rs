@@ -23,7 +23,10 @@
 //! Graphs use the line-oriented text format of `alss::graph::io`
 //! (`t/v/e` records); workloads and sketches are JSON.
 
-use alss::core::{LearnedSketch, QErrorStats, SketchConfig, TrainConfig, Workload};
+use alss::core::{
+    encode_workload_with, evaluate_with, LearnedSketch, Parallelism, QErrorStats, SketchConfig,
+    TrainConfig, Workload,
+};
 use alss::datasets::queries::WorkloadSpec;
 use alss::datasets::{by_name, generate_workload};
 use alss::graph::io::{from_text, to_text};
@@ -150,9 +153,17 @@ fn cmd_workload(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// Load a JSON workload. serde fills each query's CSR arrays unchecked, so
+/// validate them before any traversal indexes out of bounds.
 fn load_workload(path: &str) -> Result<Workload, String> {
     let json = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-    serde_json::from_str(&json).map_err(|e| format!("parse {path}: {e}"))
+    let w: Workload = serde_json::from_str(&json).map_err(|e| format!("parse {path}: {e}"))?;
+    for (i, q) in w.queries.iter().enumerate() {
+        q.graph
+            .validate()
+            .map_err(|e| format!("parse {path}: query {i}: {e}"))?;
+    }
+    Ok(w)
 }
 
 fn cmd_train(args: &Args) -> Result<(), String> {
@@ -178,9 +189,9 @@ fn cmd_train(args: &Args) -> Result<(), String> {
     cfg.train = TrainConfig {
         epochs,
         parallelism: if threads > 0 {
-            alss::core::Parallelism::fixed(threads)
+            Parallelism::fixed(threads)
         } else {
-            alss::core::Parallelism::auto()
+            Parallelism::auto()
         },
         ..TrainConfig::default()
     };
@@ -229,11 +240,9 @@ fn cmd_count(args: &Args) -> Result<(), String> {
 fn cmd_evaluate(args: &Args) -> Result<(), String> {
     let sketch = LearnedSketch::load(args.require("sketch")?).map_err(|e| e.to_string())?;
     let w = load_workload(args.require("workload")?)?;
-    let pairs: Vec<(f64, f64)> = w
-        .queries
-        .iter()
-        .map(|q| (q.count as f64, sketch.estimate(&q.graph)))
-        .collect();
+    let par = Parallelism::auto();
+    let items = encode_workload_with(sketch.encoder(), &w, par);
+    let pairs = evaluate_with(sketch.model(), &items, par);
     let stats = QErrorStats::from_pairs(&pairs).ok_or("empty workload")?;
     println!("q-error over {} queries:", stats.count);
     println!("{}", stats.render());
@@ -241,8 +250,9 @@ fn cmd_evaluate(args: &Args) -> Result<(), String> {
         let sp: Vec<(f64, f64)> = w
             .queries
             .iter()
-            .filter(|q| q.size() == size)
-            .map(|q| (q.count as f64, sketch.estimate(&q.graph)))
+            .zip(&pairs)
+            .filter(|(q, _)| q.size() == size)
+            .map(|(_, &pair)| pair)
             .collect();
         if let Some(s) = QErrorStats::from_pairs(&sp) {
             println!("  {size}-node: {}", s.render());
@@ -274,21 +284,23 @@ fn cmd_stats(args: &Args) -> Result<(), String> {
 fn cmd_decompose(args: &Args) -> Result<(), String> {
     let q = load_graph(args.require("query")?)?;
     let hops: u32 = args.parsed("hops", 3)?;
-    let subs = alss::graph::decompose(&q, hops);
+    let d = alss::graph::decompose(&q, hops);
     println!(
         "query: {} nodes, {} edges -> {} substructures ({}-hop BFS trees)",
         q.num_nodes(),
         q.num_edges(),
-        subs.len(),
+        d.len(),
         hops
     );
-    for (i, s) in subs.iter().enumerate() {
+    for i in 0..d.len() {
+        let nodes = d.query_nodes(i);
+        // a BFS tree has one edge per node but its root
         println!(
             "s{i}: root q{} | {} nodes, {} edges | original nodes {:?}",
-            s.original[0],
-            s.graph.num_nodes(),
-            s.graph.num_edges(),
-            s.original
+            nodes[0],
+            nodes.len(),
+            nodes.len() - 1,
+            nodes
         );
     }
     Ok(())

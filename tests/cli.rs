@@ -225,5 +225,39 @@ fn cli_reports_errors_cleanly() {
         .expect("run");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown dataset"));
+
+    // a workload whose query names an out-of-range neighbor is reported,
+    // not traversed (it panicked with an index out of bounds in BFS)
+    let graph = dir.join("g.txt");
+    std::fs::write(&graph, "t 3 2\nv 0 0\nv 1 0\nv 2 1\ne 0 1\ne 1 2\n").unwrap();
+    let path = alss::graph::builder::graph_from_edges(&[0, 0, 1], &[(0, 1), (1, 2)]);
+    let w = alss::core::Workload::from_queries(vec![alss::core::LabeledQuery::new(path, 2)]);
+    let json = serde_json::to_string(&w).unwrap();
+    assert!(json.contains("\"neighbors\":[1,0,2,1]"), "{json}");
+    let corrupt = dir.join("corrupt.json");
+    std::fs::write(
+        &corrupt,
+        json.replace("\"neighbors\":[1,0,2,1]", "\"neighbors\":[1,0,9,1]"),
+    )
+    .unwrap();
+    let out = alss()
+        .args([
+            "train",
+            "--graph",
+            graph.to_str().unwrap(),
+            "--workload",
+            corrupt.to_str().unwrap(),
+            "--out",
+            dir.join("s.json").to_str().unwrap(),
+        ])
+        .output()
+        .expect("run");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.starts_with("error: parse ")
+            && stderr.contains("query 0: node 1 lists out-of-bounds neighbor 9"),
+        "{stderr}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

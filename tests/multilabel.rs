@@ -135,11 +135,28 @@ fn frequency_encoding_marks_every_label_dim() {
 #[test]
 fn substructures_preserve_extra_labels() {
     let g = multilabel_data();
-    let subs = alss::graph::decompose(&g, 2);
-    // the substructure rooted at node 1 keeps its {0,1} label set
-    let s = &subs[1];
-    assert_eq!(s.original[0], 1);
-    assert_eq!(s.graph.labels_of(0).collect::<Vec<_>>(), vec![0, 1]);
+    let enc = Encoder::frequency(&g, 2);
+    let eq = enc.encode_query(&g);
+    // every row holding node 1 (its own tree's root, and a row of the
+    // trees of nodes 0, 2 and 3) encodes its {0,1} label set, and node 3's
+    // rows encode {2,0}
+    let d = alss::graph::decompose(&g, 2);
+    assert_eq!(d.query_nodes(1)[0], 1);
+    let (f1, f3) = (
+        enc.node_features_multi(&[0, 1]),
+        enc.node_features_multi(&[2, 0]),
+    );
+    let mut seen = [0; 4];
+    for (r, &v) in d.nodes.iter().enumerate() {
+        seen[v as usize] += 1;
+        match v {
+            1 => assert_eq!(eq.features.row(r), f1.as_slice()),
+            3 => assert_eq!(eq.features.row(r), f3.as_slice()),
+            _ => {}
+        }
+    }
+    assert_eq!(seen[1], 4);
+    assert_eq!(seen[3], 3);
 }
 
 #[test]
