@@ -142,7 +142,7 @@ impl LssModel {
     pub fn new<R: Rng>(cfg: LssConfig, node_dim: usize, edge_dim: usize, rng: &mut R) -> Self {
         assert!(node_dim > 0, "node feature dimension must be positive");
         let mut store = ParamStore::new();
-        let gin = GinEncoder::with_options(
+        let gin = GinEncoder::new(
             &mut store,
             "lss.gin",
             node_dim,
@@ -210,34 +210,29 @@ impl LssModel {
     /// returns the regression node (`1 × 1`, `log10 c_Θ(q)`) and the
     /// classification logits (`1 × m`). Inference uses [`LssModel::predict`].
     ///
-    /// The tape runs GIN one substructure at a time, in decomposition
-    /// order: that fixes the order dropout masks are drawn in and the
-    /// order each weight gradient sums its per-substructure terms.
+    /// Like `predict`, it runs GIN over the query's packed substructures,
+    /// one aggregate and one MLP pass per layer. Dropout masks and weight
+    /// gradients still follow decomposition order substructure by
+    /// substructure (see [`GinEncoder::forward`]), so training gives the
+    /// same bits as a pass over one substructure at a time.
     pub fn forward(&self, tape: &mut Tape, query: &EncodedQuery) -> (Var, Var) {
         let graphs = &query.graphs;
         assert!(
             graphs.num_graphs() > 0,
             "query decomposed into no substructures"
         );
-        let mut reps: Vec<Var> = Vec::with_capacity(graphs.num_graphs());
-        for g in 0..graphs.num_graphs() {
-            let rows = graphs.rows(g);
-            let x = tape.input(query.features.slice_rows(rows.clone()));
-            let es = query
-                .edge_sums
-                .as_ref()
-                .map(|m| tape.input(m.slice_rows(rows)));
-            let h = self.gin.encode(tape, &self.store, x, graphs, g, es);
-            reps.push(h);
-        }
-        let h_q = tape.concat_rows(&reps); // n × hidden (Alg. 1 line 8)
+        let x = tape.input(query.features.clone());
+        let es = query.edge_sums.as_ref().map(|m| tape.input(m.clone()));
+        // n × hidden (Alg. 1 line 8)
+        let h_q = self.gin.forward(tape, &self.store, x, graphs, es);
         let e_q = match &self.att {
             // lines 9-11: attention-weighted aggregation + flatten
             Some(att) => att.forward(tape, &self.store, h_q).0,
             // ablation: unweighted sum over substructures
-            None => tape.sum_rows(h_q),
+            None => tape.sum_rows(h_q, None),
         };
-        let out = self.mlp.forward(tape, &self.store, e_q); // line 12
+        let masks = self.mlp.dropout_masks(tape, 1);
+        let out = self.mlp.forward(tape, &self.store, e_q, None, masks); // line 12
         let reg = tape.slice_cols(out, 0, 1);
         let logits = tape.slice_cols(out, 1, 1 + self.cfg.num_classes);
         (reg, logits)

@@ -11,6 +11,11 @@
 //! than a shared sequential RNG. The
 //! floating-point operations — and therefore losses and final weights —
 //! are bit-identical for any [`Parallelism`] thread count, including 1.
+//!
+//! An item's pass is [`LssModel::loss`] on a training tape: GIN runs over
+//! the query's packed substructures, one aggregate and one MLP pass per
+//! layer, with masks and weight gradients in substructure order (see
+//! [`LssModel::forward`]). Evaluation goes through [`LssModel::predict`].
 
 use crate::encode::{EncodedQuery, Encoder};
 use crate::model::LssModel;
@@ -278,18 +283,6 @@ pub fn evaluate_with(model: &LssModel, items: &[EncodedItem], par: Parallelism) 
     })
 }
 
-/// Mean multi-task loss of `model` on `items` (eval mode), fanned out
-/// over `par`. Per-item losses are summed in item order, so the result is
-/// bit-identical for any `par`.
-pub fn eval_loss_with(model: &LssModel, items: &[EncodedItem], par: Parallelism) -> f64 {
-    let losses = par_map(par, items, |_, (eq, c)| {
-        let mut tape = Tape::eval();
-        let l = model.loss(&mut tape, eq, *c);
-        tape.value(l).scalar() as f64
-    });
-    losses.iter().sum::<f64>() / items.len().max(1) as f64
-}
-
 /// Deterministically seeded RNG, shared by the integration tests.
 pub fn seeded_rng(seed: u64) -> SmallRng {
     SmallRng::seed_from_u64(seed)
@@ -467,9 +460,21 @@ mod tests {
         let mut rng = seeded_rng(0);
         let mut model = LssModel::new(LssConfig::tiny(), enc.node_dim(), enc.edge_dim(), &mut rng);
         let items = encode_workload(&enc, &toy_workload());
-        let before = eval_loss_with(&model, &items, Parallelism::auto());
+        // mean multi-task loss on eval tapes
+        let eval_loss = |model: &LssModel| {
+            let total: f64 = items
+                .iter()
+                .map(|(eq, c)| {
+                    let mut tape = Tape::eval();
+                    let l = model.loss(&mut tape, eq, *c);
+                    f64::from(tape.value(l).scalar())
+                })
+                .sum();
+            total / items.len() as f64
+        };
+        let before = eval_loss(&model);
         let report = train_model(&mut model, &items, &TrainConfig::quick(40));
-        let after = eval_loss_with(&model, &items, Parallelism::auto());
+        let after = eval_loss(&model);
         assert_eq!(report.epoch_losses.len(), 40);
         assert!(
             after < before * 0.5,

@@ -6,9 +6,7 @@
 //! suite is the executable statement of that contract.
 
 use alss_core::model::Aggregator;
-use alss_core::train::{
-    encode_workload_with, eval_loss_with, evaluate_with, seeded_rng, train_model, TrainConfig,
-};
+use alss_core::train::{encode_workload_with, evaluate_with, seeded_rng, train_model, TrainConfig};
 use alss_core::{
     select_batch_with, Encoder, LabeledQuery, LssConfig, LssEnsemble, LssModel, Parallelism,
     Strategy, Workload,
@@ -102,12 +100,11 @@ fn training_is_bit_identical_across_thread_counts() {
 }
 
 #[test]
-fn evaluate_and_eval_loss_match_serial() {
+fn evaluate_matches_serial() {
     let (model, _) = trained_at(1);
     let enc = Encoder::frequency(&data_graph(), 3);
     let items = encode_workload_with(&enc, &workload(), Parallelism::serial());
     let serial_eval = evaluate_with(&model, &items, Parallelism::serial());
-    let serial_loss = eval_loss_with(&model, &items, Parallelism::serial());
     for threads in [2, 4] {
         let par = Parallelism::fixed(threads);
         let eval = evaluate_with(&model, &items, par);
@@ -116,11 +113,6 @@ fn evaluate_and_eval_loss_match_serial() {
             assert_eq!(a.0.to_bits(), b.0.to_bits(), "item {i} true count");
             assert_eq!(a.1.to_bits(), b.1.to_bits(), "item {i} estimate");
         }
-        assert_eq!(
-            eval_loss_with(&model, &items, par).to_bits(),
-            serial_loss.to_bits(),
-            "eval_loss diverges at threads={threads}"
-        );
     }
 }
 

@@ -6,9 +6,8 @@ use crate::{Graph, LabelId, NodeId, WILDCARD};
 /// Several graphs packed into one block-diagonal graph, the layout GIN
 /// runs on: node `v` of graph `g` is row `rows(g).start + v` of the
 /// stacked node matrix, and each node keeps its neighbors in their
-/// original order. Inference aggregates over all graphs at once; a
-/// training tape aggregates one graph at a time through
-/// [`PackedGraphs::local_neighbors`].
+/// original order. Training and inference both aggregate over all graphs
+/// at once, the way a mini-batch of graphs is one disconnected graph.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PackedGraphs {
     /// Graph `g` owns rows `node_start[g]..node_start[g + 1]`.
@@ -67,12 +66,6 @@ impl PackedGraphs {
     /// Packed neighbor rows of row `v`.
     pub fn neighbors(&self, v: usize) -> &[usize] {
         &self.nbrs[self.nbr_start[v]..self.nbr_start[v + 1]]
-    }
-
-    /// Neighbors of node `v` of graph `g`, numbered within that graph.
-    pub fn local_neighbors(&self, g: usize, v: usize) -> impl Iterator<Item = usize> + '_ {
-        let base = self.node_start[g];
-        self.neighbors(base + v).iter().map(move |&u| u - base)
     }
 }
 

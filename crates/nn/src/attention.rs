@@ -58,12 +58,12 @@ impl SelfAttention {
         let w1 = tape.param(store, self.w1); // da × d
         let w2 = tape.param(store, self.w2); // r × da
         let ht = tape.transpose(h_q); // d × n
-        let z = tape.matmul(w1, ht); // da × n
+        let z = tape.matmul(w1, ht, None); // da × n
         let z = tape.tanh(z);
-        let scores = tape.matmul(w2, z); // r × n
-                                         // softmax over the n substructures: rows of `scores`
+        let scores = tape.matmul(w2, z, None); // r × n
+                                               // softmax over the n substructures: rows of `scores`
         let a = tape.softmax_rows(scores); // r × n
-        let e = tape.matmul(a, h_q); // r × d
+        let e = tape.matmul(a, h_q, None); // r × d
         let eq = tape.flatten(e); // 1 × r·d
         (eq, a)
     }

@@ -14,7 +14,9 @@
 //!
 //! Graphs reach GIN in one format, `alss-graph`'s [`PackedGraphs`]: a
 //! query's substructures as one block-diagonal graph, with their node
-//! features and edge sums stacked in the same row order.
+//! features and edge sums stacked in the same row order. Training and
+//! inference both run each layer as one aggregate and one MLP pass over
+//! all packed rows, then read out one row per graph.
 
 use crate::linear::{Activation, Mlp};
 use crate::mat::Mat;
@@ -38,9 +40,47 @@ pub enum Aggregation {
     Mean,
 }
 
-/// One GIN layer.
+impl Aggregation {
+    /// Aggregate `x`, whose rows are the nodes of `graphs`, by the
+    /// variant's formula with `ε = eps`, adding each row's neighbor rows in
+    /// `graphs`' order.
+    pub fn apply(self, x: &Mat, graphs: &PackedGraphs, eps: f32) -> Mat {
+        assert_eq!(x.rows(), graphs.num_nodes(), "packed row mismatch");
+        let mut out = x.map(|e| e * (1.0 + eps));
+        for v in 0..x.rows() {
+            for &u in graphs.neighbors(v) {
+                for (o, &a) in out.row_mut(v).iter_mut().zip(x.row(u)) {
+                    *o += a;
+                }
+            }
+        }
+        self.scale_rows(&mut out, graphs);
+        out
+    }
+
+    /// The transpose of [`Aggregation::apply`] (its gradient): the neighbor
+    /// sum is symmetric, so scale `g`'s rows first, then aggregate.
+    pub(crate) fn apply_transposed(self, g: &Mat, graphs: &PackedGraphs, eps: f32) -> Mat {
+        let mut g = g.clone();
+        self.scale_rows(&mut g, graphs);
+        Aggregation::Sum.apply(&g, graphs, eps)
+    }
+
+    /// Divide row `v` by `deg(v)+1` under [`Aggregation::Mean`].
+    fn scale_rows(self, m: &mut Mat, graphs: &PackedGraphs) {
+        if self == Aggregation::Mean {
+            for v in 0..m.rows() {
+                let inv = 1.0 / (graphs.neighbors(v).len() as f32 + 1.0);
+                m.row_mut(v).iter_mut().for_each(|e| *e *= inv);
+            }
+        }
+    }
+}
+
+/// One GIN layer: `MLP` of the aggregate, with the node's edge sum
+/// appended when `edge_dim > 0`.
 #[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct GinLayer {
+struct GinLayer {
     mlp: Mlp,
     eps: f32,
     edge_dim: usize,
@@ -48,92 +88,8 @@ pub struct GinLayer {
     aggregation: Aggregation,
 }
 
-impl GinLayer {
-    /// Forward for one substructure, graph `g` of `graphs`.
-    ///
-    /// * `h` — `n × in_dim` features of the graph's `n` nodes;
-    /// * `edge_sum` — `n × edge_dim` sums of incident initial edge features
-    ///   (required iff the layer was built with `edge_dim > 0`).
-    pub fn forward(
-        &self,
-        tape: &mut Tape,
-        store: &ParamStore,
-        h: Var,
-        graphs: &Arc<PackedGraphs>,
-        g: usize,
-        edge_sum: Option<Var>,
-    ) -> Var {
-        let mut agg = tape.graph_agg(h, graphs, g, self.eps);
-        if self.aggregation == Aggregation::Mean {
-            // divide each node's aggregate by deg(v)+1 (constant wrt params)
-            let dim = tape.value(agg).cols();
-            let rows = graphs.rows(g);
-            let inv: Vec<f32> = rows
-                .clone()
-                .flat_map(|v| {
-                    std::iter::repeat_n(1.0 / (graphs.neighbors(v).len() as f32 + 1.0), dim)
-                })
-                .collect();
-            let inv_m = tape.input(Mat::from_vec(rows.len(), dim, inv));
-            agg = tape.mul(agg, inv_m);
-        }
-        let input = match (self.edge_dim, edge_sum) {
-            (0, _) => agg,
-            (_, Some(es)) => tape.concat_cols(agg, es),
-            (d, None) => {
-                // API misuse: the layer was built with `edge_dim = d` but
-                // called without edge features. Falling through with the
-                // node aggregate alone trips the MLP's input-width check,
-                // so release builds still fail loudly at the right layer.
-                debug_assert!(false, "GIN layer expects {d}-dim edge features");
-                agg
-            }
-        };
-        self.mlp.forward(tape, store, input)
-    }
-
-    /// Inference forward for every graph of `graphs` at once, without a
-    /// tape; row for row bit-identical to [`GinLayer::forward`] on an eval
-    /// tape. `h` and `edge_sum` are stacked in `graphs`' row order.
-    pub fn infer(
-        &self,
-        store: &ParamStore,
-        h: &Mat,
-        graphs: &PackedGraphs,
-        edge_sum: Option<&Mat>,
-    ) -> Mat {
-        assert_eq!(h.rows(), graphs.num_nodes(), "packed row mismatch");
-        let mut agg = h.aggregate_neighbors(self.eps, |v| graphs.neighbors(v).iter().copied());
-        if self.aggregation == Aggregation::Mean {
-            for v in 0..agg.rows() {
-                let inv = 1.0 / (graphs.neighbors(v).len() as f32 + 1.0);
-                agg.row_mut(v).iter_mut().for_each(|e| *e *= inv);
-            }
-        }
-        let input = match (self.edge_dim, edge_sum) {
-            (0, _) => agg,
-            (_, Some(es)) => agg.concat_cols(es),
-            (d, None) => {
-                // Same misuse fall-through as `forward`.
-                debug_assert!(false, "GIN layer expects {d}-dim edge features");
-                agg
-            }
-        };
-        // The MLP maps each row on its own (`Mat::matmul` row i reads only
-        // lhs row i), so each distinct input row is computed once and its
-        // output copied to the duplicates, with no change in any bit.
-        let (distinct, index) = input.distinct_rows();
-        self.mlp.infer(store, &distinct).gather_rows(&index)
-    }
-
-    /// Output dimension.
-    pub fn out_dim(&self) -> usize {
-        self.mlp.out_dim()
-    }
-}
-
-/// A `K`-layer GIN encoder with sum Readout: substructure → `1 × out_dim`
-/// representation `h_{s_i}` (Algorithm 1, lines 3–7).
+/// A `K`-layer GIN encoder with sum Readout: each substructure → a
+/// `1 × out_dim` representation `h_{s_i}` (Algorithm 1, lines 3–7).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct GinEncoder {
     layers: Vec<GinLayer>,
@@ -141,44 +97,14 @@ pub struct GinEncoder {
 
 impl GinEncoder {
     /// `num_layers` GIN layers from `in_dim` to `hidden` (all hidden layers
-    /// share the width, per the paper's setting of 3×64). ReLU activation
-    /// and sum aggregation, the canonical GIN choices; use
-    /// [`GinEncoder::with_options`] for others (e.g. a smooth activation in
-    /// gradient checks).
+    /// share the width, per the paper's setting of 3×64). GIN's canonical
+    /// choices are ReLU and [`Aggregation::Sum`]; gradient checks use a
+    /// smooth activation.
     #[expect(
         clippy::too_many_arguments,
         reason = "one argument per encoder dimension and option"
     )]
     pub fn new<R: Rng>(
-        store: &mut ParamStore,
-        name: &str,
-        in_dim: usize,
-        hidden: usize,
-        num_layers: usize,
-        edge_dim: usize,
-        dropout: f32,
-        rng: &mut R,
-    ) -> Self {
-        Self::with_options(
-            store,
-            name,
-            in_dim,
-            hidden,
-            num_layers,
-            edge_dim,
-            dropout,
-            Activation::Relu,
-            Aggregation::Sum,
-            rng,
-        )
-    }
-
-    /// Fully-parameterized constructor (activation + aggregation).
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "one argument per encoder dimension and option"
-    )]
-    pub fn with_options<R: Rng>(
         store: &mut ParamStore,
         name: &str,
         in_dim: usize,
@@ -216,29 +142,46 @@ impl GinEncoder {
         GinEncoder { layers }
     }
 
-    /// Encode one substructure, graph `g` of `graphs`: its node features
-    /// `x (n × in_dim)` → graph-level representation (`1 × hidden`) via
-    /// sum Readout.
-    pub fn encode(
+    /// Tape forward: encode every graph of `graphs` from the stacked node
+    /// features `x` (and edge sums) into one row of the `graphs × hidden`
+    /// result, by sum Readout. Dropout masks are drawn first, graph by
+    /// graph and layer by layer, as a pass over one graph at a time draws
+    /// them; with the per-graph weight gradients of [`Tape::matmul`], the
+    /// pass is bit-identical to running each graph alone, in order.
+    pub fn forward(
         &self,
         tape: &mut Tape,
         store: &ParamStore,
         x: Var,
         graphs: &Arc<PackedGraphs>,
-        g: usize,
         edge_sum: Option<Var>,
     ) -> Var {
-        let mut h = x;
-        for layer in &self.layers {
-            h = layer.forward(tape, store, h, graphs, g, edge_sum);
+        let mut masks: Vec<Vec<Vec<f32>>> = vec![Vec::new(); self.layers.len()];
+        for g in 0..graphs.num_graphs() {
+            for (layer, stacked) in self.layers.iter().zip(&mut masks) {
+                let drawn = layer.mlp.dropout_masks(tape, graphs.rows(g).len());
+                stacked.resize_with(drawn.len(), Vec::new);
+                for (s, d) in stacked.iter_mut().zip(drawn) {
+                    s.extend(d);
+                }
+            }
         }
-        tape.sum_rows(h)
+        let mut h = x;
+        for (layer, masks) in self.layers.iter().zip(masks) {
+            let agg = tape.graph_agg(h, graphs, layer.eps, layer.aggregation);
+            let input = match edge_sum {
+                // without edge sums an edge-labeled layer fails the MLP's
+                // input-width check
+                Some(es) if layer.edge_dim > 0 => tape.concat_cols(agg, es),
+                _ => agg,
+            };
+            h = layer.mlp.forward(tape, store, input, Some(graphs), masks);
+        }
+        tape.sum_rows(h, Some(graphs))
     }
 
-    /// Inference forward without a tape: encode every graph of `graphs`
-    /// from its stacked node features `x` into one row of the
-    /// `graphs × hidden` result. Row `g` is bit-identical to
-    /// [`GinEncoder::encode`] of graph `g` alone on an eval tape.
+    /// Inference forward without a tape; bit-identical to
+    /// [`GinEncoder::forward`] on an eval tape.
     pub fn infer(
         &self,
         store: &ParamStore,
@@ -248,21 +191,28 @@ impl GinEncoder {
     ) -> Mat {
         let mut h: Option<Mat> = None;
         for layer in &self.layers {
-            h = Some(layer.infer(store, h.as_ref().unwrap_or(x), graphs, edge_sum));
+            let agg = layer
+                .aggregation
+                .apply(h.as_ref().unwrap_or(x), graphs, layer.eps);
+            let input = match edge_sum {
+                Some(es) if layer.edge_dim > 0 => agg.concat_cols(es),
+                _ => agg,
+            };
+            // The MLP maps each row on its own (`Mat::matmul` row i reads
+            // only lhs row i), so each distinct input row is computed once
+            // and its output copied to the duplicates, with no change in
+            // any bit.
+            let (distinct, index) = input.distinct_rows();
+            h = Some(layer.mlp.infer(store, &distinct).gather_rows(&index));
         }
         let h = h.as_ref().unwrap_or(x);
-        let mut out = Mat::zeros(graphs.num_graphs(), h.cols());
-        for g in 0..graphs.num_graphs() {
-            out.row_mut(g)
-                .copy_from_slice(h.sum_rows_range(graphs.rows(g)).data());
-        }
-        out
+        h.sum_row_blocks((0..graphs.num_graphs()).map(|g| graphs.rows(g)))
     }
 
     /// Representation width.
     pub fn out_dim(&self) -> usize {
         // Constructors reject zero-layer encoders; 0 keeps this total.
-        self.layers.last().map_or(0, |l| l.out_dim())
+        self.layers.last().map_or(0, |l| l.mlp.out_dim())
     }
 }
 
@@ -272,20 +222,42 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
+    /// A ReLU encoder without edge features or dropout, its weights drawn
+    /// from `seed`.
+    fn encoder(
+        store: &mut ParamStore,
+        (in_dim, hidden, layers): (usize, usize, usize),
+        aggregation: Aggregation,
+        seed: u64,
+    ) -> GinEncoder {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        GinEncoder::new(
+            store,
+            "g",
+            in_dim,
+            hidden,
+            layers,
+            0,
+            0.0,
+            Activation::Relu,
+            aggregation,
+            &mut rng,
+        )
+    }
+
     /// Encode one graph, given as its nodes' neighbor lists.
     fn encode_graph(enc: &GinEncoder, store: &ParamStore, feats: Mat, adj: &[&[u32]]) -> Vec<f32> {
         let graphs = Arc::new(PackedGraphs::new([adj]));
         let mut t = Tape::eval();
         let x = t.input(feats);
-        let h = enc.encode(&mut t, store, x, &graphs, 0, None);
+        let h = enc.forward(&mut t, store, x, &graphs, None);
         t.value(h).data().to_vec()
     }
 
     #[test]
     fn isomorphic_substructures_get_equal_representations() {
-        let mut rng = SmallRng::seed_from_u64(3);
         let mut store = ParamStore::new();
-        let enc = GinEncoder::new(&mut store, "g", 2, 8, 2, 0, 0.0, &mut rng);
+        let enc = encoder(&mut store, (2, 8, 2), Aggregation::Sum, 3);
         // path a-b-c with features in two different node orders
         let f1 = Mat::from_vec(3, 2, vec![1., 0., 0., 1., 1., 0.]);
         // permuted: node order c, a, b
@@ -299,9 +271,8 @@ mod tests {
 
     #[test]
     fn non_isomorphic_substructures_differ() {
-        let mut rng = SmallRng::seed_from_u64(4);
         let mut store = ParamStore::new();
-        let enc = GinEncoder::new(&mut store, "g", 1, 8, 2, 0, 0.0, &mut rng);
+        let enc = encoder(&mut store, (1, 8, 2), Aggregation::Sum, 4);
         let feats = Mat::from_vec(3, 1, vec![1., 1., 1.]);
         let path = encode_graph(&enc, &store, feats.clone(), &[&[1], &[0, 2], &[1]]);
         let tri = encode_graph(&enc, &store, feats, &[&[1, 2], &[0, 2], &[0, 1]]);
@@ -313,23 +284,10 @@ mod tests {
     fn mean_aggregation_divides_by_degree() {
         // single layer, identity-ish check via layer forward values:
         // star center with 3 neighbors vs leaf — mean normalizes the sum
-        let mut rng = SmallRng::seed_from_u64(6);
         let mut store = ParamStore::new();
-        let sum_enc = GinEncoder::new(&mut store, "s", 1, 4, 1, 0, 0.0, &mut rng);
-        let mut rng2 = SmallRng::seed_from_u64(6);
+        let sum_enc = encoder(&mut store, (1, 4, 1), Aggregation::Sum, 6);
         let mut store2 = ParamStore::new();
-        let mean_enc = GinEncoder::with_options(
-            &mut store2,
-            "s",
-            1,
-            4,
-            1,
-            0,
-            0.0,
-            Activation::Relu,
-            Aggregation::Mean,
-            &mut rng2,
-        );
+        let mean_enc = encoder(&mut store2, (1, 4, 1), Aggregation::Mean, 6);
         // same seed → same weights; mean output must differ on non-regular graphs
         let star: &[&[u32]] = &[&[1, 2, 3], &[0], &[0], &[0]];
         let h_sum = encode_graph(&sum_enc, &store, Mat::full(4, 1, 1.0), star);
@@ -342,20 +300,8 @@ mod tests {
     fn mean_aggregation_cannot_distinguish_multiplicity() {
         // mean over identical neighbor features is invariant to the number
         // of neighbors — exactly the injectivity failure GIN avoids.
-        let mut rng = SmallRng::seed_from_u64(7);
         let mut store = ParamStore::new();
-        let enc = GinEncoder::with_options(
-            &mut store,
-            "m",
-            1,
-            4,
-            1,
-            0,
-            0.0,
-            Activation::Relu,
-            Aggregation::Mean,
-            &mut rng,
-        );
+        let enc = encoder(&mut store, (1, 4, 1), Aggregation::Mean, 7);
         // stars with 2 and 4 leaves, all features equal: under mean every
         // node's aggregate is the same, so the readout per node matches
         let per_node = |k: usize| {
@@ -375,9 +321,8 @@ mod tests {
 
     #[test]
     fn encoder_output_width() {
-        let mut rng = SmallRng::seed_from_u64(5);
         let mut store = ParamStore::new();
-        let enc = GinEncoder::new(&mut store, "g", 4, 16, 3, 0, 0.5, &mut rng);
+        let enc = encoder(&mut store, (4, 16, 3), Aggregation::Sum, 5);
         assert_eq!(enc.out_dim(), 16);
     }
 }

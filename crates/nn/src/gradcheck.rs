@@ -92,7 +92,8 @@ mod tests {
         let x = Mat::from_vec(2, 3, vec![0.5, -0.2, 0.1, 0.9, 0.4, -0.7]);
         let report = check_gradients(&mut store, 1e-2, |t, s| {
             let xv = t.input(x.clone());
-            let y = mlp.forward(t, s, xv);
+            let masks = mlp.dropout_masks(t, 2);
+            let y = mlp.forward(t, s, xv, None, masks);
             mse_log_loss(t, y, &[1.0, 2.0])
         });
         assert!(report.max_rel_err < TOL, "{report:?}");
@@ -116,30 +117,51 @@ mod tests {
 
     #[test]
     fn gradcheck_gin_encoder() {
-        let mut rng = SmallRng::seed_from_u64(44);
-        let mut store = ParamStore::new();
-        // tanh activation: ReLU kinks make central differences unreliable
-        let enc = GinEncoder::with_options(
-            &mut store,
-            "g",
-            2,
-            3,
-            2,
-            0,
-            0.0,
-            Activation::Tanh,
-            Aggregation::Sum,
-            &mut rng,
-        );
-        let path = std::sync::Arc::new(PackedGraphs::new([[vec![1], vec![0, 2], vec![1]]]));
+        // one path, then a pack of a star, a one-node graph and a path
+        let path: Vec<Vec<u32>> = vec![vec![1], vec![0, 2], vec![1]];
+        let star: Vec<Vec<u32>> = vec![vec![1, 2, 3], vec![0], vec![0], vec![0]];
+        let single = std::sync::Arc::new(PackedGraphs::new([path.clone()]));
+        let pack = std::sync::Arc::new(PackedGraphs::new([star, vec![vec![]], path]));
+        // deterministic inputs for the pack's rows
+        let wave = |k: usize, f: f32| {
+            let n = pack.num_nodes();
+            Mat::from_vec(n, k, (0..n * k).map(|i| (i as f32 * f).sin()).collect())
+        };
         let x = Mat::from_vec(3, 2, vec![0.4, 0.1, -0.5, 0.8, 0.2, -0.2]);
-        let report = check_gradients(&mut store, 1e-2, |t, s| {
-            let xv = t.input(x.clone());
-            let h = enc.encode(t, s, xv, &path, 0, None);
-            let sq = t.mul(h, h);
-            t.mean_all(sq)
-        });
-        assert!(report.max_rel_err < TOL, "{report:?}");
+        let cases = [
+            (&single, x, None, Aggregation::Sum),
+            (&pack, wave(2, 0.7), None, Aggregation::Sum),
+            (&pack, wave(2, 0.7), None, Aggregation::Mean),
+            (&pack, wave(2, 0.7), Some(wave(2, 1.3)), Aggregation::Sum),
+            (&pack, wave(2, 0.7), Some(wave(2, 1.3)), Aggregation::Mean),
+        ];
+        for (graphs, x, es, aggregation) in cases {
+            let edge_dim = es.as_ref().map_or(0, Mat::cols);
+            let mut rng = SmallRng::seed_from_u64(44);
+            let mut store = ParamStore::new();
+            // tanh activation: ReLU kinks make central differences unreliable
+            let enc = GinEncoder::new(
+                &mut store,
+                "g",
+                2,
+                3,
+                2,
+                edge_dim,
+                0.0,
+                Activation::Tanh,
+                aggregation,
+                &mut rng,
+            );
+            let report = check_gradients(&mut store, 1e-2, |t, s| {
+                let xv = t.input(x.clone());
+                let esv = es.clone().map(|m| t.input(m));
+                let h = enc.forward(t, s, xv, graphs, esv);
+                let sq = t.mul(h, h);
+                t.mean_all(sq)
+            });
+            let what = (graphs.num_graphs(), aggregation, edge_dim);
+            assert!(report.max_rel_err < TOL, "{what:?}: {report:?}");
+        }
     }
 
     #[test]
@@ -150,7 +172,8 @@ mod tests {
         let x = Mat::from_vec(2, 2, vec![0.3, -0.6, 0.8, 0.2]);
         let report = check_gradients(&mut store, 1e-2, |t, s| {
             let xv = t.input(x.clone());
-            let out = mlp.forward(t, s, xv);
+            let masks = mlp.dropout_masks(t, 2);
+            let out = mlp.forward(t, s, xv, None, masks);
             let reg = t.slice_cols(out, 0, 1);
             let cla = t.slice_cols(out, 1, 4);
             let lr = mse_log_loss(t, reg, &[0.5, 1.5]);

@@ -18,10 +18,10 @@
 //! * [`PackedGraphs`] (re-exported from `alss-graph`, whose query
 //!   decomposition writes it) — the one graph format GIN reads: many
 //!   graphs packed into one block-diagonal graph. Each layer has a
-//!   tape-free `infer` for inference, which reads weights in place and
-//!   runs GIN over all packed graphs at once, and a tape `forward` for
-//!   training, which runs one packed graph at a time; the two share their
-//!   `Mat` kernels, so `infer` equals an eval-tape `forward` bit for bit;
+//!   tape-free `infer` for inference, which reads weights in place, and a
+//!   tape `forward` for training. Both run GIN over all packed graphs at
+//!   once and share their `Mat` kernels, so `infer` equals an eval-tape
+//!   `forward` bit for bit;
 //! * [`loss`] — Eq. (3)/(5)/(6) losses; [`adam`] — Adam with weight decay
 //!   and LR decay;
 //! * [`gradcheck`] — finite-difference validation used by the test suite.
@@ -46,7 +46,8 @@
 //!     grads.zero();
 //!     let mut tape = Tape::train(SmallRng::seed_from_u64(step));
 //!     let x = tape.input(Mat::from_vec(4, 1, vec![0.0, 0.25, 0.5, 1.0]));
-//!     let y = mlp.forward(&mut tape, &store, x);
+//!     let masks = mlp.dropout_masks(&mut tape, 4);
+//!     let y = mlp.forward(&mut tape, &store, x, None, masks);
 //!     let loss = mse_log_loss(&mut tape, y, &[0.0, 0.5, 1.0, 2.0]);
 //!     tape.backward(loss, &mut grads);
 //!     adam.step(&mut store, &grads);
@@ -54,7 +55,8 @@
 //! // evaluate at x = 0.75 → ≈ 1.5
 //! let mut tape = Tape::eval();
 //! let x = tape.input(Mat::from_vec(1, 1, vec![0.75]));
-//! let y = mlp.forward(&mut tape, &store, x);
+//! let masks = mlp.dropout_masks(&mut tape, 1);
+//! let y = mlp.forward(&mut tape, &store, x, None, masks);
 //! assert!((tape.value(y).scalar() - 1.5).abs() < 0.2);
 //! ```
 
@@ -93,7 +95,7 @@ pub mod tape;
 pub use adam::{Adam, AdamConfig};
 pub use alss_graph::PackedGraphs;
 pub use attention::SelfAttention;
-pub use gin::{Aggregation, GinEncoder, GinLayer};
+pub use gin::{Aggregation, GinEncoder};
 pub use linear::{Activation, Linear, Mlp};
 pub use mat::Mat;
 pub use param::{GradShard, ParamId, ParamStore};

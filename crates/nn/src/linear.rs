@@ -4,8 +4,10 @@ use crate::init::xavier_uniform;
 use crate::mat::Mat;
 use crate::param::{ParamId, ParamStore};
 use crate::tape::{Tape, Var};
+use alss_graph::PackedGraphs;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Activation applied between MLP layers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -68,15 +70,22 @@ impl Linear {
         }
     }
 
-    /// Forward: `x (n × in) → (n × out)`.
-    pub fn forward(&self, tape: &mut Tape, store: &ParamStore, x: Var) -> Var {
+    /// Forward: `x (n × in) → (n × out)`. With `graphs`, `x`'s rows are
+    /// the nodes of those packed graphs (see [`Tape::matmul`]).
+    pub fn forward(
+        &self,
+        tape: &mut Tape,
+        store: &ParamStore,
+        x: Var,
+        graphs: Option<&Arc<PackedGraphs>>,
+    ) -> Var {
         debug_assert_eq!(tape.value(x).cols(), self.in_dim, "linear input dim");
         let w = tape.param(store, self.w);
-        let xw = tape.matmul(x, w);
+        let xw = tape.matmul(x, w, graphs);
         match self.b {
             Some(b) => {
                 let bv = tape.param(store, b);
-                tape.add_row(xw, bv)
+                tape.add_row(xw, bv, graphs)
             }
             None => xw,
         }
@@ -93,19 +102,9 @@ impl Linear {
         y
     }
 
-    /// Input dimension.
-    pub fn in_dim(&self) -> usize {
-        self.in_dim
-    }
-
     /// Output dimension.
     pub fn out_dim(&self) -> usize {
         self.out_dim
-    }
-
-    /// The weight parameter id (tests/inspection).
-    pub fn weight(&self) -> ParamId {
-        self.w
     }
 }
 
@@ -141,15 +140,36 @@ impl Mlp {
         }
     }
 
-    /// Forward pass; dropout is active only on training tapes.
-    pub fn forward(&self, tape: &mut Tape, store: &ParamStore, x: Var) -> Var {
+    /// Draw the dropout masks of a forward over `rows` input rows: one per
+    /// hidden layer, in the order [`Mlp::forward`] applies them. They are
+    /// empty unless `tape` is a training tape and dropout is on.
+    pub fn dropout_masks(&self, tape: &mut Tape, rows: usize) -> Vec<Vec<f32>> {
+        let hidden = &self.layers[..self.layers.len().saturating_sub(1)];
+        hidden
+            .iter()
+            .map(|l| tape.dropout_mask(rows * l.out_dim(), self.dropout))
+            .collect()
+    }
+
+    /// Forward pass, applying `masks` (from [`Mlp::dropout_masks`] for
+    /// `x`'s rows) after the hidden layers; `graphs` as for
+    /// [`Linear::forward`].
+    pub fn forward(
+        &self,
+        tape: &mut Tape,
+        store: &ParamStore,
+        x: Var,
+        graphs: Option<&Arc<PackedGraphs>>,
+        masks: Vec<Vec<f32>>,
+    ) -> Var {
+        assert_eq!(masks.len() + 1, self.layers.len(), "mask count");
+        let mut masks = masks.into_iter();
         let mut h = x;
-        let last = self.layers.len() - 1;
-        for (i, layer) in self.layers.iter().enumerate() {
-            h = layer.forward(tape, store, h);
-            if i < last {
+        for layer in &self.layers {
+            h = layer.forward(tape, store, h, graphs);
+            if let Some(mask) = masks.next() {
                 h = self.activation.apply(tape, h);
-                h = tape.dropout(h, self.dropout);
+                h = tape.dropout(h, mask);
             }
         }
         h
@@ -175,12 +195,6 @@ impl Mlp {
         // Constructors reject zero-layer MLPs; 0 keeps this total.
         self.layers.last().map_or(0, |l| l.out_dim())
     }
-
-    /// Input dimension.
-    pub fn in_dim(&self) -> usize {
-        // Constructors reject zero-layer MLPs; 0 keeps this total.
-        self.layers.first().map_or(0, |l| l.in_dim())
-    }
 }
 
 #[cfg(test)]
@@ -196,7 +210,7 @@ mod tests {
         let l = Linear::new(&mut store, "l", 3, 5, true, &mut rng);
         let mut t = Tape::eval();
         let x = t.input(Mat::zeros(4, 3));
-        let y = l.forward(&mut t, &store, x);
+        let y = l.forward(&mut t, &store, x, None);
         assert_eq!(t.value(y).shape(), (4, 5));
     }
 
@@ -220,7 +234,8 @@ mod tests {
         let loss_at = |store: &ParamStore| {
             let mut t = Tape::eval();
             let x = t.input(data.clone());
-            let y = mlp.forward(&mut t, store, x);
+            let masks = mlp.dropout_masks(&mut t, 4);
+            let y = mlp.forward(&mut t, store, x, None, masks);
             let tv = t.input(target.clone());
             let d = t.sub(y, tv);
             let d2 = t.mul(d, d);
@@ -232,7 +247,8 @@ mod tests {
         // one manual SGD step
         let mut t = Tape::train(rng);
         let x = t.input(data.clone());
-        let y = mlp.forward(&mut t, &store, x);
+        let masks = mlp.dropout_masks(&mut t, 4);
+        let y = mlp.forward(&mut t, &store, x, None, masks);
         let tv = t.input(target.clone());
         let d = t.sub(y, tv);
         let d2 = t.mul(d, d);

@@ -8,6 +8,7 @@
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::ops::Range;
 
 /// A dense `rows × cols` matrix of `f32`, row-major.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -141,6 +142,26 @@ impl Mat {
         out
     }
 
+    /// `self[rows]ᵀ · rhs[rows]`: bit-identical to slicing both to `rows`
+    /// and taking `transpose().matmul(..)`, since every output element adds
+    /// the same products in the same (ascending row) order.
+    pub fn transpose_matmul(&self, rhs: &Mat, rows: Range<usize>) -> Mat {
+        assert_eq!(self.rows, rhs.rows, "transpose_matmul row mismatch");
+        let mut out = Mat::zeros(self.cols, rhs.cols);
+        for k in rows {
+            let rrow = rhs.row(k);
+            for (i, &a) in self.row(k).iter().enumerate() {
+                if a == 0.0 {
+                    continue;
+                }
+                for (o, &r) in out.row_mut(i).iter_mut().zip(rrow) {
+                    *o += a * r;
+                }
+            }
+        }
+        out
+    }
+
     /// Transpose.
     pub fn transpose(&self) -> Mat {
         let mut out = Mat::zeros(self.cols, self.rows);
@@ -209,49 +230,30 @@ impl Mat {
         }
     }
 
-    /// A copy of the contiguous rows `rows`.
-    pub fn slice_rows(&self, rows: std::ops::Range<usize>) -> Mat {
-        Mat {
-            rows: rows.len(),
-            cols: self.cols,
-            data: self.data[rows.start * self.cols..rows.end * self.cols].to_vec(),
-        }
-    }
-
-    /// Column-wise sum of rows `rows`, added in order → `1 × cols`.
-    pub fn sum_rows_range(&self, rows: std::ops::Range<usize>) -> Mat {
-        let mut out = Mat::zeros(1, self.cols);
-        for r in rows {
-            for (o, &e) in out.data.iter_mut().zip(self.row(r)) {
-                *o += e;
+    /// Column-wise sums of row blocks, one result row per block: row `b`
+    /// adds the rows of the `b`-th block in order, starting from zero.
+    pub fn sum_row_blocks(&self, blocks: impl IntoIterator<Item = Range<usize>>) -> Mat {
+        let (mut rows, mut data) = (0, Vec::new());
+        for block in blocks {
+            let start = data.len();
+            data.resize(start + self.cols, 0.0);
+            for r in block {
+                for (o, &e) in data[start..].iter_mut().zip(self.row(r)) {
+                    *o += e;
+                }
             }
+            rows += 1;
         }
-        out
+        Mat {
+            rows,
+            cols: self.cols,
+            data,
+        }
     }
 
     /// Column-wise sum of all rows → `1 × cols`.
     pub fn sum_rows(&self) -> Mat {
-        self.sum_rows_range(0..self.rows)
-    }
-
-    /// GIN aggregation over a fixed graph: row `v` of the result is
-    /// `(1+eps)·self[v] + Σ_{u ∈ neighbors(v)} self[u]`, with the
-    /// neighbor rows added in the order `neighbors(v)` yields them.
-    pub fn aggregate_neighbors<I>(&self, eps: f32, neighbors: impl Fn(usize) -> I) -> Mat
-    where
-        I: IntoIterator<Item = usize>,
-    {
-        let mut out = self.map(|e| e * (1.0 + eps));
-        for v in 0..self.rows {
-            for u in neighbors(v) {
-                let src = &self.data[u * self.cols..(u + 1) * self.cols];
-                let dst = &mut out.data[v * self.cols..(v + 1) * self.cols];
-                for (o, &a) in dst.iter_mut().zip(src) {
-                    *o += a;
-                }
-            }
-        }
-        out
+        self.sum_row_blocks(std::iter::once(0..self.rows))
     }
 
     /// The distinct rows (compared bit for bit) in first-occurrence order,
@@ -302,11 +304,6 @@ impl Mat {
         self.data.iter().sum()
     }
 
-    /// Frobenius norm.
-    pub fn norm(&self) -> f32 {
-        self.data.iter().map(|&x| x * x).sum::<f32>().sqrt()
-    }
-
     /// `true` if every element is finite (no NaN, no ±Inf).
     pub fn all_finite(&self) -> bool {
         self.data.iter().all(|x| x.is_finite())
@@ -337,19 +334,6 @@ impl Mat {
             out.data[r * cols + self.cols..(r + 1) * cols].copy_from_slice(rhs.row(r));
         }
         out
-    }
-
-    /// Vertically stack rows of the given `1 × d` (or `k × d`) matrices.
-    pub fn stack_rows(mats: &[&Mat]) -> Mat {
-        assert!(!mats.is_empty(), "stack_rows of nothing");
-        let cols = mats[0].cols;
-        let rows: usize = mats.iter().map(|m| m.rows).sum();
-        let mut data = Vec::with_capacity(rows * cols);
-        for m in mats {
-            assert_eq!(m.cols, cols, "stack_rows col mismatch");
-            data.extend_from_slice(&m.data);
-        }
-        Mat { rows, cols, data }
     }
 }
 
@@ -431,19 +415,28 @@ mod tests {
     }
 
     #[test]
-    fn concat_and_stack() {
+    fn concat_and_sum_row_blocks() {
         let a = Mat::from_vec(2, 1, vec![1., 2.]);
         let b = Mat::from_vec(2, 2, vec![3., 4., 5., 6.]);
         let c = a.concat_cols(&b);
         assert_eq!(c.shape(), (2, 3));
         assert_eq!(c.row(1), &[2., 5., 6.]);
 
-        let r1 = Mat::row_vector(&[1., 2.]);
-        let r2 = Mat::row_vector(&[3., 4.]);
-        let s = Mat::stack_rows(&[&r1, &r2]);
-        assert_eq!(s.shape(), (2, 2));
-        assert_eq!(s.get(1, 0), 3.0);
-        assert_eq!(s.slice_rows(1..2), r2);
+        let s = c.sum_row_blocks([1..2, 0..2, 0..0]);
+        assert_eq!(s.shape(), (3, 3));
+        assert_eq!(s.data(), &[2., 5., 6., 3., 8., 10., 0., 0., 0.]);
+        assert_eq!(c.sum_rows().data(), &[3., 8., 10.]);
+    }
+
+    #[test]
+    fn transpose_matmul_equals_slice_transpose_matmul() {
+        let x = Mat::from_vec(3, 2, vec![1., 0., -2., 3., 0.5, 0.]);
+        let g = Mat::from_vec(3, 2, vec![0.1, 0.2, 0.3, -0.4, 5., 6.]);
+        let full = x.transpose().matmul(&g);
+        assert_eq!(x.transpose_matmul(&g, 0..3), full);
+        let last = Mat::from_vec(1, 2, vec![0.5, 0.]);
+        let want = last.transpose().matmul(&Mat::row_vector(&[5., 6.]));
+        assert_eq!(x.transpose_matmul(&g, 2..3), want);
     }
 
     #[test]
@@ -467,20 +460,10 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_neighbors_adds_rows_in_order() {
-        // path 0-1-2, eps = 0: out[1] = x1 + x0 + x2
-        let x = Mat::from_vec(3, 1, vec![1.0, 10.0, 100.0]);
-        let adj = [vec![1], vec![0, 2], vec![1]];
-        let y = x.aggregate_neighbors(0.0, |v| adj[v].iter().copied());
-        assert_eq!(y.data(), &[11.0, 111.0, 110.0]);
-    }
-
-    #[test]
-    fn scalar_and_norm() {
+    fn scalar_and_sum() {
         let s = Mat::from_vec(1, 1, vec![4.0]);
         assert_eq!(s.scalar(), 4.0);
         let m = Mat::from_vec(1, 2, vec![3.0, 4.0]);
-        assert!((m.norm() - 5.0).abs() < 1e-6);
         assert_eq!(m.sum(), 7.0);
     }
 }

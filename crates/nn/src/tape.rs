@@ -7,19 +7,26 @@
 //! [`Tape::backward`] walks the tape in reverse, accumulating gradients;
 //! gradients of [`Tape::param`] leaves are routed into a [`GradShard`]. A
 //! training tape ([`Tape::train`]) owns the RNG its dropout masks are
-//! drawn from; an eval tape ([`Tape::eval`]) has none, so dropout is the
-//! identity there.
+//! drawn from ([`Tape::dropout_mask`]); an eval tape ([`Tape::eval`]) has
+//! none, so its masks are empty and dropout is the identity there.
+//!
+//! GIN runs on the rows of a [`PackedGraphs`]. Ops given the pack treat
+//! each packed graph as a sample: `sum_rows` reads out a row per graph, and
+//! `matmul`/`add_row` sum a shared weight's gradient graph by graph, last
+//! first, which are the bits a pass per graph would accumulate.
 //!
 //! The op set is exactly what the LSS architecture needs (GIN message
 //! passing, structured self-attention, MLPs, the Eq. 3/5 losses) plus a
 //! finite-difference grad-checker in [`crate::gradcheck`] that every op is
 //! tested against.
 
+use crate::gin::Aggregation;
 use crate::mat::Mat;
 use crate::param::{GradShard, ParamId, ParamStore};
 use alss_graph::PackedGraphs;
 use rand::rngs::SmallRng;
 use rand::Rng;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Handle to a tape node.
@@ -29,10 +36,11 @@ pub struct Var(usize);
 enum Op {
     Leaf,
     Param(ParamId),
-    MatMul(Var, Var),
+    /// `a · b`; with graphs, `a`'s rows are their nodes and `b` is shared.
+    MatMul(Var, Var, Option<Arc<PackedGraphs>>),
     Add(Var, Var),
-    /// `a (n×c) + row (1×c)` broadcast over rows.
-    AddRow(Var, Var),
+    /// `a (n×c) + row (1×c)` broadcast over rows; graphs as for `MatMul`.
+    AddRow(Var, Var, Option<Arc<PackedGraphs>>),
     Sub(Var, Var),
     Mul(Var, Var),
     Scale(Var, f32),
@@ -44,14 +52,14 @@ enum Op {
     Dropout(Var, Vec<f32>),
     SumAll(Var),
     MeanAll(Var),
-    SumRows(Var),
-    ConcatRows(Vec<Var>),
+    /// One column sum over all rows, or one per packed graph.
+    SumRows(Var, Option<Arc<PackedGraphs>>),
     ConcatCols(Var, Var),
     Transpose(Var),
     SliceCols(Var, usize, usize),
-    /// `(A_g + (1+eps) I) X` for graph `g` of a fixed packed graph set
-    /// (GIN aggregate); `A_g` is symmetric.
-    GraphAgg(Var, Arc<PackedGraphs>, usize, f32),
+    /// GIN aggregate `S (A + (1+eps) I) X` over a fixed packed graph set;
+    /// `A` is symmetric and `S` the aggregation's diagonal row scaling.
+    GraphAgg(Var, Arc<PackedGraphs>, f32, Aggregation),
     Flatten(Var),
 }
 
@@ -78,8 +86,7 @@ fn op_name(op: &Op) -> &'static str {
         Op::Dropout(..) => "dropout",
         Op::SumAll(_) => "sum_all",
         Op::MeanAll(_) => "mean_all",
-        Op::SumRows(_) => "sum_rows",
-        Op::ConcatRows(_) => "concat_rows",
+        Op::SumRows(..) => "sum_rows",
         Op::ConcatCols(..) => "concat_cols",
         Op::Transpose(_) => "transpose",
         Op::SliceCols(..) => "slice_cols",
@@ -156,10 +163,11 @@ impl Tape {
         self.push(store.value(id).clone(), Op::Param(id))
     }
 
-    /// Matrix product.
-    pub fn matmul(&mut self, a: Var, b: Var) -> Var {
+    /// Matrix product. With `graphs`, `a`'s rows are their nodes and `b` a
+    /// weight they share, whose gradient is summed graph by graph.
+    pub fn matmul(&mut self, a: Var, b: Var, graphs: Option<&Arc<PackedGraphs>>) -> Var {
         let v = self.nodes[a.0].value.matmul(&self.nodes[b.0].value);
-        self.push(v, Op::MatMul(a, b))
+        self.push(v, Op::MatMul(a, b, graphs.cloned()))
     }
 
     /// Elementwise sum (same shape).
@@ -171,11 +179,12 @@ impl Tape {
         self.push(v, Op::Add(a, b))
     }
 
-    /// Row-broadcast sum: `a (n×c) + row (1×c)`.
-    pub fn add_row(&mut self, a: Var, row: Var) -> Var {
+    /// Row-broadcast sum: `a (n×c) + row (1×c)`; `graphs` as for
+    /// [`Tape::matmul`], with `row` the shared weight.
+    pub fn add_row(&mut self, a: Var, row: Var, graphs: Option<&Arc<PackedGraphs>>) -> Var {
         let mut v = self.nodes[a.0].value.clone();
         v.add_row_assign(&self.nodes[row.0].value);
-        self.push(v, Op::AddRow(a, row))
+        self.push(v, Op::AddRow(a, row, graphs.cloned()))
     }
 
     /// Elementwise difference.
@@ -243,18 +252,29 @@ impl Tape {
         self.push(v, Op::LogSoftmaxRows(a))
     }
 
-    /// Inverted dropout with keep-probability `1 - p`, drawing the mask
-    /// from the tape's RNG. Identity on an eval tape or when `p == 0`.
-    pub fn dropout(&mut self, a: Var, p: f32) -> Var {
+    /// Draw an inverted-dropout mask of `len` entries, each `0` (with
+    /// probability `p`) or `1/(1-p)`, from the tape's RNG; so a mask can be
+    /// drawn ahead of the op that applies it. Empty on an eval tape or when
+    /// `p == 0`.
+    pub fn dropout_mask(&mut self, len: usize, p: f32) -> Vec<f32> {
         let Some(rng) = self.rng.as_mut().filter(|_| p > 0.0) else {
-            return a;
+            return Vec::new();
         };
         assert!(p < 1.0, "dropout probability must be < 1");
-        let x = &self.nodes[a.0].value;
         let scale = 1.0 / (1.0 - p);
-        let mask: Vec<f32> = (0..x.len())
+        (0..len)
             .map(|_| if rng.gen::<f32>() < p { 0.0 } else { scale })
-            .collect();
+            .collect()
+    }
+
+    /// Inverted dropout: multiply `a` elementwise by a mask from
+    /// [`Tape::dropout_mask`]. An empty mask is the identity.
+    pub fn dropout(&mut self, a: Var, mask: Vec<f32>) -> Var {
+        if mask.is_empty() {
+            return a;
+        }
+        let x = &self.nodes[a.0].value;
+        assert_eq!(mask.len(), x.len(), "dropout mask size mismatch");
         let v = Mat::from_vec(
             x.rows(),
             x.cols(),
@@ -276,18 +296,13 @@ impl Tape {
         self.push(v, Op::MeanAll(a))
     }
 
-    /// Column-wise sum over rows: `(n×c) → (1×c)` (the GIN sum-Readout).
-    pub fn sum_rows(&mut self, a: Var) -> Var {
-        let v = self.nodes[a.0].value.sum_rows();
-        self.push(v, Op::SumRows(a))
-    }
-
-    /// Vertically stack matrices with equal column counts.
-    pub fn concat_rows(&mut self, parts: &[Var]) -> Var {
-        assert!(!parts.is_empty(), "concat_rows of nothing");
-        let mats: Vec<&Mat> = parts.iter().map(|&p| &self.nodes[p.0].value).collect();
-        let v = Mat::stack_rows(&mats);
-        self.push(v, Op::ConcatRows(parts.to_vec()))
+    /// Column-wise sum over rows: `(n×c) → (1×c)`; with `graphs`, whose
+    /// nodes `a`'s rows are, one sum per graph → `(graphs × c)` (the GIN
+    /// sum-Readout).
+    pub fn sum_rows(&mut self, a: Var, graphs: Option<&Arc<PackedGraphs>>) -> Var {
+        let x = &self.nodes[a.0].value;
+        let v = x.sum_row_blocks(row_blocks(graphs.map(Arc::as_ref), x.rows()));
+        self.push(v, Op::SumRows(a, graphs.cloned()))
     }
 
     /// Horizontally concatenate `[a | b]`.
@@ -313,18 +328,17 @@ impl Tape {
         self.push(v, Op::SliceCols(a, start, end))
     }
 
-    /// GIN aggregation over graph `g` of `graphs` (shared, not copied),
-    /// whose nodes are the rows of `x`:
-    /// `out[v] = (1+eps) · x[v] + Σ_{u ∈ N(v)} x[u]`.
-    pub fn graph_agg(&mut self, x: Var, graphs: &Arc<PackedGraphs>, g: usize, eps: f32) -> Var {
-        let xv = &self.nodes[x.0].value;
-        assert_eq!(
-            xv.rows(),
-            graphs.rows(g).len(),
-            "graph/feature row mismatch"
-        );
-        let v = xv.aggregate_neighbors(eps, |node| graphs.local_neighbors(g, node));
-        self.push(v, Op::GraphAgg(x, Arc::clone(graphs), g, eps))
+    /// GIN aggregation over `graphs` (shared, not copied), whose nodes are
+    /// the rows of `x` (see [`Aggregation::apply`]).
+    pub fn graph_agg(
+        &mut self,
+        x: Var,
+        graphs: &Arc<PackedGraphs>,
+        eps: f32,
+        aggregation: Aggregation,
+    ) -> Var {
+        let v = aggregation.apply(&self.nodes[x.0].value, graphs, eps);
+        self.push(v, Op::GraphAgg(x, Arc::clone(graphs), eps, aggregation))
     }
 
     /// Reshape `(r×c)` into a `(1, r·c)` row vector.
@@ -376,12 +390,13 @@ impl Tape {
                     );
                     grads.accumulate(id, &g);
                 }
-                Op::MatMul(a, b) => {
+                Op::MatMul(a, b, graphs) => {
                     let (a, b) = (*a, *b);
-                    let av = self.nodes[a.0].value.clone();
-                    let bv = self.nodes[b.0].value.clone();
-                    let da = g.matmul(&bv.transpose());
-                    let db = av.transpose().matmul(&g);
+                    let av = &self.nodes[a.0].value;
+                    let da = g.matmul(&self.nodes[b.0].value.transpose());
+                    let db = shared_grad(graphs.as_deref(), av.rows(), |rows| {
+                        av.transpose_matmul(&g, rows)
+                    });
                     self.add_grad(a, da);
                     self.add_grad(b, db);
                 }
@@ -390,14 +405,10 @@ impl Tape {
                     self.add_grad(a, g.clone());
                     self.add_grad(b, g);
                 }
-                Op::AddRow(a, row) => {
+                Op::AddRow(a, row, graphs) => {
                     let (a, row) = (*a, *row);
-                    let mut dr = Mat::zeros(1, g.cols());
-                    for r in 0..g.rows() {
-                        for (o, &e) in dr.row_mut(0).iter_mut().zip(g.row(r)) {
-                            *o += e;
-                        }
-                    }
+                    let dr =
+                        shared_grad(graphs.as_deref(), g.rows(), |rows| g.sum_row_blocks([rows]));
                     self.add_grad(a, g);
                     self.add_grad(row, dr);
                 }
@@ -476,9 +487,8 @@ impl Tape {
                 }
                 Op::Dropout(a, mask) => {
                     let a = *a;
-                    let mask = mask.clone();
                     let mut dx = g;
-                    for (d, &m) in dx.data_mut().iter_mut().zip(&mask) {
+                    for (d, &m) in dx.data_mut().iter_mut().zip(mask) {
                         *d *= m;
                     }
                     self.add_grad(a, dx);
@@ -495,29 +505,16 @@ impl Tape {
                     let dx = Mat::full(x.rows(), x.cols(), g.scalar() / x.len() as f32);
                     self.add_grad(a, dx);
                 }
-                Op::SumRows(a) => {
+                Op::SumRows(a, graphs) => {
                     let a = *a;
-                    let x = &self.nodes[a.0].value;
-                    let (rows, cols) = x.shape();
+                    let (rows, cols) = self.nodes[a.0].value.shape();
                     let mut dx = Mat::zeros(rows, cols);
-                    for r in 0..rows {
-                        dx.row_mut(r).copy_from_slice(g.row(0));
+                    for (b, block) in row_blocks(graphs.as_deref(), rows).into_iter().enumerate() {
+                        for r in block {
+                            dx.row_mut(r).copy_from_slice(g.row(b));
+                        }
                     }
                     self.add_grad(a, dx);
-                }
-                Op::ConcatRows(parts) => {
-                    let parts = parts.clone();
-                    let mut r0 = 0usize;
-                    for p in parts {
-                        let pr = self.nodes[p.0].value.rows();
-                        let cols = g.cols();
-                        let mut dp = Mat::zeros(pr, cols);
-                        for r in 0..pr {
-                            dp.row_mut(r).copy_from_slice(g.row(r0 + r));
-                        }
-                        r0 += pr;
-                        self.add_grad(p, dp);
-                    }
                 }
                 Op::ConcatCols(a, b) => {
                     let (a, b) = (*a, *b);
@@ -548,10 +545,9 @@ impl Tape {
                     }
                     self.add_grad(a, dx);
                 }
-                Op::GraphAgg(x, graphs, graph, eps) => {
-                    let (x, graphs, graph, eps) = (*x, Arc::clone(graphs), *graph, *eps);
-                    // (A + (1+eps) I) is symmetric → backward is the same op.
-                    let dx = g.aggregate_neighbors(eps, |node| graphs.local_neighbors(graph, node));
+                Op::GraphAgg(x, graphs, eps, aggregation) => {
+                    let x = *x;
+                    let dx = aggregation.apply_transposed(&g, graphs, *eps);
                     self.add_grad(x, dx);
                 }
                 Op::Flatten(a) => {
@@ -563,6 +559,34 @@ impl Tape {
             }
         }
     }
+}
+
+/// The row blocks `graphs` packs `rows` rows into, in order; all rows as
+/// one block without `graphs`.
+fn row_blocks(graphs: Option<&PackedGraphs>, rows: usize) -> Vec<Range<usize>> {
+    match graphs {
+        None => std::iter::once(0..rows).collect(),
+        Some(graphs) => (0..graphs.num_graphs()).map(|g| graphs.rows(g)).collect(),
+    }
+}
+
+/// Gradient of a weight applied to every row, from `part(rows)`, the
+/// contribution of a row range. With `graphs`, each graph's part is added
+/// into zeros (the part of no rows), last graph first: the order in which a
+/// pass over one weight copy per graph fills a zeroed [`GradShard`].
+fn shared_grad(
+    graphs: Option<&PackedGraphs>,
+    rows: usize,
+    part: impl Fn(Range<usize>) -> Mat,
+) -> Mat {
+    let Some(graphs) = graphs else {
+        return part(0..rows);
+    };
+    let mut acc = part(0..0);
+    for block in row_blocks(Some(graphs), rows).into_iter().rev() {
+        acc.add_assign(&part(block));
+    }
+    acc
 }
 
 #[cfg(test)]
@@ -616,20 +640,24 @@ mod tests {
     fn dropout_eval_is_identity() {
         let mut t = Tape::eval();
         let x = t.input(Mat::row_vector(&[1.0, 2.0, 3.0]));
-        let d = t.dropout(x, 0.5);
+        let mask = t.dropout_mask(3, 0.5);
+        assert!(mask.is_empty());
+        let d = t.dropout(x, mask);
         assert_eq!(d, x);
     }
 
     #[test]
     fn graph_agg_path() {
-        // graph 1 of the pack is the path 0-1-2; eps=0: out[1] = x1 + x0 + x2
+        // an edge, then the path 0-1-2; eps=0: path out[1] = x1 + x0 + x2
         let edge: &[&[u32]] = &[&[1], &[0]];
         let path: &[&[u32]] = &[&[1], &[0, 2], &[1]];
         let graphs = Arc::new(PackedGraphs::new([edge, path]));
         let mut t = Tape::eval();
-        let x = t.input(Mat::from_vec(3, 1, vec![1.0, 10.0, 100.0]));
-        let y = t.graph_agg(x, &graphs, 1, 0.0);
-        assert_eq!(t.value(y).data(), &[11.0, 111.0, 110.0]);
+        let x = t.input(Mat::from_vec(5, 1, vec![1.0, 2.0, 1.0, 10.0, 100.0]));
+        let y = t.graph_agg(x, &graphs, 0.0, Aggregation::Sum);
+        assert_eq!(t.value(y).data(), &[3.0, 3.0, 11.0, 111.0, 110.0]);
+        let y = t.graph_agg(x, &graphs, 0.0, Aggregation::Mean);
+        assert_eq!(t.value(y).data(), &[1.5, 1.5, 5.5, 37.0, 55.0]);
     }
 
     #[test]
@@ -637,7 +665,8 @@ mod tests {
         // loss = sum(dropout(x)); grad must equal the forward mask exactly
         let mut t = Tape::train(SmallRng::seed_from_u64(1));
         let x = t.input(Mat::full(1, 64, 1.0));
-        let d = t.dropout(x, 0.5);
+        let mask = t.dropout_mask(64, 0.5);
+        let d = t.dropout(x, mask);
         let forward = t.value(d).data().to_vec();
         let loss = t.sum_all(d);
         let mut grads = ParamStore::new().grad_shard();

@@ -62,7 +62,8 @@ proptest! {
         let mlp = Mlp::new(&mut store, "m", &[3, 5, 2], Activation::Tanh, 0.0, &mut rng);
         let report = check_gradients(&mut store, 1e-2, |t, s| {
             let xv = t.input(x.clone());
-            let y = mlp.forward(t, s, xv);
+            let masks = mlp.dropout_masks(t, 2);
+            let y = mlp.forward(t, s, xv, None, masks);
             let sq = t.mul(y, y);
             t.mean_all(sq)
         });
@@ -103,12 +104,12 @@ proptest! {
             let bv = t.param(s, bias);
             let av = t.input(a.clone());
             let bv2 = t.input(b.clone());
-            let prod = t.matmul(av, wv);          // 2×2
-            let diff = t.sub(prod, bv2);          // 2×2
-            let cc = t.concat_cols(diff, prod);   // 2×4
-            let shifted = t.add_row(cc, bv);      // broadcast bias
-            let tr = t.transpose(shifted);        // 4×2
-            let sl = t.slice_cols(tr, 0, 2);      // 4×2
+            let prod = t.matmul(av, wv, None);     // 2×2
+            let diff = t.sub(prod, bv2);           // 2×2
+            let cc = t.concat_cols(diff, prod);    // 2×4
+            let shifted = t.add_row(cc, bv, None); // broadcast bias
+            let tr = t.transpose(shifted);         // 4×2
+            let sl = t.slice_cols(tr, 0, 2);       // 4×2
             let th = t.tanh(sl);
             let sq = t.mul(th, th);
             t.mean_all(sq)
@@ -130,7 +131,7 @@ proptest! {
         let report = check_gradients(&mut store, 1e-2, |t, s| {
             let wv = t.param(s, w);
             let xv = t.input(x.clone());
-            let logits = t.matmul(xv, wv);
+            let logits = t.matmul(xv, wv, None);
             cross_entropy_loss(t, logits, &cls)
         });
         prop_assert!(report.max_rel_err < 3e-2, "{:?}", report);
@@ -147,7 +148,8 @@ fn dropout_train_scales_expectation() {
     for trial in 0..trials {
         let mut t = Tape::train(SmallRng::seed_from_u64(trial));
         let xv = t.input(x.clone());
-        let d = t.dropout(xv, 0.3);
+        let mask = t.dropout_mask(1000, 0.3);
+        let d = t.dropout(xv, mask);
         for (a, &v) in acc.iter_mut().zip(t.value(d).data()) {
             *a += v as f64;
         }

@@ -55,7 +55,8 @@ proptest! {
             (0..rows).map(|i| 1.0 + ((seed + i as u64) % 7) as f32).collect();
         let report = check_gradients(&mut store, 1e-2, |t, s| {
             let xv = t.input(x.clone());
-            let y = mlp.forward(t, s, xv);
+            let masks = mlp.dropout_masks(t, rows);
+            let y = mlp.forward(t, s, xv, None, masks);
             mse_log_loss(t, y, &targets)
         });
         prop_assert!(report.checked > 0);

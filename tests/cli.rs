@@ -259,5 +259,42 @@ fn cli_reports_errors_cleanly() {
             && stderr.contains("query 0: node 1 lists out-of-bounds neighbor 9"),
         "{stderr}"
     );
+
+    // a query with no nodes is reported, not decomposed (`train` and
+    // `evaluate` panicked: "query decomposed into no substructures")
+    let good = dir.join("good.json");
+    std::fs::write(&good, &json).unwrap();
+    let mut with_empty = w.clone();
+    let empty = alss::graph::builder::graph_from_edges(&[], &[]);
+    with_empty
+        .queries
+        .push(alss::core::LabeledQuery::new(empty, 3));
+    let empty_json = dir.join("empty.json");
+    std::fs::write(&empty_json, serde_json::to_string(&with_empty).unwrap()).unwrap();
+    let sketch = dir.join("s.json");
+    let run = |args: &[&str]| {
+        let out = alss().args(args).output().expect("run");
+        (
+            out.status.code(),
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    };
+    let (g, s) = (graph.to_str().unwrap(), sketch.to_str().unwrap());
+    let train = ["train", "--graph", g, "--epochs", "1", "--out", s];
+    let (code, stderr) = run(&[&train[..], &["--workload", good.to_str().unwrap()]].concat());
+    assert_eq!(code, Some(0), "{stderr}");
+    let e = empty_json.to_str().unwrap();
+    for args in [
+        [&train[..], &["--workload", e]].concat(),
+        vec!["evaluate", "--sketch", s, "--graph", g, "--workload", e],
+    ] {
+        let (code, stderr) = run(&args);
+        assert_eq!(code, Some(1), "{args:?}: {stderr}");
+        assert_eq!(
+            stderr.trim_end(),
+            format!("error: parse {e}: query 1: no nodes"),
+            "{args:?}"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
