@@ -373,6 +373,38 @@ mod tests {
     }
 
     #[test]
+    fn a_short_weight_matrix_fails_to_load() {
+        let d = data_graph();
+        let w = real_workload(&d);
+        let (sketch, _) = LearnedSketch::train(&d, &w, &SketchConfig::tiny());
+        let json = sketch.to_json().expect("serialize");
+        let mut value: serde_json::Value = serde_json::from_str(&json).expect("parse");
+        let store = field_mut(field_mut(&mut value, "model"), "store");
+        let serde_json::Value::Array(names) = field_mut(store, "names").clone() else {
+            panic!("names is not an array");
+        };
+        let at = names
+            .iter()
+            .position(|n| n.as_str() == Some("lss.gin.gin0.l0.w"))
+            .expect("the first GIN weight");
+        let serde_json::Value::Array(values) = field_mut(store, "values") else {
+            panic!("values is not an array");
+        };
+        let serde_json::Value::Array(data) = field_mut(&mut values[at], "data") else {
+            panic!("data is not an array");
+        };
+        data.pop();
+        let path = std::env::temp_dir().join("alss_short_matrix_test.json");
+        std::fs::write(&path, serde_json::to_string(&value).expect("render")).expect("write");
+        let err = LearnedSketch::load(&path)
+            .err()
+            .expect("a short matrix must not load");
+        std::fs::remove_file(&path).ok();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("matrix holds"), "{err}");
+    }
+
+    #[test]
     fn sketch_file_save_load() {
         let d = data_graph();
         let w = real_workload(&d);

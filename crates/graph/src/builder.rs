@@ -13,8 +13,8 @@ pub struct GraphBuilder {
     labels: Vec<LabelId>,
     extra_labels: Vec<Vec<LabelId>>,
     any_extra_label: bool,
-    edges: Vec<(NodeId, NodeId)>,
-    edge_labels: Vec<LabelId>,
+    /// `(u, v, label)` with `u < v`, in insertion order.
+    edges: Vec<(NodeId, NodeId, LabelId)>,
     any_edge_label: bool,
 }
 
@@ -22,12 +22,17 @@ impl GraphBuilder {
     /// Create a builder for a graph with `n` nodes, all initially
     /// [`WILDCARD`]-labeled.
     pub fn new(n: usize) -> Self {
+        Self::with_edge_capacity(n, 0)
+    }
+
+    /// [`GraphBuilder::new`] with room reserved for `m` edges, so adding
+    /// up to `m` edges never reallocates.
+    pub(crate) fn with_edge_capacity(n: usize, m: usize) -> Self {
         GraphBuilder {
             labels: vec![WILDCARD; n],
             extra_labels: vec![Vec::new(); n],
             any_extra_label: false,
-            edges: Vec::new(),
-            edge_labels: Vec::new(),
+            edges: Vec::with_capacity(m),
             any_edge_label: false,
         }
     }
@@ -78,8 +83,7 @@ impl GraphBuilder {
             return self;
         }
         let (a, b) = if u < v { (u, v) } else { (v, u) };
-        self.edges.push((a, b));
-        self.edge_labels.push(label);
+        self.edges.push((a, b, label));
         if label != WILDCARD {
             self.any_edge_label = true;
         }
@@ -90,89 +94,75 @@ impl GraphBuilder {
     /// small query graphs and tests).
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
         let (a, b) = if u < v { (u, v) } else { (v, u) };
-        self.edges.contains(&(a, b))
+        self.edges.iter().any(|&(x, y, _)| (x, y) == (a, b))
     }
 
     /// Finalize into an immutable CSR [`Graph`]. Duplicate edges are merged
     /// (keeping the first label).
-    pub fn build(&self) -> Graph {
+    pub fn build(mut self) -> Graph {
         let n = self.labels.len();
-        // Sort-dedup unique edges, keeping labels aligned. The sort is
-        // stable, so a duplicate keeps the label it was first added with.
-        let mut order: Vec<usize> = (0..self.edges.len()).collect();
-        order.sort_by_key(|&i| self.edges[i]);
-        let mut edges: Vec<(NodeId, NodeId)> = Vec::with_capacity(self.edges.len());
-        let mut edge_labels: Vec<LabelId> = Vec::with_capacity(self.edges.len());
-        for &i in &order {
-            if edges.last() == Some(&self.edges[i]) {
-                continue;
-            }
-            edges.push(self.edges[i]);
-            edge_labels.push(self.edge_labels[i]);
-        }
+        // Sort-dedup the edges in place. The sort is stable, so a duplicate
+        // keeps the label it was first added with.
+        self.edges.sort_by_key(|&(u, v, _)| (u, v));
+        self.edges.dedup_by_key(|&mut (u, v, _)| (u, v));
+        let m = self.edges.len();
 
-        // Degree counting for CSR. Filled from the sorted unique edges, node
-        // `x` gets the `u < x` of edges `(u, x)`, then the `v > x` of `(x, v)`,
-        // each ascending, so every adjacency comes out sorted.
-        let mut deg = vec![0u32; n];
-        for &(u, v) in &edges {
-            deg[u as usize] += 1;
-            deg[v as usize] += 1;
-        }
+        // CSR offsets from the degrees. Filled from the sorted unique edges,
+        // node `x` gets the `u < x` of edges `(u, x)`, then the `v > x` of
+        // `(x, v)`, each ascending, so every adjacency comes out sorted.
         let mut offsets = vec![0u32; n + 1];
+        for &(u, v, _) in &self.edges {
+            offsets[u as usize + 1] += 1;
+            offsets[v as usize + 1] += 1;
+        }
         for i in 0..n {
-            offsets[i + 1] = offsets[i] + deg[i];
+            offsets[i + 1] += offsets[i];
         }
         let mut cursor: Vec<u32> = offsets[..n].to_vec();
-        let mut neighbors = vec![0 as NodeId; 2 * edges.len()];
-        let mut adj_labels = vec![WILDCARD; 2 * edges.len()];
-        for (i, &(u, v)) in edges.iter().enumerate() {
-            let l = edge_labels[i];
-            neighbors[cursor[u as usize] as usize] = v;
-            adj_labels[cursor[u as usize] as usize] = l;
-            cursor[u as usize] += 1;
-            neighbors[cursor[v as usize] as usize] = u;
-            adj_labels[cursor[v as usize] as usize] = l;
-            cursor[v as usize] += 1;
+        let mut neighbors = vec![0 as NodeId; 2 * m];
+        let mut adj_labels = self.any_edge_label.then(|| vec![WILDCARD; 2 * m]);
+        for &(u, v, l) in &self.edges {
+            for (x, y) in [(u, v), (v, u)] {
+                let slot = cursor[x as usize] as usize;
+                cursor[x as usize] += 1;
+                neighbors[slot] = y;
+                if let Some(al) = adj_labels.as_mut() {
+                    al[slot] = l;
+                }
+            }
         }
-        let num_node_labels = self
-            .labels
-            .iter()
-            .filter(|&&l| l != WILDCARD)
-            .chain(self.extra_labels.iter().flatten())
-            .map(|&l| l as usize + 1)
-            .max()
-            .unwrap_or(0);
-        let num_edge_labels = if self.any_edge_label {
-            edge_labels
+        let num_node_labels = label_count(
+            self.labels
                 .iter()
-                .filter(|&&l| l != WILDCARD)
-                .map(|&l| l as usize + 1)
-                .max()
-                .unwrap_or(0)
-        } else {
-            0
-        };
+                .chain(self.extra_labels.iter().flatten())
+                .copied(),
+        );
+        let num_edge_labels = label_count(adj_labels.iter().flatten().copied());
         let extra = self.any_extra_label.then(|| {
+            for e in &mut self.extra_labels {
+                e.sort_unstable();
+            }
             self.extra_labels
-                .iter()
-                .map(|e| {
-                    let mut s = e.clone();
-                    s.sort_unstable();
-                    s
-                })
-                .collect()
         });
         Graph::from_parts(
             offsets,
             neighbors,
-            self.any_edge_label.then_some(adj_labels),
-            self.labels.clone(),
+            adj_labels,
+            self.labels,
             extra,
             num_node_labels,
             num_edge_labels,
         )
     }
+}
+
+/// One more than the largest non-wildcard label, or 0 if there is none.
+fn label_count(labels: impl Iterator<Item = LabelId>) -> usize {
+    labels
+        .filter(|&l| l != WILDCARD)
+        .map(|l| l as usize + 1)
+        .max()
+        .unwrap_or(0)
 }
 
 /// Convenience: build a node-labeled graph from a label slice and an edge

@@ -71,22 +71,29 @@ pub fn from_text(text: &str) -> Result<Graph, ParseError> {
 /// [`from_text`] for untrusted input: a `t` record declaring more than
 /// `max_nodes` nodes is an error, raised before any node storage is
 /// allocated (the builder sizes its per-node vectors from the header).
+/// The header's edge count only sizes the edge storage, capped by the
+/// number of edge records `text` could hold, so it can be wrong or absent.
+///
+/// The parser works on bytes. Lines end at `\n`; tokens are separated by
+/// the ASCII characters `char::is_whitespace` accepts (space, `\t`, `\n`,
+/// `\x0B`, `\x0C`, `\r`), so CRLF line ends are fine. Other Unicode
+/// whitespace, such as U+00A0, is not a separator: it belongs to its
+/// token, which then fails to parse. Integers are decimal digits after an
+/// optional `+` (or `-`, for a node label), as `str::parse` reads them.
 pub fn from_text_bounded(text: &str, max_nodes: usize) -> Result<Graph, ParseError> {
     let mut builder: Option<GraphBuilder> = None;
-    for (i, raw) in text.lines().enumerate() {
+    for (i, raw) in text.as_bytes().split(|&b| b == b'\n').enumerate() {
         let ln = i + 1;
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut it = line.split_whitespace();
-        match it.next() {
-            Some("t") => {
-                let n: usize = it
-                    .next()
-                    .ok_or_else(|| err(ln, "missing node count"))?
-                    .parse()
-                    .map_err(|_| err(ln, "bad node count"))?;
+        let mut it = raw
+            .split(|&b| is_separator(b))
+            .filter(|tok| !tok.is_empty());
+        let Some(record) = it.next() else { continue };
+        let mut next = |missing: &str| it.next().ok_or_else(|| err(ln, missing));
+        match record {
+            [b'#', ..] => continue,
+            b"t" => {
+                let n: usize = parse_unsigned(next("missing node count")?)
+                    .ok_or_else(|| err(ln, "bad node count"))?;
                 if n > max_nodes {
                     return Err(err(
                         ln,
@@ -96,20 +103,18 @@ pub fn from_text_bounded(text: &str, max_nodes: usize) -> Result<Graph, ParseErr
                 if builder.is_some() {
                     return Err(err(ln, "second t record (one graph per input)"));
                 }
-                builder = Some(GraphBuilder::new(n));
+                let m = it.next().and_then(parse_unsigned::<usize>).unwrap_or(0);
+                builder = Some(GraphBuilder::with_edge_capacity(
+                    n,
+                    edge_capacity(m, text.len()),
+                ));
             }
-            Some("v") => {
+            b"v" => {
                 let b = builder.as_mut().ok_or_else(|| err(ln, "v before t"))?;
-                let id: NodeId = it
-                    .next()
-                    .ok_or_else(|| err(ln, "missing node id"))?
-                    .parse()
-                    .map_err(|_| err(ln, "bad node id"))?;
-                let lab: i64 = it
-                    .next()
-                    .ok_or_else(|| err(ln, "missing label"))?
-                    .parse()
-                    .map_err(|_| err(ln, "bad label"))?;
+                let id: NodeId = parse_unsigned(next("missing node id")?)
+                    .ok_or_else(|| err(ln, "bad node id"))?;
+                let lab =
+                    parse_signed(next("missing label")?).ok_or_else(|| err(ln, "bad label"))?;
                 if (id as usize) >= b.num_nodes() {
                     return Err(err(ln, "node id out of range"));
                 }
@@ -120,31 +125,27 @@ pub fn from_text_bounded(text: &str, max_nodes: usize) -> Result<Graph, ParseErr
                 };
                 b.set_label(id, label);
                 for tok in it {
-                    let extra: LabelId = tok.parse().map_err(|_| err(ln, "bad extra label"))?;
+                    let extra: LabelId =
+                        parse_unsigned(tok).ok_or_else(|| err(ln, "bad extra label"))?;
                     if extra == WILDCARD {
                         return Err(err(ln, "extra label cannot be a wildcard"));
                     }
                     b.add_extra_label(id, extra);
                 }
             }
-            Some("e") => {
+            b"e" => {
                 let b = builder.as_mut().ok_or_else(|| err(ln, "e before t"))?;
-                let u: NodeId = it
-                    .next()
-                    .ok_or_else(|| err(ln, "missing u"))?
-                    .parse()
-                    .map_err(|_| err(ln, "bad u"))?;
-                let v: NodeId = it
-                    .next()
-                    .ok_or_else(|| err(ln, "missing v"))?
-                    .parse()
-                    .map_err(|_| err(ln, "bad v"))?;
+                let u: NodeId =
+                    parse_unsigned(next("missing u")?).ok_or_else(|| err(ln, "bad u"))?;
+                let v: NodeId =
+                    parse_unsigned(next("missing v")?).ok_or_else(|| err(ln, "bad v"))?;
                 if (u as usize) >= b.num_nodes() || (v as usize) >= b.num_nodes() {
                     return Err(err(ln, "edge endpoint out of range"));
                 }
                 match it.next() {
                     Some(tok) => {
-                        let l: LabelId = tok.parse().map_err(|_| err(ln, "bad edge label"))?;
+                        let l: LabelId =
+                            parse_unsigned(tok).ok_or_else(|| err(ln, "bad edge label"))?;
                         b.add_labeled_edge(u, v, l);
                     }
                     None => {
@@ -152,11 +153,56 @@ pub fn from_text_bounded(text: &str, max_nodes: usize) -> Result<Graph, ParseErr
                     }
                 }
             }
-            Some(tok) => return Err(err(ln, format!("unknown record '{tok}'"))),
-            None => {}
+            tok => {
+                let tok = String::from_utf8_lossy(tok);
+                return Err(err(ln, format!("unknown record '{tok}'")));
+            }
         }
     }
     Ok(builder.ok_or_else(|| err(0, "empty input"))?.build())
+}
+
+/// Shortest edge record, `e 0 1`, in bytes.
+const MIN_EDGE_RECORD_BYTES: usize = 5;
+
+/// Edges to reserve for a header declaring `declared` edges in an input of
+/// `text_len` bytes: the header is untrusted, the input length is not.
+fn edge_capacity(declared: usize, text_len: usize) -> usize {
+    declared.min(text_len / MIN_EDGE_RECORD_BYTES)
+}
+
+/// A token separator: an ASCII character that `char::is_whitespace`
+/// accepts.
+fn is_separator(b: u8) -> bool {
+    matches!(b, b' ' | b'\t' | b'\n' | b'\x0B' | b'\x0C' | b'\r')
+}
+
+/// A non-empty run of decimal digits, or `None` (also on `u64` overflow).
+fn parse_digits(digits: &[u8]) -> Option<u64> {
+    if digits.is_empty() {
+        return None;
+    }
+    digits.iter().try_fold(0u64, |n, &b| {
+        let d = b.wrapping_sub(b'0');
+        if d > 9 {
+            return None;
+        }
+        n.checked_mul(10)?.checked_add(u64::from(d))
+    })
+}
+
+/// An unsigned integer with an optional leading `+`, range-checked into `T`.
+fn parse_unsigned<T: TryFrom<u64>>(tok: &[u8]) -> Option<T> {
+    let digits = tok.strip_prefix(b"+").unwrap_or(tok);
+    T::try_from(parse_digits(digits)?).ok()
+}
+
+/// An `i64` with an optional leading `+` or `-`.
+fn parse_signed(tok: &[u8]) -> Option<i64> {
+    match tok.strip_prefix(b"-") {
+        Some(digits) => 0i64.checked_sub_unsigned(parse_digits(digits)?),
+        None => parse_unsigned(tok),
+    }
 }
 
 #[cfg(test)]
@@ -201,6 +247,71 @@ mod tests {
         let e = from_text("t 2 1\nv 0 0\nv 1 0\ne 0 1\nt 1 0\n").unwrap_err();
         assert_eq!(e.line, 5);
         assert!(e.message.contains("second t record"), "{}", e.message);
+    }
+
+    #[test]
+    fn layout_variants_parse_like_the_plain_text() {
+        let plain = "t 3 2\nv 0 1\nv 1 -1\nv 2 2 4 3\ne 0 1 7\ne 1 2\n";
+        let want = from_text(plain).unwrap();
+        let variants = [
+            plain.replace('\n', "\r\n"),
+            plain.replace(' ', "\t"),
+            plain.replace(' ', " \t \x0B\x0C "),
+            plain.replace('\n', "  \n\t"),
+            format!("# a comment\n\n  # indented comment\n{plain}\n\n#end"),
+            plain.trim_end().to_string(),
+            plain.replace("v 0 1", "v +0 +1"),
+        ];
+        for text in &variants {
+            assert_eq!(from_text(text).as_ref(), Ok(&want), "{text:?}");
+        }
+    }
+
+    #[test]
+    fn numbers_parse_as_str_parse_reads_them() {
+        let g = from_text("t 6\nv +5 1\nv 0 -1\nv 1 -0\nv 2 -9223372036854775808").unwrap();
+        assert_eq!(g.label(5), 1);
+        assert_eq!(g.label(0), WILDCARD);
+        assert_eq!(g.label(1), 0);
+        assert_eq!(g.label(2), WILDCARD);
+        let message = |text: &str| from_text(text).unwrap_err().message;
+        assert_eq!(message("t 1 0\nv 4294967296 0"), "bad node id");
+        assert_eq!(message("t 1 0\nv -0 0"), "bad node id");
+        assert_eq!(message("t 1 0\nv 0 -9223372036854775809"), "bad label");
+        assert_eq!(message("t 1 0\nv 0 9223372036854775808"), "bad label");
+        assert_eq!(message("t 1 0\nv 0 5000000000"), "label out of range");
+        assert_eq!(message("t 1 0\nv 0 -+1"), "bad label");
+        assert_eq!(message("t 1 0\nv 0 +"), "bad label");
+        assert_eq!(message("t 1 0\nv 0 1 -1"), "bad extra label");
+        assert_eq!(message("t 2 0\ne 0 1 +-1"), "bad edge label");
+        assert_eq!(message("t 18446744073709551616 0"), "bad node count");
+        assert_eq!(message("t 1 0\nv 0"), "missing label");
+        assert_eq!(message("t 1 0\nvv 0 0"), "unknown record 'vv'");
+    }
+
+    #[test]
+    fn the_header_edge_count_is_a_hint() {
+        // Absent, unparseable, too small or absurdly large: the graph is
+        // the same, and a huge count reserves no more than the input holds.
+        let edges = "v 0 0\nv 1 0\nv 2 0\ne 0 1\ne 1 2\n";
+        let want = from_text(&format!("t 3 2\n{edges}")).unwrap();
+        for header in ["t 3", "t 3 x", "t 3 0", "t 3 4000000000"] {
+            let text = format!("{header}\n{edges}");
+            assert_eq!(from_text(&text).as_ref(), Ok(&want), "{header}");
+        }
+        assert_eq!(edge_capacity(4_000_000_000, 35), 7);
+        assert_eq!(edge_capacity(2, 35), 2);
+    }
+
+    #[test]
+    fn non_ascii_whitespace_is_not_a_separator() {
+        // U+00A0 stays inside its token, which then fails to parse.
+        let e = from_text("t 2 0\nv 0\u{a0}1 0\n").unwrap_err();
+        assert_eq!((e.line, e.message.as_str()), (2, "bad node id"));
+        let e = from_text("t 2 0\n\u{a0}\n").unwrap_err();
+        assert_eq!((e.line, e.message.as_str()), (2, "unknown record '\u{a0}'"));
+        let e = from_text("t 2\u{2003}0\n").unwrap_err();
+        assert_eq!((e.line, e.message.as_str()), (1, "bad node count"));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use alss_graph::extract::{extract_query, ExtractOptions};
 use alss_graph::io::{from_text, to_text};
 use alss_graph::labels::LabelStats;
-use alss_graph::{bfs_tree, decompose, Graph, GraphBuilder};
+use alss_graph::{bfs_tree, decompose, Graph, GraphBuilder, WILDCARD};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -50,8 +50,46 @@ fn graph_with_edge_labels(edge_labels: bool) -> impl Strategy<Value = Graph> {
     })
 }
 
+/// Strategy: a graph using every part of the text format: wildcard and
+/// near-`u32::MAX` node labels, extra labels, and edges with and without
+/// labels.
+fn rich_graph() -> impl Strategy<Value = Graph> {
+    let label = |x: u32| match x {
+        5 => WILDCARD,
+        6 => WILDCARD - 1,
+        x => x,
+    };
+    (1usize..=10).prop_flat_map(move |n| {
+        (
+            proptest::collection::vec((0u32..7, 0u32..8, 0u32..8), n),
+            proptest::collection::vec((0u32..n as u32, 0u32..n as u32, 0u32..7), 0..=2 * n),
+        )
+            .prop_map(move |(nodes, edges)| {
+                let mut b = GraphBuilder::new(n);
+                for (v, (l, x, y)) in (0u32..).zip(nodes) {
+                    b.set_label(v, label(l));
+                    // The format gives a wildcard node no extra labels.
+                    if label(l) != WILDCARD {
+                        for extra in [x, y].into_iter().filter(|&e| e < 5) {
+                            b.add_extra_label(v, extra);
+                        }
+                    }
+                }
+                for (u, v, l) in edges {
+                    b.add_labeled_edge(u, v, label(l));
+                }
+                b.build()
+            })
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn text_io_roundtrip_with_every_kind_of_label(g in rich_graph()) {
+        prop_assert_eq!(from_text(&to_text(&g)).unwrap(), g);
+    }
 
     #[test]
     fn csr_adjacency_is_sorted_and_symmetric(g in arbitrary_graph()) {

@@ -2,11 +2,13 @@
 //!
 //! One listener thread owns the data graph, the model and the fallback
 //! estimator, accepts connections, and runs one scoped handler thread per
-//! connection. A handler reads NDJSON [`Request`] lines and writes one
-//! [`Response`] line per request, in request order. Estimate requests first
-//! consult the sharded canonical cache; a miss is computed on the handler
-//! thread itself. Control requests (`ping`, `stats`, `shutdown`) are
-//! answered inline. Every reply is one write on a `TCP_NODELAY` socket.
+//! connection. At start-up it parses the data graph while [`serve`]'s
+//! caller loads the checkpoint. A handler reads NDJSON [`Request`] lines
+//! and writes one [`Response`] line per request, in request order.
+//! Estimate requests first consult the sharded canonical cache; a miss is
+//! computed on the handler thread itself. Control requests (`ping`,
+//! `stats`, `shutdown`) are answered inline. Every reply is one write on a
+//! `TCP_NODELAY` socket.
 //! A request line longer than `MAX_LINE_BYTES` gets one `ok:false` reply
 //! and is skipped. At most `MAX_CONNECTIONS` connections are live at a
 //! time; one past the cap gets a single `ok:false` line and is closed.
@@ -26,9 +28,9 @@ use alss_graph::io::{from_text, from_text_bounded};
 use alss_graph::{canonical_key, Graph};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -85,8 +87,6 @@ impl Default for ServeConfig {
 struct Shared {
     cache: ShardedLru,
     stop: AtomicBool,
-    /// `true` when the model failed to load and every answer is degraded.
-    modelless: bool,
 }
 
 /// What a handler needs to answer a cache miss, borrowed from the
@@ -128,50 +128,66 @@ fn request_stop(shared: &Shared, addr: SocketAddr) {
     }
 }
 
-/// Load the data graph and checkpoint, bind the listener, and spawn the
-/// accept loop. Returns once the socket is bound.
+/// Bind the listener, load the data graph and the checkpoint, and spawn
+/// the accept loop.
+///
+/// The two inputs load at the same time: the listener thread reads and
+/// parses the data graph and builds its label index while the calling
+/// thread loads the checkpoint. Returns once both are done, so the server
+/// answers estimates as soon as this returns. A bind or data-graph error
+/// is an `Err`; a checkpoint that fails to load starts the server in
+/// degraded mode instead.
 pub fn serve(cfg: &ServeConfig) -> Result<ServerHandle, String> {
-    let data_text = std::fs::read_to_string(&cfg.data_path)
-        .map_err(|e| format!("data graph {}: {e}", cfg.data_path.display()))?;
-    let data: Graph = from_text(&data_text)
-        .map_err(|e| format!("data graph {}: {e}", cfg.data_path.display()))?;
-
-    let (model, modelless) = match &cfg.model_path {
-        None => (None, true),
-        Some(path) => match load_sketch_with_retry(path, cfg.load_attempts, cfg.load_backoff) {
-            Ok(sketch) => (Some(sketch), false),
-            Err(e) => {
-                // Degraded mode is an operational state, not a startup
-                // failure: answer everything from the fallback estimator.
-                alss_telemetry::counter("serve.model_load_failed").inc();
-                alss_telemetry::event("serve.model_load_failed", &[("error", e.as_str().into())]);
-                (None, true)
-            }
-        },
-    };
-
-    let cache = ShardedLru::new(cfg.cache_capacity, cfg.cache_shards);
+    let started = Instant::now();
     let listener = TcpListener::bind(&cfg.addr).map_err(|e| format!("bind {}: {e}", cfg.addr))?;
     let addr = listener
         .local_addr()
         .map_err(|e| format!("local_addr: {e}"))?;
-
     let shared = Arc::new(Shared {
-        cache,
+        cache: ShardedLru::new(cfg.cache_capacity, cfg.cache_shards),
         stop: AtomicBool::new(false),
-        modelless,
     });
-    alss_telemetry::event(
-        "serve.listening",
-        &[("addr", addr.to_string().as_str().into())],
-    );
 
+    let (model_tx, model_rx) = mpsc::channel::<Option<LearnedSketch>>();
+    let (ready_tx, ready_rx) = mpsc::channel::<Result<(), String>>();
+    let data_path = cfg.data_path.clone();
     let loop_shared = Arc::clone(&shared);
     let listener_thread = std::thread::Builder::new()
         .name("alss-serve-accept".to_string())
-        .spawn(move || accept_loop(&listener, addr, &loop_shared, &data, model.as_ref()))
+        .spawn(move || {
+            let data = match load_data(&data_path) {
+                Ok(data) => data,
+                Err(e) => {
+                    let _ = ready_tx.send(Err(e));
+                    return;
+                }
+            };
+            let index = {
+                let _span = alss_telemetry::Span::enter("serve.load.index");
+                LabelIndex::new(&data)
+            };
+            let Ok(model) = model_rx.recv() else { return };
+            let _ = ready_tx.send(Ok(()));
+            accept_loop(&listener, addr, &loop_shared, &index, model.as_ref());
+        })
         .map_err(|e| format!("spawn accept loop: {e}"))?;
+    let _ = model_tx.send(load_model(cfg));
+    match ready_rx.recv() {
+        Ok(Ok(())) => {}
+        Ok(Err(e)) => {
+            let _ = listener_thread.join();
+            return Err(e);
+        }
+        Err(_) => return Err("accept loop exited during start-up".to_string()),
+    }
 
+    alss_telemetry::event(
+        "serve.listening",
+        &[
+            ("addr", addr.to_string().as_str().into()),
+            ("setup_us", us_since(started).into()),
+        ],
+    );
     Ok(ServerHandle {
         addr,
         shared,
@@ -179,15 +195,38 @@ pub fn serve(cfg: &ServeConfig) -> Result<ServerHandle, String> {
     })
 }
 
+/// Read and parse the data graph.
+fn load_data(path: &Path) -> Result<Graph, String> {
+    let _span = alss_telemetry::Span::enter("serve.load.data");
+    let text =
+        std::fs::read_to_string(path).map_err(|e| format!("data graph {}: {e}", path.display()))?;
+    from_text(&text).map_err(|e| format!("data graph {}: {e}", path.display()))
+}
+
+/// Load the checkpoint, or `None` for degraded mode.
+fn load_model(cfg: &ServeConfig) -> Option<LearnedSketch> {
+    let _span = alss_telemetry::Span::enter("serve.load.sketch");
+    let path = cfg.model_path.as_ref()?;
+    match load_sketch_with_retry(path, cfg.load_attempts, cfg.load_backoff) {
+        Ok(sketch) => Some(sketch),
+        Err(e) => {
+            // Degraded mode is an operational state, not a startup
+            // failure: answer everything from the fallback estimator.
+            alss_telemetry::counter("serve.model_load_failed").inc();
+            alss_telemetry::event("serve.model_load_failed", &[("error", e.as_str().into())]);
+            None
+        }
+    }
+}
+
 fn accept_loop(
     listener: &TcpListener,
     addr: SocketAddr,
     shared: &Shared,
-    data: &Graph,
+    index: &LabelIndex<'_>,
     model: Option<&LearnedSketch>,
 ) {
-    let index = LabelIndex::new(data);
-    let wj = WanderJoin::new(&index, WJ_SAMPLES);
+    let wj = WanderJoin::new(index, WJ_SAMPLES);
     let estimator = Estimator { model, wj: &wj };
     let slots = ConnectionSlots::new(MAX_CONNECTIONS);
     // Leaving the scope joins every handler.
@@ -363,7 +402,7 @@ fn dispatch(req: &Request, started: Instant, shared: &Shared, est: Estimator<'_>
             ok: true,
             ..Response::default()
         },
-        "stats" => stats_response(req, shared),
+        "stats" => stats_response(req, shared, est),
         // The stop flag is flipped by the connection handler *after* this
         // acknowledgement is written, so the client always sees it.
         "shutdown" => Response {
@@ -377,14 +416,14 @@ fn dispatch(req: &Request, started: Instant, shared: &Shared, est: Estimator<'_>
 
 /// `stats` reuses the numeric response fields: `estimate` = cache entries,
 /// `magnitude_class` = cache capacity. `degraded` reports modelless mode.
-fn stats_response(req: &Request, shared: &Shared) -> Response {
+fn stats_response(req: &Request, shared: &Shared, est: Estimator<'_>) -> Response {
     #[expect(clippy::cast_precision_loss, reason = "diagnostics, not counts")]
     Response {
         id: req.id,
         ok: true,
         estimate: shared.cache.len() as f64,
         magnitude_class: shared.cache.capacity() as u64,
-        degraded: shared.modelless,
+        degraded: est.model.is_none(),
         ..Response::default()
     }
 }

@@ -1,6 +1,7 @@
 //! End-to-end exercise of the serve subsystem over real TCP: canonical
 //! cache hits on isomorphic re-submissions, deadline-forced degradation,
-//! control ops, malformed input, modelless mode, and clean shutdown.
+//! control ops, malformed input, modelless mode, start-up failures, and
+//! clean shutdown.
 
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
 
@@ -400,4 +401,95 @@ fn mutated_request_lines_each_get_one_reply() {
 
     handle.stop();
     handle.join();
+}
+
+/// Start a server on `cfg`, asserting that `serve` returns within 1 s.
+fn timed_serve(cfg: &ServeConfig) -> Result<alss_serve::ServerHandle, String> {
+    let started = std::time::Instant::now();
+    let result = alss_serve::serve(cfg);
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(1), "serve took {took:?}");
+    result
+}
+
+/// Ask a running server for one fresh estimate, then stop it.
+fn estimate_then_stop(handle: alss_serve::ServerHandle) -> alss_serve::Response {
+    let mut client = Client::connect(&handle.addr.to_string(), Duration::from_secs(5)).unwrap();
+    let q = to_text(&graph_from_edges(&[0, 1], &[(0, 1)]));
+    let resp = client.estimate(1, &q, None).unwrap();
+    handle.stop();
+    handle.join();
+    resp
+}
+
+/// The value under `key` of a JSON object.
+fn field_mut<'a>(v: &'a mut serde_json::Value, key: &str) -> &'a mut serde_json::Value {
+    match v {
+        serde_json::Value::Object(pairs) => {
+            &mut pairs.iter_mut().find(|(k, _)| k == key).unwrap().1
+        }
+        other => panic!("expected an object, got {}", other.kind()),
+    }
+}
+
+#[test]
+fn a_missing_data_graph_fails_start_up_naming_the_path() {
+    let (_, sketch) = fixtures("missing-data");
+    let missing = scratch("missing-data").join("no-such-graph.txt");
+    let Err(e) = timed_serve(&config(missing.clone(), Some(sketch))) else {
+        panic!("a missing data graph must fail start-up");
+    };
+    assert!(e.contains("data graph"), "{e}");
+    assert!(e.contains(&missing.display().to_string()), "{e}");
+}
+
+#[test]
+fn a_bad_data_graph_line_fails_start_up_with_its_line_number() {
+    let (graph, sketch) = fixtures("bad-data");
+    std::fs::write(&graph, "t 2 1\nv 0 0\nv 1 x\ne 0 1\n").unwrap();
+    let Err(e) = timed_serve(&config(graph, Some(sketch))) else {
+        panic!("a malformed data graph must fail start-up");
+    };
+    assert!(e.contains("line 3: bad label"), "{e}");
+}
+
+#[test]
+fn a_checkpoint_that_does_not_load_starts_a_degraded_server() {
+    let (graph, sketch) = fixtures("bad-sketch");
+    // A weight matrix one value short of `rows × cols`.
+    let mut value: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(&sketch).unwrap()).unwrap();
+    let store = field_mut(field_mut(&mut value, "model"), "store");
+    let names = field_mut(store, "names").as_array().unwrap();
+    let at = names
+        .iter()
+        .position(|n| n.as_str() == Some("lss.gin.gin0.l0.w"))
+        .unwrap();
+    let serde_json::Value::Array(values) = field_mut(store, "values") else {
+        panic!("values is not an array");
+    };
+    let serde_json::Value::Array(data) = field_mut(&mut values[at], "data") else {
+        panic!("data is not an array");
+    };
+    data.pop();
+    let short_matrix = serde_json::to_string(&value).unwrap();
+
+    for broken in ["{".to_string(), short_matrix] {
+        std::fs::write(&sketch, &broken).unwrap();
+        let handle = timed_serve(&config(graph.clone(), Some(sketch.clone()))).unwrap();
+        let resp = estimate_then_stop(handle);
+        assert!(resp.ok && resp.degraded, "{resp:?}");
+    }
+}
+
+#[test]
+fn an_address_in_use_fails_start_up() {
+    let (graph, sketch) = fixtures("addr-in-use");
+    let taken = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let mut cfg = config(graph, Some(sketch));
+    cfg.addr = taken.local_addr().unwrap().to_string();
+    let Err(e) = timed_serve(&cfg) else {
+        panic!("a taken address must fail start-up");
+    };
+    assert!(e.starts_with("bind "), "{e}");
 }
