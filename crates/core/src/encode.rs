@@ -53,17 +53,72 @@ pub struct EncodedQuery {
 }
 
 /// The §4.3 feature encoder: holds the data-graph statistics and the
-/// optional pre-trained label embedding.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// optional pre-trained label embedding. Its label counts are the
+/// statistics' ([`LabelStats::num_labels`], [`LabelStats::num_edge_labels`]).
+#[derive(Clone, Debug, Serialize)]
 pub struct Encoder {
     kind: EncodingKind,
     stats: LabelStats,
-    num_labels: usize,
-    num_edge_labels: usize,
-    /// Embedding vectors for the `|Σ|` label nodes of `G_L`.
+    /// Embedding vectors for the `|Σ|` label nodes of `G_L`: one row per
+    /// label, all of one width; present iff `kind` embeds.
     label_embedding: Option<Vec<Vec<f32>>>,
     /// BFS hops for decomposition (the paper uses 3).
     hops: u32,
+}
+
+/// An [`Encoder`] as a checkpoint stores it, before its label table is
+/// checked.
+#[derive(Deserialize)]
+struct EncoderFields {
+    kind: EncodingKind,
+    stats: LabelStats,
+    label_embedding: Option<Vec<Vec<f32>>>,
+    hops: u32,
+}
+
+impl Deserialize for Encoder {
+    /// Fails, naming the field, on a label table that is present for the
+    /// frequency encoding or missing for the others, that does not hold one
+    /// row per label, whose rows differ in width, or that holds a value
+    /// that is not finite.
+    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
+        let EncoderFields {
+            kind,
+            stats,
+            label_embedding,
+            hops,
+        } = EncoderFields::deserialize(v)?;
+        let fail = |msg: String| Err(serde::Error::custom(format!("label_embedding{msg}")));
+        match (&label_embedding, kind) {
+            (None, EncodingKind::Frequency) => {}
+            (Some(_), EncodingKind::Frequency) => return fail(format!(": present for {kind}")),
+            (None, _) => return fail(format!(": missing for {kind}")),
+            (Some(table), _) => {
+                if table.len() != stats.num_labels() {
+                    let (rows, labels) = (table.len(), stats.num_labels());
+                    return fail(format!(": {rows} rows for {labels} labels"));
+                }
+                let width = table.first().map_or(0, Vec::len);
+                for (l, row) in table.iter().enumerate() {
+                    if row.len() != width {
+                        return fail(format!(
+                            "[{l}]: {} values where row 0 has {width}",
+                            row.len()
+                        ));
+                    }
+                    if let Some(i) = row.iter().position(|x| !x.is_finite()) {
+                        return fail(format!("[{l}]: value {i} is not finite"));
+                    }
+                }
+            }
+        }
+        Ok(Encoder {
+            kind,
+            stats,
+            label_embedding,
+            hops,
+        })
+    }
 }
 
 impl Encoder {
@@ -72,8 +127,6 @@ impl Encoder {
         Encoder {
             kind: EncodingKind::Frequency,
             stats: LabelStats::new(data),
-            num_labels: data.num_node_labels(),
-            num_edge_labels: data.num_edge_labels(),
             label_embedding: None,
             hops,
         }
@@ -88,15 +141,13 @@ impl Encoder {
         gl_embedding: &Embedding,
         augment_base: usize,
     ) -> Self {
-        let num_labels = data.num_node_labels();
-        let table: Vec<Vec<f32>> = (0..num_labels)
+        let stats = LabelStats::new(data);
+        let table: Vec<Vec<f32>> = (0..stats.num_labels())
             .map(|l| gl_embedding.vector(augment_base + l).to_vec())
             .collect();
         Encoder {
             kind: EncodingKind::Embedding,
-            stats: LabelStats::new(data),
-            num_labels,
-            num_edge_labels: data.num_edge_labels(),
+            stats,
             label_embedding: Some(table),
             hops,
         }
@@ -135,16 +186,16 @@ impl Encoder {
             .and_then(|t| t.first())
             .map_or(0, |v| v.len());
         match self.kind {
-            EncodingKind::Frequency => self.num_labels,
+            EncodingKind::Frequency => self.stats.num_labels(),
             EncodingKind::Embedding => emb,
-            EncodingKind::Concatenated => self.num_labels + emb,
+            EncodingKind::Concatenated => self.stats.num_labels() + emb,
         }
     }
 
     /// Edge feature dimensionality (0 when the data graph has no edge
     /// labels).
     pub fn edge_dim(&self) -> usize {
-        self.num_edge_labels
+        self.stats.num_edge_labels()
     }
 
     /// Encode one node label into the configured feature vector.
@@ -181,9 +232,10 @@ impl Encoder {
     /// map of the paper's vector) but optimizes dramatically better.
     fn frequency_features_multi(&self, labels: &[u32], out: &mut Vec<f32>) {
         let start = out.len();
-        out.extend(std::iter::repeat_n(0.0, self.num_labels));
+        let num_labels = self.stats.num_labels();
+        out.extend(std::iter::repeat_n(0.0, num_labels));
         for &l in labels {
-            if l != WILDCARD && (l as usize) < self.num_labels {
+            if l != WILDCARD && (l as usize) < num_labels {
                 #[expect(
                     clippy::cast_possible_truncation,
                     reason = "selectivities are O(1) magnitudes"
@@ -196,9 +248,10 @@ impl Encoder {
 
     fn embedding_features_multi(&self, labels: &[u32], out: &mut Vec<f32>) {
         let Some(table) = self.label_embedding.as_ref() else {
-            // The table is Some whenever the encoding is Embedding (set at
-            // construction). Emitting no features here mis-sizes the
-            // vector, which the model's input-width check then reports.
+            // The table is Some whenever the encoding embeds (set at
+            // construction, checked on load). Emitting no features here
+            // mis-sizes the vector, which the model's input-width check
+            // then reports.
             debug_assert!(false, "embedding encoder constructed without table");
             return;
         };
@@ -217,7 +270,7 @@ impl Encoder {
 
     /// Frequency-based edge-label encoding (the Eq. 4 extension).
     pub fn edge_features(&self, label: u32) -> Vec<f32> {
-        (0..self.num_edge_labels)
+        (0..self.edge_dim())
             .map(|i| {
                 if label != WILDCARD && label as usize == i {
                     #[expect(

@@ -6,9 +6,10 @@
 use crate::encode::EncodedQuery;
 use alss_nn::loss::{cross_entropy_loss, magnitude_class, mse_log_loss, multi_task_loss};
 use alss_nn::{
-    Activation, Aggregation, GinEncoder, Mat, Mlp, ParamStore, SelfAttention, Tape, Var,
+    Activation, Aggregation, GinEncoder, Mat, Mlp, ParamError, ParamStore, SelfAttention, Tape, Var,
 };
-use rand::Rng;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 /// How per-substructure representations are aggregated into the query
@@ -126,8 +127,10 @@ impl Prediction {
     }
 }
 
-/// The LSS model: parameters + architecture.
-#[derive(Clone, Serialize, Deserialize)]
+/// The LSS model: parameters + architecture. The layers are wired from
+/// the config and the encoder's feature widths alone, so a checkpoint
+/// stores only those and the weights ([`LssModel::from_weights`]).
+#[derive(Clone)]
 pub struct LssModel {
     cfg: LssConfig,
     store: ParamStore,
@@ -138,10 +141,45 @@ pub struct LssModel {
 }
 
 impl LssModel {
-    /// Build a model for the given input feature dimensions.
+    /// Build a model for the given input feature dimensions, its weights
+    /// drawn from `rng`.
     pub fn new<R: Rng>(cfg: LssConfig, node_dim: usize, edge_dim: usize, rng: &mut R) -> Self {
         assert!(node_dim > 0, "node feature dimension must be positive");
-        let mut store = ParamStore::new();
+        #[expect(
+            clippy::expect_used,
+            reason = "a fresh store initializes every parameter it is asked for"
+        )]
+        Self::build(cfg, node_dim, edge_dim, ParamStore::new(), rng).expect("a fresh store")
+    }
+
+    /// Rebuild a model from a checkpoint: the layers [`LssModel::new`]
+    /// builds for `cfg` and the feature widths, each taking the next of
+    /// `values` (in registration order) instead of an initial value. Fails
+    /// on a stored matrix that is missing, of another shape than its layer
+    /// needs, not finite, or left over; each is checked before its layer
+    /// allocates anything, so a config of absurd widths costs nothing.
+    /// `cfg.gnn_layers` must be positive.
+    pub fn from_weights(
+        cfg: LssConfig,
+        node_dim: usize,
+        edge_dim: usize,
+        values: Vec<Mat>,
+    ) -> Result<Self, ParamError> {
+        // A stored store calls no initializer, so nothing is drawn.
+        let mut unused = SmallRng::seed_from_u64(0);
+        let store = ParamStore::stored(values);
+        Self::build(cfg, node_dim, edge_dim, store, &mut unused)
+    }
+
+    /// Register the layers' parameters in `store`, in the order both
+    /// constructors rely on: GIN, attention, MLP head.
+    fn build<R: Rng>(
+        cfg: LssConfig,
+        node_dim: usize,
+        edge_dim: usize,
+        mut store: ParamStore,
+        rng: &mut R,
+    ) -> Result<Self, ParamError> {
         let gin = GinEncoder::new(
             &mut store,
             "lss.gin",
@@ -153,7 +191,7 @@ impl LssModel {
             Activation::Relu,
             cfg.gnn_aggregation,
             rng,
-        );
+        )?;
         let (att, mlp_in) = match cfg.aggregator {
             Aggregator::Attention => {
                 let att = SelfAttention::new(
@@ -163,7 +201,7 @@ impl LssModel {
                     cfg.att_hidden,
                     cfg.att_heads,
                     rng,
-                );
+                )?;
                 let d = att.out_dim();
                 (Some(att), d)
             }
@@ -172,18 +210,20 @@ impl LssModel {
         let mlp = Mlp::new(
             &mut store,
             "lss.mlp",
-            &[mlp_in, cfg.mlp_hidden, 1 + cfg.num_classes],
+            // saturating: a checkpoint's `num_classes` is unchecked until
+            // the store compares this width with the stored one
+            &[mlp_in, cfg.mlp_hidden, cfg.num_classes.saturating_add(1)],
             Activation::Relu,
             cfg.dropout,
             rng,
-        );
-        LssModel {
+        )?;
+        Ok(LssModel {
             cfg,
-            store,
+            store: store.finish()?,
             gin,
             att,
             mlp,
-        }
+        })
     }
 
     /// Hyper-parameters.
@@ -383,19 +423,20 @@ mod tests {
     }
 
     #[test]
-    fn model_serde_roundtrip() {
-        let data = graph_from_edges(&[0, 0, 1, 2], &[(0, 1), (1, 2), (2, 3)]);
-        let enc = Encoder::frequency(&data, 3);
-        let mut rng = SmallRng::seed_from_u64(5);
-        let model = LssModel::new(LssConfig::tiny(), enc.node_dim(), enc.edge_dim(), &mut rng);
-        let json = serde_json::to_string(&model).expect("serialize");
-        let back: LssModel = serde_json::from_str(&json).expect("deserialize");
-        let q = graph_from_edges(&[0, 1, 2], &[(0, 1), (1, 2)]);
-        let eq = enc.encode_query(&q);
-        assert_eq!(
-            model.predict(&eq).log10_count,
-            back.predict(&eq).log10_count
-        );
+    fn from_weights_rebuilds_the_same_model() {
+        let (enc, model) = setup();
+        let values = model.store().values().to_vec();
+        let back = LssModel::from_weights(*model.config(), enc.node_dim(), enc.edge_dim(), values)
+            .unwrap();
+        let names = |m: &LssModel| -> Vec<String> {
+            let store = m.store();
+            store.ids().map(|id| store.name(id).to_string()).collect()
+        };
+        assert_eq!(names(&model), names(&back));
+        let eq = enc.encode_query(&graph_from_edges(&[0, 1, 2], &[(0, 1), (1, 2)]));
+        let (a, b) = (model.predict(&eq), back.predict(&eq));
+        assert_eq!(a.log10_count.to_bits(), b.log10_count.to_bits());
+        assert_eq!(a.class_probs, b.class_probs);
     }
 
     #[test]

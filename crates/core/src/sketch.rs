@@ -11,9 +11,10 @@ use crate::train::{
 use crate::workload::Workload;
 use alss_embedding::prone::ProneConfig;
 use alss_graph::Graph;
+use alss_nn::Mat;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 /// End-to-end configuration for building a sketch.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
@@ -61,15 +62,79 @@ impl SketchConfig {
 
 /// A trained learned sketch: everything needed to answer
 /// `estimate(query) → count`.
-#[derive(Clone, Serialize, Deserialize)]
+///
+/// A checkpoint holds what the sketch cannot derive and nothing else: the
+/// `encoder` (`kind`, `stats`, `label_embedding`, `hops`) and the
+/// `model`'s config and weights (`cfg`, `store.values`). Loading rebuilds
+/// the layers from the config and the encoder's feature widths
+/// ([`LssModel::from_weights`]) and fails, naming the field, on a weight
+/// that does not fit them; other keys, such as the layer wiring older
+/// checkpoints also stored, are not read.
+#[derive(Clone)]
 pub struct LearnedSketch {
     encoder: Encoder,
     model: LssModel,
 }
 
+impl Serialize for LearnedSketch {
+    fn serialize(&self) -> Value {
+        let object = |pairs: Vec<(&str, Value)>| {
+            Value::Object(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+        };
+        let store = object(vec![("values", self.model.store().values().serialize())]);
+        let model = object(vec![
+            ("cfg", self.model.config().serialize()),
+            ("store", store),
+        ]);
+        object(vec![
+            ("encoder", self.encoder.serialize()),
+            ("model", model),
+        ])
+    }
+}
+
+impl Deserialize for LearnedSketch {
+    fn deserialize(v: &Value) -> Result<Self, serde::Error> {
+        let encoder: Encoder = field(v, "encoder")?;
+        let cfg: LssConfig = field(v, "model.cfg")?;
+        if cfg.gnn_layers == 0 {
+            return Err(serde::Error::custom(
+                "model.cfg.gnn_layers: 0, the GIN needs a layer",
+            ));
+        }
+        let values = value_at(v, "model.store.values")?
+            .as_array()
+            .ok_or_else(|| serde::Error::custom("model.store.values: not an array"))?
+            .iter()
+            .enumerate()
+            .map(|(i, m)| {
+                Mat::deserialize(m)
+                    .map_err(|e| serde::Error::custom(format!("model.store.values[{i}]: {e}")))
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let model = LssModel::from_weights(cfg, encoder.node_dim(), encoder.edge_dim(), values)
+            .map_err(|e| serde::Error::custom(format!("model.store.{e}")))?;
+        Ok(LearnedSketch { encoder, model })
+    }
+}
+
+/// The value at the dotted `path` of a checkpoint.
+fn value_at<'a>(v: &'a Value, path: &str) -> Result<&'a Value, serde::Error> {
+    path.split('.').try_fold(v, |node, key| {
+        node.get(key)
+            .ok_or_else(|| serde::Error::custom(format!("missing field `{path}`")))
+    })
+}
+
+/// The value at the dotted `path` of a checkpoint, deserialized; an error
+/// names the path.
+fn field<T: Deserialize>(v: &Value, path: &str) -> Result<T, serde::Error> {
+    T::deserialize(value_at(v, path)?).map_err(|e| serde::Error::custom(format!("{path}: {e}")))
+}
+
 impl LearnedSketch {
-    /// Reassemble a sketch from a pre-built encoder and model (e.g. after
-    /// deserializing the parts separately).
+    /// Reassemble a sketch from a pre-built encoder and model (e.g. one
+    /// trained by hand, layer call by layer call).
     pub fn from_parts(encoder: Encoder, model: LssModel) -> Self {
         LearnedSketch { encoder, model }
     }
@@ -80,7 +145,9 @@ impl LearnedSketch {
         serde_json::to_string(self)
     }
 
-    /// Deserialize a sketch saved with [`LearnedSketch::to_json`].
+    /// Deserialize a sketch saved with [`LearnedSketch::to_json`], or by
+    /// an older version that also stored the layers' wiring. An error
+    /// names the offending field.
     pub fn from_json(json: &str) -> serde_json::Result<Self> {
         serde_json::from_str(json)
     }
@@ -380,17 +447,11 @@ mod tests {
         let json = sketch.to_json().expect("serialize");
         let mut value: serde_json::Value = serde_json::from_str(&json).expect("parse");
         let store = field_mut(field_mut(&mut value, "model"), "store");
-        let serde_json::Value::Array(names) = field_mut(store, "names").clone() else {
-            panic!("names is not an array");
-        };
-        let at = names
-            .iter()
-            .position(|n| n.as_str() == Some("lss.gin.gin0.l0.w"))
-            .expect("the first GIN weight");
+        // values[0] is the first GIN weight, `lss.gin.gin0.l0.w`
         let serde_json::Value::Array(values) = field_mut(store, "values") else {
             panic!("values is not an array");
         };
-        let serde_json::Value::Array(data) = field_mut(&mut values[at], "data") else {
+        let serde_json::Value::Array(data) = field_mut(&mut values[0], "data") else {
             panic!("data is not an array");
         };
         data.pop();
@@ -401,7 +462,9 @@ mod tests {
             .expect("a short matrix must not load");
         std::fs::remove_file(&path).ok();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("matrix holds"), "{err}");
+        let err = err.to_string();
+        assert!(err.starts_with("model.store.values[0]: a "), "{err}");
+        assert!(err.contains("matrix holds"), "{err}");
     }
 
     #[test]

@@ -49,6 +49,11 @@ impl LabelStats {
         self.freq.len()
     }
 
+    /// Number of distinct edge labels tracked (0 if not edge-labeled).
+    pub fn num_edge_labels(&self) -> usize {
+        self.edge_freq.len()
+    }
+
     /// `F(l)`: number of nodes carrying label `l`.
     #[inline]
     pub fn frequency(&self, l: LabelId) -> u64 {

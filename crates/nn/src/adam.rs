@@ -125,7 +125,9 @@ mod tests {
     #[test]
     fn converges_on_quadratic() {
         let mut store = ParamStore::new();
-        let w = store.add("w", Mat::from_vec(1, 1, vec![-2.0]));
+        let w = store
+            .add("w", (1, 1), || Mat::from_vec(1, 1, vec![-2.0]))
+            .unwrap();
         let mut adam = Adam::new(
             AdamConfig {
                 lr: 0.1,
@@ -164,7 +166,9 @@ mod tests {
     #[test]
     fn weight_decay_pulls_toward_zero() {
         let mut store = ParamStore::new();
-        let w = store.add("w", Mat::from_vec(1, 1, vec![5.0]));
+        let w = store
+            .add("w", (1, 1), || Mat::from_vec(1, 1, vec![5.0]))
+            .unwrap();
         let mut adam = Adam::new(
             AdamConfig {
                 lr: 0.05,

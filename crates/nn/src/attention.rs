@@ -17,18 +17,16 @@
 
 use crate::init::xavier_uniform;
 use crate::mat::Mat;
-use crate::param::{ParamId, ParamStore};
+use crate::param::{ParamError, ParamId, ParamStore};
 use crate::tape::{Tape, Var};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// The self-attention aggregator.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SelfAttention {
     w1: ParamId, // da × d
     w2: ParamId, // r × da
     d: usize,
-    da: usize,
     r: usize,
 }
 
@@ -42,12 +40,12 @@ impl SelfAttention {
         da: usize,
         r: usize,
         rng: &mut R,
-    ) -> Self {
+    ) -> Result<Self, ParamError> {
         // Bias-free two-layer MLP, per Algorithm 1 line 9; shapes are
         // W1 ∈ ℝ^{da×d}, W2 ∈ ℝ^{r×da}.
-        let w1 = store.add(format!("{name}.w1"), xavier_uniform(da, d, rng));
-        let w2 = store.add(format!("{name}.w2"), xavier_uniform(r, da, rng));
-        SelfAttention { w1, w2, d, da, r }
+        let w1 = store.add(format!("{name}.w1"), (da, d), || xavier_uniform(da, d, rng))?;
+        let w2 = store.add(format!("{name}.w2"), (r, da), || xavier_uniform(r, da, rng))?;
+        Ok(SelfAttention { w1, w2, d, r })
     }
 
     /// Aggregate `H_q (n × d)` into the flattened query representation
@@ -96,7 +94,7 @@ mod tests {
     fn setup(d: usize, da: usize, r: usize) -> (ParamStore, SelfAttention) {
         let mut rng = SmallRng::seed_from_u64(11);
         let mut store = ParamStore::new();
-        let att = SelfAttention::new(&mut store, "att", d, da, r, &mut rng);
+        let att = SelfAttention::new(&mut store, "att", d, da, r, &mut rng).unwrap();
         (store, att)
     }
 

@@ -6,7 +6,8 @@
 //! injective aggregate/combine/Readout make it as powerful as the WL test —
 //! isomorphic substructures get identical representations, matching the
 //! inductive bias of counting. We implement GIN-0 (ε fixed at 0, the
-//! common variant) with a per-layer 2-layer MLP and ReLU.
+//! common variant, so the aggregate is `h_v + Σ_u h_u`) with a per-layer
+//! 2-layer MLP and ReLU.
 //!
 //! Edge labels (Eq. 4) are supported by concatenating, per node, the sum of
 //! incident initial edge features to the aggregated neighbor sum — exact for
@@ -20,7 +21,7 @@
 
 use crate::linear::{Activation, Mlp};
 use crate::mat::Mat;
-use crate::param::ParamStore;
+use crate::param::{ParamError, ParamStore};
 use crate::tape::{Tape, Var};
 use alss_graph::PackedGraphs;
 use rand::Rng;
@@ -33,20 +34,20 @@ use std::sync::Arc;
 /// distinguish neighborhoods that differ only in multiplicity).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum Aggregation {
-    /// `(1+ε)h_v + Σ_u h_u` — injective, WL-powerful (GIN).
+    /// `h_v + Σ_u h_u` — injective, WL-powerful (GIN-0).
     #[default]
     Sum,
-    /// `((1+ε)h_v + Σ_u h_u) / (deg(v)+1)` — mean aggregation.
+    /// `(h_v + Σ_u h_u) / (deg(v)+1)` — mean aggregation.
     Mean,
 }
 
 impl Aggregation {
     /// Aggregate `x`, whose rows are the nodes of `graphs`, by the
-    /// variant's formula with `ε = eps`, adding each row's neighbor rows in
-    /// `graphs`' order.
-    pub fn apply(self, x: &Mat, graphs: &PackedGraphs, eps: f32) -> Mat {
+    /// variant's formula, adding each row's neighbor rows in `graphs`'
+    /// order.
+    pub fn apply(self, x: &Mat, graphs: &PackedGraphs) -> Mat {
         assert_eq!(x.rows(), graphs.num_nodes(), "packed row mismatch");
-        let mut out = x.map(|e| e * (1.0 + eps));
+        let mut out = x.clone();
         for v in 0..x.rows() {
             for &u in graphs.neighbors(v) {
                 for (o, &a) in out.row_mut(v).iter_mut().zip(x.row(u)) {
@@ -60,10 +61,10 @@ impl Aggregation {
 
     /// The transpose of [`Aggregation::apply`] (its gradient): the neighbor
     /// sum is symmetric, so scale `g`'s rows first, then aggregate.
-    pub(crate) fn apply_transposed(self, g: &Mat, graphs: &PackedGraphs, eps: f32) -> Mat {
+    pub(crate) fn apply_transposed(self, g: &Mat, graphs: &PackedGraphs) -> Mat {
         let mut g = g.clone();
         self.scale_rows(&mut g, graphs);
-        Aggregation::Sum.apply(&g, graphs, eps)
+        Aggregation::Sum.apply(&g, graphs)
     }
 
     /// Divide row `v` by `deg(v)+1` under [`Aggregation::Mean`].
@@ -79,18 +80,16 @@ impl Aggregation {
 
 /// One GIN layer: `MLP` of the aggregate, with the node's edge sum
 /// appended when `edge_dim > 0`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 struct GinLayer {
     mlp: Mlp,
-    eps: f32,
     edge_dim: usize,
-    #[serde(default)]
     aggregation: Aggregation,
 }
 
 /// A `K`-layer GIN encoder with sum Readout: each substructure → a
 /// `1 × out_dim` representation `h_{s_i}` (Algorithm 1, lines 3–7).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct GinEncoder {
     layers: Vec<GinLayer>,
 }
@@ -115,9 +114,11 @@ impl GinEncoder {
         activation: Activation,
         aggregation: Aggregation,
         rng: &mut R,
-    ) -> Self {
+    ) -> Result<Self, ParamError> {
         assert!(num_layers >= 1, "GIN encoder needs at least one layer");
-        let mut layers = Vec::with_capacity(num_layers);
+        // Not presized: `num_layers` may come from an unchecked config,
+        // whose first layer the store rejects when it does not fit.
+        let mut layers = Vec::new();
         let mut d = in_dim;
         for k in 0..num_layers {
             // `d` (+ `edge_dim` if edge-labeled) features to `hidden`,
@@ -130,16 +131,15 @@ impl GinEncoder {
                 activation,
                 dropout,
                 rng,
-            );
+            )?;
             layers.push(GinLayer {
                 mlp,
-                eps: 0.0,
                 edge_dim,
                 aggregation,
             });
             d = hidden;
         }
-        GinEncoder { layers }
+        Ok(GinEncoder { layers })
     }
 
     /// Tape forward: encode every graph of `graphs` from the stacked node
@@ -168,7 +168,7 @@ impl GinEncoder {
         }
         let mut h = x;
         for (layer, masks) in self.layers.iter().zip(masks) {
-            let agg = tape.graph_agg(h, graphs, layer.eps, layer.aggregation);
+            let agg = tape.graph_agg(h, graphs, layer.aggregation);
             let input = match edge_sum {
                 // without edge sums an edge-labeled layer fails the MLP's
                 // input-width check
@@ -191,9 +191,7 @@ impl GinEncoder {
     ) -> Mat {
         let mut h: Option<Mat> = None;
         for layer in &self.layers {
-            let agg = layer
-                .aggregation
-                .apply(h.as_ref().unwrap_or(x), graphs, layer.eps);
+            let agg = layer.aggregation.apply(h.as_ref().unwrap_or(x), graphs);
             let input = match edge_sum {
                 Some(es) if layer.edge_dim > 0 => agg.concat_cols(es),
                 _ => agg,
@@ -243,6 +241,7 @@ mod tests {
             aggregation,
             &mut rng,
         )
+        .unwrap()
     }
 
     /// Encode one graph, given as its nodes' neighbor lists.

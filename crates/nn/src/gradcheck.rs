@@ -88,7 +88,7 @@ mod tests {
     fn gradcheck_mlp_with_mse() {
         let mut rng = SmallRng::seed_from_u64(42);
         let mut store = ParamStore::new();
-        let mlp = Mlp::new(&mut store, "m", &[3, 4, 1], Activation::Tanh, 0.0, &mut rng);
+        let mlp = Mlp::new(&mut store, "m", &[3, 4, 1], Activation::Tanh, 0.0, &mut rng).unwrap();
         let x = Mat::from_vec(2, 3, vec![0.5, -0.2, 0.1, 0.9, 0.4, -0.7]);
         let report = check_gradients(&mut store, 1e-2, |t, s| {
             let xv = t.input(x.clone());
@@ -104,7 +104,7 @@ mod tests {
     fn gradcheck_attention() {
         let mut rng = SmallRng::seed_from_u64(43);
         let mut store = ParamStore::new();
-        let att = SelfAttention::new(&mut store, "a", 3, 4, 2, &mut rng);
+        let att = SelfAttention::new(&mut store, "a", 3, 4, 2, &mut rng).unwrap();
         let h = Mat::from_vec(3, 3, vec![0.2, 0.5, -0.3, 0.7, -0.1, 0.4, 0.0, 0.3, 0.9]);
         let report = check_gradients(&mut store, 1e-2, |t, s| {
             let hv = t.input(h.clone());
@@ -151,7 +151,8 @@ mod tests {
                 Activation::Tanh,
                 aggregation,
                 &mut rng,
-            );
+            )
+            .unwrap();
             let report = check_gradients(&mut store, 1e-2, |t, s| {
                 let xv = t.input(x.clone());
                 let esv = es.clone().map(|m| t.input(m));
@@ -168,7 +169,7 @@ mod tests {
     fn gradcheck_cross_entropy_and_multitask() {
         let mut rng = SmallRng::seed_from_u64(45);
         let mut store = ParamStore::new();
-        let mlp = Mlp::new(&mut store, "m", &[2, 5, 4], Activation::Relu, 0.0, &mut rng);
+        let mlp = Mlp::new(&mut store, "m", &[2, 5, 4], Activation::Relu, 0.0, &mut rng).unwrap();
         let x = Mat::from_vec(2, 2, vec![0.3, -0.6, 0.8, 0.2]);
         let report = check_gradients(&mut store, 1e-2, |t, s| {
             let xv = t.input(x.clone());

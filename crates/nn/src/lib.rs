@@ -11,8 +11,10 @@
 //!   the LSS architecture needs (matmul, broadcasts, ReLU/tanh/softmax,
 //!   dropout, GIN graph aggregation, concat/slice/flatten);
 //! * [`param::ParamStore`] — persistent parameters (weights and names
-//!   only); [`param::GradShard`] — the gradient accumulator a backward
-//!   pass fills and the optimizer reads;
+//!   only), fresh or opened on a checkpoint's stored matrices, which the
+//!   layer constructors then take in order after a shape check;
+//!   [`param::GradShard`] — the gradient accumulator a backward pass fills
+//!   and the optimizer reads;
 //! * [`linear`] — `Linear` / `Mlp` layers; [`gin`] — GIN encoder;
 //!   [`attention`] — structured self-attention (Algorithm 1, lines 8–11);
 //! * [`PackedGraphs`] (re-exported from `alss-graph`, whose query
@@ -39,7 +41,7 @@
 //! // fit y = 2x with a tiny MLP
 //! let mut rng = SmallRng::seed_from_u64(0);
 //! let mut store = ParamStore::new();
-//! let mlp = Mlp::new(&mut store, "m", &[1, 8, 1], Activation::Tanh, 0.0, &mut rng);
+//! let mlp = Mlp::new(&mut store, "m", &[1, 8, 1], Activation::Tanh, 0.0, &mut rng).unwrap();
 //! let mut adam = Adam::new(AdamConfig { lr: 0.02, weight_decay: 0.0, ..Default::default() }, &store);
 //! let mut grads = store.grad_shard();
 //! for step in 0..200 {
@@ -98,5 +100,5 @@ pub use attention::SelfAttention;
 pub use gin::{Aggregation, GinEncoder};
 pub use linear::{Activation, Linear, Mlp};
 pub use mat::Mat;
-pub use param::{GradShard, ParamId, ParamStore};
+pub use param::{GradShard, ParamError, ParamId, ParamStore};
 pub use tape::{Tape, Var};

@@ -2,15 +2,14 @@
 
 use crate::init::xavier_uniform;
 use crate::mat::Mat;
-use crate::param::{ParamId, ParamStore};
+use crate::param::{ParamError, ParamId, ParamStore};
 use crate::tape::{Tape, Var};
 use alss_graph::PackedGraphs;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Activation applied between MLP layers.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Activation {
     /// Identity.
     None,
@@ -42,7 +41,7 @@ impl Activation {
 
 /// A dense layer `y = x W + b` (bias optional — the paper's attention MLP
 /// is bias-free).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Linear {
     w: ParamId,
     b: Option<ParamId>,
@@ -51,7 +50,8 @@ pub struct Linear {
 }
 
 impl Linear {
-    /// Create with Xavier-initialized weights.
+    /// Create with Xavier-initialized weights (a zero bias), or with the
+    /// next stored ones of a stored `store`.
     pub fn new<R: Rng>(
         store: &mut ParamStore,
         name: &str,
@@ -59,15 +59,21 @@ impl Linear {
         out_dim: usize,
         bias: bool,
         rng: &mut R,
-    ) -> Self {
-        let w = store.add(format!("{name}.w"), xavier_uniform(in_dim, out_dim, rng));
-        let b = bias.then(|| store.add(format!("{name}.b"), Mat::zeros(1, out_dim)));
-        Linear {
+    ) -> Result<Self, ParamError> {
+        let w = store.add(format!("{name}.w"), (in_dim, out_dim), || {
+            xavier_uniform(in_dim, out_dim, rng)
+        })?;
+        let b = if bias {
+            Some(store.add(format!("{name}.b"), (1, out_dim), || Mat::zeros(1, out_dim))?)
+        } else {
+            None
+        };
+        Ok(Linear {
             w,
             b,
             in_dim,
             out_dim,
-        }
+        })
     }
 
     /// Forward: `x (n × in) → (n × out)`. With `graphs`, `x`'s rows are
@@ -110,7 +116,7 @@ impl Linear {
 
 /// A multi-layer perceptron with a fixed hidden activation, optional
 /// dropout after each hidden layer, and a linear output layer.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Mlp {
     layers: Vec<Linear>,
     activation: Activation,
@@ -126,18 +132,18 @@ impl Mlp {
         activation: Activation,
         dropout: f32,
         rng: &mut R,
-    ) -> Self {
+    ) -> Result<Self, ParamError> {
         assert!(dims.len() >= 2, "MLP needs at least in/out dims");
         let layers = dims
             .windows(2)
             .enumerate()
             .map(|(i, w)| Linear::new(store, &format!("{name}.l{i}"), w[0], w[1], true, rng))
-            .collect();
-        Mlp {
+            .collect::<Result<_, _>>()?;
+        Ok(Mlp {
             layers,
             activation,
             dropout,
-        }
+        })
     }
 
     /// Draw the dropout masks of a forward over `rows` input rows: one per
@@ -207,7 +213,7 @@ mod tests {
     fn linear_shapes() {
         let mut rng = SmallRng::seed_from_u64(0);
         let mut store = ParamStore::new();
-        let l = Linear::new(&mut store, "l", 3, 5, true, &mut rng);
+        let l = Linear::new(&mut store, "l", 3, 5, true, &mut rng).unwrap();
         let mut t = Tape::eval();
         let x = t.input(Mat::zeros(4, 3));
         let y = l.forward(&mut t, &store, x, None);
@@ -218,7 +224,7 @@ mod tests {
     fn bias_free_layer_registers_one_param() {
         let mut rng = SmallRng::seed_from_u64(0);
         let mut store = ParamStore::new();
-        let _ = Linear::new(&mut store, "nb", 2, 2, false, &mut rng);
+        let _ = Linear::new(&mut store, "nb", 2, 2, false, &mut rng).unwrap();
         assert_eq!(store.num_params(), 1);
     }
 
@@ -227,7 +233,7 @@ mod tests {
         // single gradient step reduces loss on y = x task
         let mut rng = SmallRng::seed_from_u64(7);
         let mut store = ParamStore::new();
-        let mlp = Mlp::new(&mut store, "m", &[2, 8, 1], Activation::Relu, 0.0, &mut rng);
+        let mlp = Mlp::new(&mut store, "m", &[2, 8, 1], Activation::Relu, 0.0, &mut rng).unwrap();
         let data = Mat::from_vec(4, 2, vec![0., 0., 0., 1., 1., 0., 1., 1.]);
         let target = Mat::from_vec(4, 1, vec![0., 1., 1., 2.]);
 

@@ -115,7 +115,9 @@ mod tests {
     #[test]
     fn losses_are_differentiable() {
         let mut store = ParamStore::new();
-        let w = store.add("w", Mat::from_vec(1, 1, vec![2.0]));
+        let w = store
+            .add("w", (1, 1), || Mat::from_vec(1, 1, vec![2.0]))
+            .unwrap();
         let mut grads = store.grad_shard();
         let mut t = Tape::eval();
         let wv = t.param(&store, w);

@@ -4,13 +4,33 @@
 //! run, like PyTorch); learnable parameters persist here. The store holds
 //! weights only: `Tape::backward` accumulates gradients into a
 //! [`GradShard`], which the optimizer ([`crate::adam::Adam`]) consumes.
+//!
+//! Layers register their parameters in construction order, each with its
+//! shape and a lazy initializer. A fresh store ([`ParamStore::new`])
+//! runs the initializer; a store opened on a checkpoint's matrices
+//! ([`ParamStore::stored`]) hands out the next stored matrix instead, once
+//! its shape and values check out, so the same constructors that build a
+//! model for training rebuild it from a checkpoint.
 
 use crate::mat::Mat;
-use serde::{Deserialize, Serialize};
 
 /// Handle to a parameter inside a [`ParamStore`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct ParamId(pub(crate) usize);
+
+/// A stored parameter that does not fit the layer asking for it, named by
+/// its position in the stored list (`values[i]`) and, where a layer asked
+/// for it, by the parameter's name.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ParamError(String);
+
+impl std::fmt::Display for ParamError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for ParamError {}
 
 /// A gradient accumulator shaped like a [`ParamStore`]'s parameter list.
 /// Worker threads of the data-parallel trainer each own one (no locks on
@@ -71,28 +91,88 @@ impl GradShard {
 
 /// Owning store of all learnable parameters of a model: weights and their
 /// diagnostic names, nothing training-only.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ParamStore {
     values: Vec<Mat>,
     names: Vec<String>,
+    /// The matrices [`ParamStore::add`] hands out, in order, when opened
+    /// on stored ones; `None` for a fresh store.
+    stored: Option<std::vec::IntoIter<Mat>>,
 }
 
 impl ParamStore {
-    /// Empty store.
+    /// Empty store whose parameters take their initializers' values.
     pub fn new() -> Self {
         ParamStore {
             values: Vec::new(),
             names: Vec::new(),
+            stored: None,
         }
     }
 
-    /// Register a parameter with an initial value. The name is diagnostic
-    /// (checkpoint inspection, tests).
-    pub fn add(&mut self, name: impl Into<String>, value: Mat) -> ParamId {
-        let id = ParamId(self.values.len());
+    /// Empty store whose parameters take `values`, in order, instead of
+    /// their initializers' values. Close it with [`ParamStore::finish`].
+    pub fn stored(values: Vec<Mat>) -> Self {
+        ParamStore {
+            stored: Some(values.into_iter()),
+            ..ParamStore::new()
+        }
+    }
+
+    /// Register a `rows × cols` parameter. A fresh store calls `init` for
+    /// its value; a stored one takes its next stored matrix instead, and
+    /// fails if there is none, if its shape is not `shape`, or if a value
+    /// is not finite, before anything of `shape`'s size is allocated. The
+    /// name is diagnostic (errors, tests).
+    pub fn add(
+        &mut self,
+        name: impl Into<String>,
+        shape: (usize, usize),
+        init: impl FnOnce() -> Mat,
+    ) -> Result<ParamId, ParamError> {
+        let name = name.into();
+        let index = self.values.len();
+        let value = match &mut self.stored {
+            None => init(),
+            Some(stored) => {
+                let fail =
+                    |problem: String| ParamError(format!("values[{index}] ({name}): {problem}"));
+                let Some(value) = stored.next() else {
+                    return Err(fail(format!("missing; only {index} are stored")));
+                };
+                if value.shape() != shape {
+                    let ((r, c), (rows, cols)) = (value.shape(), shape);
+                    return Err(fail(format!(
+                        "a {r}×{c} matrix where the layer needs {rows}×{cols}"
+                    )));
+                }
+                // An empty matrix's shape is not bounded by the values
+                // stored, so a layer could allocate from it at will.
+                if value.is_empty() {
+                    return Err(fail("a matrix with no values".to_string()));
+                }
+                if let Some(i) = value.data().iter().position(|x| !x.is_finite()) {
+                    return Err(fail(format!("value {i} is not finite")));
+                }
+                value
+            }
+        };
+        debug_assert_eq!(value.shape(), shape, "{name}: initializer shape");
         self.values.push(value);
-        self.names.push(name.into());
-        id
+        self.names.push(name);
+        Ok(ParamId(index))
+    }
+
+    /// Close a store opened with [`ParamStore::stored`]: an error if a
+    /// stored matrix was never asked for.
+    pub fn finish(mut self) -> Result<Self, ParamError> {
+        match self.stored.take().map(|mut rest| rest.next()) {
+            Some(Some(_)) => Err(ParamError(format!(
+                "values[{}]: a leftover weight that no layer asks for",
+                self.values.len()
+            ))),
+            _ => Ok(self),
+        }
     }
 
     /// Current value of a parameter.
@@ -121,6 +201,12 @@ impl ParamStore {
     /// Name of a parameter.
     pub fn name(&self, id: ParamId) -> &str {
         &self.names[id.0]
+    }
+
+    /// Every parameter's value, in registration order (what a checkpoint
+    /// stores).
+    pub fn values(&self) -> &[Mat] {
+        &self.values
     }
 
     /// Number of registered parameters (tensors).
@@ -152,18 +238,73 @@ mod tests {
     /// A store with one `1 × 2` parameter.
     fn one_param() -> (ParamStore, ParamId) {
         let mut s = ParamStore::new();
-        let w = s.add("w", Mat::zeros(1, 2));
+        let w = s.add("w", (1, 2), || Mat::zeros(1, 2)).unwrap();
         (s, w)
     }
 
     #[test]
     fn add_and_access() {
         let mut s = ParamStore::new();
-        let w = s.add("w", Mat::from_vec(2, 2, vec![1., 2., 3., 4.]));
+        let w = s
+            .add("w", (2, 2), || Mat::from_vec(2, 2, vec![1., 2., 3., 4.]))
+            .unwrap();
         assert_eq!(s.value(w).get(1, 0), 3.0);
         assert_eq!(s.name(w), "w");
         assert_eq!(s.num_params(), 1);
         assert_eq!(s.num_weights(), 4);
+        assert_eq!(s.values(), &[Mat::from_vec(2, 2, vec![1., 2., 3., 4.])]);
+    }
+
+    #[test]
+    fn a_stored_store_hands_out_its_matrices_without_initializing() {
+        let stored = vec![Mat::full(1, 2, 0.5), Mat::full(2, 1, -1.0)];
+        let mut s = ParamStore::stored(stored.clone());
+        let never = || -> Mat { panic!("a stored store must not initialize") };
+        let a = s.add("a", (1, 2), never).unwrap();
+        let b = s.add("b", (2, 1), never).unwrap();
+        let s = s.finish().unwrap();
+        assert_eq!((s.value(a), s.value(b)), (&stored[0], &stored[1]));
+        assert_eq!(s.name(b), "b");
+    }
+
+    #[test]
+    fn a_stored_store_names_what_does_not_fit() {
+        let never = || -> Mat { panic!("a stored store must not initialize") };
+        let err = |r: Result<ParamId, ParamError>| r.unwrap_err().to_string();
+
+        // A width far beyond the stored shape fails on the shape check,
+        // before any allocation of that size.
+        let mut s = ParamStore::stored(vec![Mat::zeros(1, 2)]);
+        let e = err(s.add("w", (1, 1 << 40), never));
+        assert_eq!(
+            e,
+            format!(
+                "values[0] (w): a 1×2 matrix where the layer needs 1×{}",
+                1u64 << 40
+            )
+        );
+
+        let mut s = ParamStore::stored(vec![Mat::zeros(1 << 40, 0)]);
+        let e = err(s.add("w", (1 << 40, 0), never));
+        assert_eq!(e, "values[0] (w): a matrix with no values");
+
+        let mut s = ParamStore::stored(vec![Mat::from_vec(1, 2, vec![0.0, f32::INFINITY])]);
+        assert_eq!(
+            err(s.add("w", (1, 2), never)),
+            "values[0] (w): value 1 is not finite"
+        );
+
+        let mut s = ParamStore::stored(vec![Mat::zeros(1, 1)]);
+        s.add("a", (1, 1), never).unwrap();
+        assert_eq!(
+            err(s.add("b", (1, 1), never)),
+            "values[1] (b): missing; only 1 are stored"
+        );
+
+        let mut s = ParamStore::stored(vec![Mat::zeros(1, 1), Mat::zeros(1, 1)]);
+        s.add("a", (1, 1), never).unwrap();
+        let e = s.finish().unwrap_err().to_string();
+        assert_eq!(e, "values[1]: a leftover weight that no layer asks for");
     }
 
     #[test]

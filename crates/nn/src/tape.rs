@@ -57,9 +57,9 @@ enum Op {
     ConcatCols(Var, Var),
     Transpose(Var),
     SliceCols(Var, usize, usize),
-    /// GIN aggregate `S (A + (1+eps) I) X` over a fixed packed graph set;
-    /// `A` is symmetric and `S` the aggregation's diagonal row scaling.
-    GraphAgg(Var, Arc<PackedGraphs>, f32, Aggregation),
+    /// GIN aggregate `S (A + I) X` over a fixed packed graph set; `A` is
+    /// symmetric and `S` the aggregation's diagonal row scaling.
+    GraphAgg(Var, Arc<PackedGraphs>, Aggregation),
     Flatten(Var),
 }
 
@@ -334,11 +334,10 @@ impl Tape {
         &mut self,
         x: Var,
         graphs: &Arc<PackedGraphs>,
-        eps: f32,
         aggregation: Aggregation,
     ) -> Var {
-        let v = aggregation.apply(&self.nodes[x.0].value, graphs, eps);
-        self.push(v, Op::GraphAgg(x, Arc::clone(graphs), eps, aggregation))
+        let v = aggregation.apply(&self.nodes[x.0].value, graphs);
+        self.push(v, Op::GraphAgg(x, Arc::clone(graphs), aggregation))
     }
 
     /// Reshape `(r×c)` into a `(1, r·c)` row vector.
@@ -545,9 +544,9 @@ impl Tape {
                     }
                     self.add_grad(a, dx);
                 }
-                Op::GraphAgg(x, graphs, eps, aggregation) => {
+                Op::GraphAgg(x, graphs, aggregation) => {
                     let x = *x;
-                    let dx = aggregation.apply_transposed(&g, graphs, *eps);
+                    let dx = aggregation.apply_transposed(&g, graphs);
                     self.add_grad(x, dx);
                 }
                 Op::Flatten(a) => {
@@ -612,7 +611,7 @@ mod tests {
     #[test]
     fn param_grads_routed_to_shard() {
         let mut store = ParamStore::new();
-        let w = store.add("w", Mat::row_vector(&[3.0]));
+        let w = store.add("w", (1, 1), || Mat::row_vector(&[3.0])).unwrap();
         let mut grads = store.grad_shard();
         let mut t = Tape::train(SmallRng::seed_from_u64(0));
         let wv = t.param(&store, w);
@@ -648,15 +647,15 @@ mod tests {
 
     #[test]
     fn graph_agg_path() {
-        // an edge, then the path 0-1-2; eps=0: path out[1] = x1 + x0 + x2
+        // an edge, then the path 0-1-2: path out[1] = x1 + x0 + x2
         let edge: &[&[u32]] = &[&[1], &[0]];
         let path: &[&[u32]] = &[&[1], &[0, 2], &[1]];
         let graphs = Arc::new(PackedGraphs::new([edge, path]));
         let mut t = Tape::eval();
         let x = t.input(Mat::from_vec(5, 1, vec![1.0, 2.0, 1.0, 10.0, 100.0]));
-        let y = t.graph_agg(x, &graphs, 0.0, Aggregation::Sum);
+        let y = t.graph_agg(x, &graphs, Aggregation::Sum);
         assert_eq!(t.value(y).data(), &[3.0, 3.0, 11.0, 111.0, 110.0]);
-        let y = t.graph_agg(x, &graphs, 0.0, Aggregation::Mean);
+        let y = t.graph_agg(x, &graphs, Aggregation::Mean);
         assert_eq!(t.value(y).data(), &[1.5, 1.5, 5.5, 37.0, 55.0]);
     }
 

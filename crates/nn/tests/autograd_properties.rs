@@ -59,7 +59,7 @@ proptest! {
         // random tanh MLP; smooth everywhere so finite differences are valid
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut store = ParamStore::new();
-        let mlp = Mlp::new(&mut store, "m", &[3, 5, 2], Activation::Tanh, 0.0, &mut rng);
+        let mlp = Mlp::new(&mut store, "m", &[3, 5, 2], Activation::Tanh, 0.0, &mut rng).unwrap();
         let report = check_gradients(&mut store, 1e-2, |t, s| {
             let xv = t.input(x.clone());
             let masks = mlp.dropout_masks(t, 2);
@@ -77,7 +77,7 @@ proptest! {
     ) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut store = ParamStore::new();
-        let att = SelfAttention::new(&mut store, "a", 3, 4, 2, &mut rng);
+        let att = SelfAttention::new(&mut store, "a", 3, 4, 2, &mut rng).unwrap();
         let report = check_gradients(&mut store, 1e-2, |t, s| {
             let hv = t.input(h.clone());
             let (eq, _) = att.forward(t, s, hv);
@@ -97,8 +97,8 @@ proptest! {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut store = ParamStore::new();
         use alss_nn::init::xavier_uniform;
-        let w = store.add("w", xavier_uniform(2, 2, &mut rng));
-        let bias = store.add("b", xavier_uniform(1, 4, &mut rng));
+        let w = store.add("w", (2, 2), || xavier_uniform(2, 2, &mut rng)).unwrap();
+        let bias = store.add("b", (1, 4), || xavier_uniform(1, 4, &mut rng)).unwrap();
         let report = check_gradients(&mut store, 1e-2, |t, s| {
             let wv = t.param(s, w);
             let bv = t.param(s, bias);
@@ -127,7 +127,7 @@ proptest! {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut store = ParamStore::new();
         use alss_nn::init::xavier_uniform;
-        let w = store.add("w", xavier_uniform(4, 4, &mut rng));
+        let w = store.add("w", (4, 4), || xavier_uniform(4, 4, &mut rng)).unwrap();
         let report = check_gradients(&mut store, 1e-2, |t, s| {
             let wv = t.param(s, w);
             let xv = t.input(x.clone());

@@ -42,7 +42,8 @@ proptest! {
             Activation::Tanh,
             0.0,
             &mut rng,
-        );
+        )
+        .unwrap();
         // Deterministic pseudo-random inputs/targets derived from the seed.
         let x = Mat::from_vec(
             rows,
@@ -75,10 +76,11 @@ proptest! {
         scale in -2.0f32..2.0,
     ) {
         let mut store = ParamStore::new();
-        let w = store.add(
-            "w",
-            Mat::from_vec(1, n, (0..n).map(|i| ((seed + i as u64) as f32 * 0.23).cos()).collect()),
-        );
+        let w = store
+            .add("w", (1, n), || {
+                Mat::from_vec(1, n, (0..n).map(|i| ((seed + i as u64) as f32 * 0.23).cos()).collect())
+            })
+            .unwrap();
         let report = check_gradients(&mut store, 1e-3, |t, s| {
             let wv = t.param(s, w);
             let sc = t.scale(wv, scale);

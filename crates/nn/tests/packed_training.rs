@@ -50,7 +50,8 @@ fn packed_training_matches_a_pass_per_graph_bit_for_bit() {
                 Activation::Relu,
                 aggregation,
                 &mut rng,
-            );
+            )
+            .expect("a fresh store builds");
             let inputs = |t: &mut Tape, rows: std::ops::Range<usize>| {
                 let x = t.input(wave(rows.clone(), in_dim, 0.7));
                 let es = (edge_dim > 0).then(|| t.input(wave(rows, edge_dim, 1.9)));

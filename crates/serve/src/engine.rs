@@ -74,14 +74,17 @@ pub fn magnitude_class_of(log10: f64) -> u64 {
     class
 }
 
-/// Compute a full-quality model estimate.
-pub fn model_outcome(sketch: &LearnedSketch, query: &Graph) -> Outcome {
+/// Compute a full-quality model estimate, or `None` when the model's
+/// output is not finite (finite weights can still overflow), which is no
+/// estimate to serve or cache.
+pub fn model_outcome(sketch: &LearnedSketch, query: &Graph) -> Option<Outcome> {
     let pred = sketch.predict(query);
-    Outcome {
+    let finite = pred.log10_count.is_finite() && pred.class_probs.iter().all(|p| p.is_finite());
+    finite.then(|| Outcome {
         log10: pred.log10_count,
         magnitude_class: u64::try_from(pred.top_class()).unwrap_or(u64::MAX),
         degraded: false,
-    }
+    })
 }
 
 /// Deterministic fallback estimate: Wander Join seeded from the query's

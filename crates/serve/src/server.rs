@@ -40,6 +40,10 @@ const WJ_SAMPLES: usize = 64;
 /// Live connections the server holds at once.
 const MAX_CONNECTIONS: usize = 1024;
 
+/// Longest a reply may take to write to a peer that does not read. Past
+/// it the connection is closed, so such a peer cannot hold up shutdown.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// Longest request line, newline included. A longer line gets one
 /// `ok:false` reply and is discarded up to its newline; the connection
 /// stays open.
@@ -239,6 +243,7 @@ fn accept_loop(
             // Each reply is one write; send it at once rather than letting
             // Nagle hold it for the client's delayed ACK.
             let _ = stream.set_nodelay(true);
+            let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
             let Some(slot) = slots.try_acquire() else {
                 alss_telemetry::counter("serve.overloaded").inc();
                 write_response(
@@ -379,14 +384,34 @@ fn handle_connection(stream: TcpStream, addr: SocketAddr, shared: &Shared, est: 
     }
 }
 
-/// Write one response line, newline included, in a single `write_all`;
-/// `false` when the connection is unusable.
+/// Write one response line, newline included, within `WRITE_TIMEOUT`;
+/// `false` when the connection is unusable or its peer does not read.
+/// The line is normally one `write`. A peer that reads slowly can take it
+/// in parts, each of which may wait out the socket's timeout, so the
+/// rest of a partial write gets only what is left of the deadline.
 fn write_response(writer: &mut TcpStream, response: &Response) -> bool {
     let Ok(mut out_line) = to_line(response) else {
         return false;
     };
     out_line.push('\n');
-    writer.write_all(out_line.as_bytes()).is_ok()
+    let deadline = Instant::now() + WRITE_TIMEOUT;
+    let mut rest = out_line.as_bytes();
+    let mut shortened = false;
+    loop {
+        match writer.write(rest) {
+            Ok(n) if n == rest.len() => break,
+            Ok(n) if n > 0 => rest = &rest[n..],
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            _ => return false,
+        }
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || writer.set_write_timeout(Some(left)).is_err() {
+            return false;
+        }
+        shortened = true;
+    }
+    // The next reply gets the whole timeout again.
+    !shortened || writer.set_write_timeout(Some(WRITE_TIMEOUT)).is_ok()
 }
 
 /// Elapsed microseconds, saturated into `u64`.
@@ -429,8 +454,9 @@ fn stats_response(req: &Request, shared: &Shared, est: Estimator<'_>) -> Respons
 }
 
 /// Answer an estimate: a cache hit, else the model, else (deadline passed
-/// since `started`, or no model) the deterministic fallback. Only model
-/// answers are cached, so a degraded answer never shadows one.
+/// since `started`, no model, or a model output that is not finite) the
+/// deterministic fallback. Only model answers are cached, so a degraded
+/// answer never shadows one.
 fn estimate_response(
     req: &Request,
     started: Instant,
@@ -465,7 +491,10 @@ fn estimate_response(
         .deadline_ms
         .is_some_and(|d| started.elapsed() >= Duration::from_millis(d));
     let outcome = match est.model {
-        Some(sketch) if !expired => model_outcome(sketch, &query),
+        Some(sketch) if !expired => model_outcome(sketch, &query).unwrap_or_else(|| {
+            alss_telemetry::counter("serve.model_non_finite").inc();
+            fallback_outcome(est.wj, &query, key.hash)
+        }),
         _ => fallback_outcome(est.wj, &query, key.hash),
     };
     if outcome.degraded {

@@ -5,11 +5,12 @@
 
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
 
-use alss_core::{LabeledQuery, LearnedSketch, SketchConfig, Workload};
+use alss_core::{EncodingKind, LabeledQuery, LearnedSketch, SketchConfig, Workload};
 use alss_graph::builder::graph_from_edges;
 use alss_graph::io::to_text;
 use alss_graph::Graph;
 use alss_matching::{count_homomorphisms, Budget};
+use alss_serve::proto::to_line;
 use alss_serve::{run_load, Client, Request, ServeConfig};
 use std::path::PathBuf;
 use std::time::Duration;
@@ -453,33 +454,178 @@ fn a_bad_data_graph_line_fails_start_up_with_its_line_number() {
     assert!(e.contains("line 3: bad label"), "{e}");
 }
 
-#[test]
-fn a_checkpoint_that_does_not_load_starts_a_degraded_server() {
-    let (graph, sketch) = fixtures("bad-sketch");
-    // A weight matrix one value short of `rows × cols`.
-    let mut value: serde_json::Value =
-        serde_json::from_str(&std::fs::read_to_string(&sketch).unwrap()).unwrap();
-    let store = field_mut(field_mut(&mut value, "model"), "store");
-    let names = field_mut(store, "names").as_array().unwrap();
-    let at = names
-        .iter()
-        .position(|n| n.as_str() == Some("lss.gin.gin0.l0.w"))
-        .unwrap();
+/// The `i`-th stored weight matrix of a parsed checkpoint. Under
+/// `SketchConfig::tiny()` (two GIN layers of four parameters each),
+/// `values[0]` is `lss.gin.gin0.l0.w`, `values[8]` is `lss.att.w1` and
+/// `values[10]` is `lss.mlp.l0.w`.
+fn weight_mut(checkpoint: &mut serde_json::Value, i: usize) -> &mut serde_json::Value {
+    let store = field_mut(field_mut(checkpoint, "model"), "store");
     let serde_json::Value::Array(values) = field_mut(store, "values") else {
         panic!("values is not an array");
     };
-    let serde_json::Value::Array(data) = field_mut(&mut values[at], "data") else {
+    &mut values[i]
+}
+
+/// The `data` array of a stored weight matrix.
+fn data_mut(matrix: &mut serde_json::Value) -> &mut Vec<serde_json::Value> {
+    let serde_json::Value::Array(data) = field_mut(matrix, "data") else {
         panic!("data is not an array");
     };
-    data.pop();
-    let short_matrix = serde_json::to_string(&value).unwrap();
+    data
+}
 
-    for broken in ["{".to_string(), short_matrix] {
-        std::fs::write(&sketch, &broken).unwrap();
+/// `path`'s checkpoint, parsed, edited by `edit`, and rendered.
+fn edited(path: &std::path::Path, edit: impl FnOnce(&mut serde_json::Value)) -> String {
+    let mut value: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(path).unwrap()).unwrap();
+    edit(&mut value);
+    serde_json::to_string(&value).unwrap()
+}
+
+#[test]
+fn a_checkpoint_that_does_not_load_starts_a_degraded_server() {
+    let (graph, sketch) = fixtures("bad-sketch");
+    // A label-embedding row needs an embedding encoder.
+    let data = data_graph();
+    let cfg = SketchConfig {
+        encoding: EncodingKind::Embedding,
+        prone_dim: 4,
+        ..SketchConfig::tiny()
+    };
+    let embedded_path = scratch("bad-sketch").join("embedded.json");
+    let (embedded, _) = LearnedSketch::train(&data, &workload(&data), &cfg);
+    embedded.save(&embedded_path).unwrap();
+
+    // Each broken checkpoint, and how its load error starts.
+    let broken = [
+        ("{".to_string(), ""),
+        // a weight matrix one value short of `rows × cols`
+        (
+            edited(&sketch, |v| {
+                data_mut(weight_mut(v, 0)).pop();
+            }),
+            "model.store.values[0]: a ",
+        ),
+        (
+            edited(&embedded_path, |v| {
+                let table = field_mut(field_mut(v, "encoder"), "label_embedding");
+                let serde_json::Value::Array(rows) = table else {
+                    panic!("label_embedding is not an array");
+                };
+                let serde_json::Value::Array(row) = &mut rows[1] else {
+                    panic!("an embedding row is not an array");
+                };
+                row.pop();
+            }),
+            "encoder: label_embedding[1]: 3 values where row 0 has 4",
+        ),
+        // `lss.att.w1` is a number, not a matrix
+        (
+            edited(&sketch, |v| *weight_mut(v, 8) = serde_json::Value::UInt(99)),
+            "model.store.values[8]: ",
+        ),
+        (
+            edited(&sketch, |v| {
+                let cfg = field_mut(field_mut(v, "model"), "cfg");
+                *field_mut(cfg, "num_classes") = serde_json::Value::UInt(40);
+            }),
+            "model.store.values[12] (lss.mlp.l1.w): ",
+        ),
+        // 1e39 parses as an f32 infinity
+        (
+            edited(&sketch, |v| {
+                data_mut(weight_mut(v, 0))[0] = serde_json::Value::Float(1e39);
+            }),
+            "model.store.values[0] (lss.gin.gin0.l0.w): value 0 is not finite",
+        ),
+    ];
+    for (checkpoint, error) in broken {
+        let Err(e) = LearnedSketch::from_json(&checkpoint) else {
+            panic!("a checkpoint that should start with {error:?} loads");
+        };
+        assert!(e.to_string().starts_with(error), "{e}");
+        std::fs::write(&sketch, &checkpoint).unwrap();
         let handle = timed_serve(&config(graph.clone(), Some(sketch.clone()))).unwrap();
         let resp = estimate_then_stop(handle);
-        assert!(resp.ok && resp.degraded, "{resp:?}");
+        assert!(resp.ok && resp.degraded, "{error}: {resp:?}");
     }
+}
+
+#[test]
+fn a_non_finite_model_answer_is_degraded_and_never_cached() {
+    let (graph, sketch) = fixtures("non-finite");
+    // Finite weights whose products overflow: the checkpoint loads, and
+    // its model's answer is not finite. The MLP head's hidden bias
+    // (`values[11]`) makes every hidden unit 3e38, and its output weight
+    // (`values[12]`) sums them as ±3e38 multiples, so inf − inf.
+    let overflowing = edited(&sketch, |v| {
+        for x in data_mut(weight_mut(v, 11)) {
+            *x = serde_json::Value::Float(3e38);
+        }
+        for (i, x) in data_mut(weight_mut(v, 12)).iter_mut().enumerate() {
+            *x = serde_json::Value::Float(if i % 2 == 0 { 3e38 } else { -3e38 });
+        }
+    });
+    let q = graph_from_edges(&[0, 1], &[(0, 1)]);
+    let model = LearnedSketch::from_json(&overflowing).unwrap();
+    assert!(
+        !model.predict(&q).log10_count.is_finite(),
+        "the edit must overflow"
+    );
+    std::fs::write(&sketch, &overflowing).unwrap();
+
+    let handle = alss_serve::serve(&config(graph, Some(sketch))).unwrap();
+    let mut client = Client::connect(&handle.addr.to_string(), Duration::from_secs(5)).unwrap();
+    let answers: Vec<_> = (1..=2)
+        .map(|id| client.estimate(id, &to_text(&q), None).unwrap())
+        .collect();
+    for a in &answers {
+        assert!(a.ok && a.degraded && !a.cached, "{a:?}");
+        assert!(a.log10.is_finite(), "{a:?}");
+    }
+    assert_eq!(answers[0].log10.to_bits(), answers[1].log10.to_bits());
+    let stats = client.call(&Request::control("stats")).unwrap();
+    assert_eq!(stats.estimate, 0.0, "nothing was cached");
+    handle.stop();
+    handle.join();
+}
+
+#[test]
+fn a_client_that_stops_reading_does_not_block_shutdown() {
+    use std::io::Write;
+    let (graph, sketch) = fixtures("no-reader");
+    let handle = alss_serve::serve(&config(graph, Some(sketch))).unwrap();
+    let addr = handle.addr;
+
+    // Write pings and read no reply until a write stalls: the server has
+    // stopped reading, because its own reply write is blocked.
+    let mut silent = std::net::TcpStream::connect(addr).unwrap();
+    silent
+        .set_write_timeout(Some(Duration::from_millis(500)))
+        .unwrap();
+    let mut pings = to_line(&Request::control("ping")).unwrap();
+    pings.push('\n');
+    let pings = pings.repeat(1024);
+    let mut sent = 0usize;
+    while silent.write_all(pings.as_bytes()).is_ok() {
+        sent += 1;
+        assert!(sent < 100_000, "the server never stopped reading");
+    }
+
+    let mut client = Client::connect(&addr.to_string(), Duration::from_secs(5)).unwrap();
+    assert!(client.call(&Request::control("shutdown")).unwrap().ok);
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        handle.join();
+        let _ = done_tx.send(());
+    });
+    // The server's write timeout is 5 s.
+    let bound = Duration::from_secs(5 + 2);
+    assert!(
+        done_rx.recv_timeout(bound).is_ok(),
+        "the server still runs {bound:?} after shutdown"
+    );
+    drop(silent);
 }
 
 #[test]
