@@ -4,6 +4,7 @@ use alss_core::workload::Workload;
 use alss_core::{LssConfig, TrainConfig};
 use alss_datasets::queries::WorkloadSpec;
 use alss_datasets::{by_name, generate_workload};
+use alss_graph::io::{from_text, to_text};
 use alss_graph::Graph;
 use alss_matching::Semantics;
 use alss_nn::AdamConfig;
@@ -108,15 +109,11 @@ fn cache_dir() -> PathBuf {
 
 /// Generate (or load from cache) a Table 2 data graph.
 pub fn load_dataset(name: &str) -> Graph {
-    let path = cache_dir().join(format!("{name}_{:.3}_graph.json", scale()));
-    if let Ok(text) = std::fs::read_to_string(&path) {
-        if let Ok(g) = serde_json::from_str::<Graph>(&text) {
-            // serde fills the CSR arrays directly; a stale or corrupted
-            // cache entry is rebuilt instead of trusted.
-            if g.validate().is_ok() {
-                return g;
-            }
-        }
+    let path = cache_dir().join(format!("{name}_{:.3}_graph.txt", scale()));
+    // A cache entry that does not parse is regenerated.
+    let cached = std::fs::read_to_string(&path).ok();
+    if let Some(g) = cached.and_then(|text| from_text(&text).ok()) {
+        return g;
     }
     alss_telemetry::progress(
         "scenario",
@@ -127,9 +124,7 @@ pub fn load_dataset(name: &str) -> Graph {
         reason = "bench CLI surface; an unknown dataset name is a usage error"
     )]
     let g = by_name(name, scale(), 0xA155).unwrap_or_else(|| panic!("unknown dataset {name}"));
-    if let Ok(text) = serde_json::to_string(&g) {
-        std::fs::write(&path, text).ok();
-    }
+    std::fs::write(&path, to_text(&g)).ok();
     g
 }
 
@@ -145,10 +140,11 @@ pub fn load_workload(name: &str, data: &Graph, semantics: Semantics) -> Workload
         sem,
         per_size()
     ));
-    if let Ok(text) = std::fs::read_to_string(&path) {
-        if let Ok(w) = serde_json::from_str::<Workload>(&text) {
-            return w;
-        }
+    // Each query is read by `from_text`; an entry that does not parse is
+    // regenerated.
+    let cached = std::fs::read_to_string(&path).ok();
+    if let Some(w) = cached.and_then(|text| serde_json::from_str::<Workload>(&text).ok()) {
+        return w;
     }
     alss_telemetry::progress(
         "scenario",

@@ -7,10 +7,9 @@ use crate::model::{LssModel, Prediction};
 use crate::parallel::{par_map, Parallelism};
 use crate::train::weighted_sample_without_replacement;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Uncertainty / selection strategies compared in Fig. 10.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Strategy {
     /// RAN — uniform random selection (passive learning).
     Random,

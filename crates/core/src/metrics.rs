@@ -1,8 +1,6 @@
 //! Evaluation metrics: q-error (Eq. 1) and its distribution statistics,
 //! plus the L1 log loss used in Fig. 10.
 
-use serde::{Deserialize, Serialize};
-
 /// q-error (Eq. 1): `max(c/ĉ, ĉ/c)` with both counts clamped to ≥ 1.
 /// A non-finite input (NaN or ±inf from a diverged model) maps to
 /// `+inf` — the worst possible error — instead of silently propagating
@@ -23,7 +21,7 @@ pub fn l1_log_error(true_count: f64, est_count: f64) -> f64 {
 
 /// Distribution summary of q-errors over a query set, matching the
 /// box-plot statistics of Figs. 4/6/7/11.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct QErrorStats {
     /// Number of queries aggregated.
     pub count: usize,

@@ -90,7 +90,7 @@ impl LssConfig {
 }
 
 /// Output of one LSS prediction.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Prediction {
     /// Regression output `log10 c_Θ(q)`.
     pub log10_count: f64,

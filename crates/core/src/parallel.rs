@@ -4,26 +4,22 @@
 //! active-learning pool scoring) is embarrassingly parallel per item, so
 //! it fans out over std scoped threads. A global pool would couple
 //! determinism to ambient state; a [`Parallelism`] value carried in the
-//! config keeps the thread count explicit, serializable, and
-//! test-controllable.
+//! config keeps the thread count explicit and test-controllable.
 //!
 //! **Determinism contract:** every helper here preserves item order —
 //! results are identical (bitwise, for pure per-item work) for any thread
 //! count, including 1. Reductions over the mapped results are the
 //! caller's job and must likewise run in item order.
 
-use serde::{Deserialize, Serialize};
-
 /// Thread-count configuration for the data-parallel helpers.
 ///
 /// `threads == 0` means "auto": resolve at use time to the `ALSS_THREADS`
-/// environment variable, else the number of available cores. Serialized
-/// configs therefore stay portable across machines while pinned configs
-/// (`fixed(n)`) stay exact.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize, Default)]
+/// environment variable, else the number of available cores, so an auto
+/// config is portable across machines while a pinned one (`fixed(n)`)
+/// stays exact.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub struct Parallelism {
     /// Requested worker threads; `0` = auto-detect.
-    #[serde(default)]
     pub threads: usize,
 }
 
@@ -147,12 +143,6 @@ mod tests {
         let empty: Vec<u32> = Vec::new();
         assert!(par_map(Parallelism::fixed(4), &empty, |_, &x| x).is_empty());
         assert_eq!(par_map(Parallelism::fixed(4), &[9u32], |_, &x| x + 1), [10]);
-    }
-
-    #[test]
-    fn serde_default_is_auto() {
-        let p: Parallelism = serde_json::from_str("{}").expect("parse");
-        assert_eq!(p, Parallelism::auto());
     }
 
     #[test]

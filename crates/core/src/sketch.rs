@@ -17,7 +17,7 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize, Value};
 
 /// End-to-end configuration for building a sketch.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct SketchConfig {
     /// Node-encoding variant (LSS-fre / LSS-emb / LSS-con).
     pub encoding: EncodingKind,
@@ -240,7 +240,7 @@ pub struct PoolItem {
 }
 
 /// Outcome of one AL round.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ActiveRoundReport {
     /// Queries selected and labeled this round.
     pub labeled: usize,

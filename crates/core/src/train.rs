@@ -25,12 +25,11 @@ use alss_nn::{Adam, AdamConfig, GradShard, Tape};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
 /// Training hyper-parameters (§6.1: lr ∈ [1e-4, 1e-3], 50–150 epochs,
 /// batch ∈ {1,2,4,8}, L2 ∈ [1e-5, 1e-3]).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct TrainConfig {
     /// Number of epochs.
     pub epochs: usize,
@@ -42,7 +41,6 @@ pub struct TrainConfig {
     pub seed: u64,
     /// Worker threads for the in-batch fan-out (results are independent
     /// of this; it only affects wall-clock).
-    #[serde(default)]
     pub parallelism: Parallelism,
 }
 
@@ -77,7 +75,7 @@ impl TrainConfig {
 }
 
 /// Result of a training run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TrainReport {
     /// Mean multi-task loss per epoch.
     pub epoch_losses: Vec<f64>,

@@ -2,13 +2,17 @@
 //! split utilities used throughout §6 (stratified train/test splits,
 //! size-bucket grouping, true-count-range bucketing).
 
+use alss_graph::io::{from_text, to_text};
 use alss_graph::Graph;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
-/// One labeled training/test query (the `(q_i, c(q_i))` of §2).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// One labeled training/test query (the `(q_i, c(q_i))` of §2). Stored
+/// as `{"graph": "<t/v/e text>", "count": c}`: the graph in the text
+/// format of [`alss_graph::io`], read back by the same parser that reads
+/// graph files and serve requests.
+#[derive(Clone, Debug)]
 pub struct LabeledQuery {
     /// The query graph.
     pub graph: Graph,
@@ -28,11 +32,55 @@ impl LabeledQuery {
     }
 }
 
-/// A workload of labeled queries.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+impl Serialize for LabeledQuery {
+    fn serialize(&self) -> Value {
+        Value::Object(vec![
+            ("graph".to_string(), Value::Str(to_text(&self.graph))),
+            ("count".to_string(), self.count.serialize()),
+        ])
+    }
+}
+
+impl Deserialize for LabeledQuery {
+    fn deserialize(v: &Value) -> Result<Self, serde::Error> {
+        let field = |name| {
+            v.get(name)
+                .ok_or_else(|| serde::Error::missing_field("LabeledQuery", name))
+        };
+        let at =
+            |name: &str, e: &dyn std::fmt::Display| serde::Error::custom(format!("{name}: {e}"));
+        let text = String::deserialize(field("graph")?).map_err(|e| at("graph", &e))?;
+        let graph = from_text(&text).map_err(|e| at("graph", &e))?;
+        let count = u64::deserialize(field("count")?).map_err(|e| at("count", &e))?;
+        Ok(LabeledQuery { graph, count })
+    }
+}
+
+/// A workload of labeled queries, stored as `{"queries": [...]}`.
+#[derive(Clone, Debug, Default, Serialize)]
 pub struct Workload {
     /// The labeled queries.
     pub queries: Vec<LabeledQuery>,
+}
+
+/// Reads each query through [`LabeledQuery`]'s reader and names the
+/// first one that fails: `query <i>: graph: line <n>: …`.
+impl Deserialize for Workload {
+    fn deserialize(v: &Value) -> Result<Self, serde::Error> {
+        let queries = v
+            .get("queries")
+            .and_then(Value::as_array)
+            .ok_or_else(|| serde::Error::custom("queries: missing or not an array"))?;
+        let queries = queries
+            .iter()
+            .enumerate()
+            .map(|(i, q)| {
+                LabeledQuery::deserialize(q)
+                    .map_err(|e| serde::Error::custom(format!("query {i}: {e}")))
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(Workload { queries })
+    }
 }
 
 /// `⌊frac · n⌉` clamped to `0..=n`: the one float→usize cast for

@@ -14,10 +14,9 @@ use crate::zipf::assign_labels;
 use alss_graph::{Graph, GraphBuilder};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Descriptor of one synthetic dataset (a Table 2 row).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct DatasetSpec {
     /// Paper dataset this mimics (e.g. `"aids"`).
     pub name: &'static str,

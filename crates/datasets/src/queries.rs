@@ -12,10 +12,9 @@ use alss_graph::{Graph, LabelId, NodeId, WILDCARD};
 use alss_matching::{Budget, Semantics};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Workload-generation parameters.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct WorkloadSpec {
     /// Query sizes to generate (Table 3's "Query Sizes").
     pub sizes: Vec<usize>,

@@ -1,9 +1,7 @@
 //! The trained embedding table.
 
-use serde::{Deserialize, Serialize};
-
 /// A dense `n × dim` node-embedding table.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Embedding {
     dim: usize,
     data: Vec<f32>,

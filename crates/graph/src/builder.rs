@@ -12,7 +12,6 @@ use crate::{Graph, LabelId, NodeId, WILDCARD};
 pub struct GraphBuilder {
     labels: Vec<LabelId>,
     extra_labels: Vec<Vec<LabelId>>,
-    any_extra_label: bool,
     /// `(u, v, label)` with `u < v`, in insertion order.
     edges: Vec<(NodeId, NodeId, LabelId)>,
     any_edge_label: bool,
@@ -31,7 +30,6 @@ impl GraphBuilder {
         GraphBuilder {
             labels: vec![WILDCARD; n],
             extra_labels: vec![Vec::new(); n],
-            any_extra_label: false,
             edges: Vec::with_capacity(m),
             any_edge_label: false,
         }
@@ -56,7 +54,6 @@ impl GraphBuilder {
         let vi = v as usize;
         if self.labels[vi] != label && !self.extra_labels[vi].contains(&label) {
             self.extra_labels[vi].push(label);
-            self.any_extra_label = true;
         }
         self
     }
@@ -138,18 +135,20 @@ impl GraphBuilder {
                 .copied(),
         );
         let num_edge_labels = label_count(adj_labels.iter().flatten().copied());
-        let extra = self.any_extra_label.then(|| {
-            for e in &mut self.extra_labels {
-                e.sort_unstable();
-            }
-            self.extra_labels
-        });
+        // A node's extra labels exclude its primary label even when the
+        // primary was set after them, so the text form (`v <id> <label>
+        // <extra ...>`) reads back to the same graph.
+        for (e, &primary) in self.extra_labels.iter_mut().zip(&self.labels) {
+            e.retain(|&l| l != primary);
+            e.sort_unstable();
+        }
+        let any_extra_label = self.extra_labels.iter().any(|e| !e.is_empty());
         Graph::from_parts(
             offsets,
             neighbors,
             adj_labels,
             self.labels,
-            extra,
+            any_extra_label.then_some(self.extra_labels),
             num_node_labels,
             num_edge_labels,
         )

@@ -1,7 +1,6 @@
 //! CSR representation of a labeled undirected graph.
 
 use crate::{LabelId, NodeId, WILDCARD};
-use serde::{Deserialize, Serialize};
 
 /// A labeled undirected graph `G = (V, E, L, Σ)` in CSR form (§2).
 ///
@@ -19,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// Construct with [`crate::GraphBuilder`]; the CSR arrays are immutable
 /// afterwards, which lets the matching engine and the estimators share the
 /// graph freely across threads (`Graph: Send + Sync`).
-#[derive(Clone, Debug, Serialize, Deserialize, PartialEq)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Graph {
     offsets: Vec<u32>,
     neighbors: Vec<NodeId>,
@@ -27,80 +26,12 @@ pub struct Graph {
     adj_edge_labels: Option<Vec<LabelId>>,
     node_labels: Vec<LabelId>,
     /// Extra (secondary) labels per node; present iff any node is
-    /// multi-labeled. `extra_labels[v]` excludes the primary label.
-    #[serde(default)]
+    /// multi-labeled. `extra_labels[v]` is sorted and excludes the
+    /// primary label.
     extra_labels: Option<Vec<Vec<LabelId>>>,
     num_node_labels: usize,
     num_edge_labels: usize,
 }
-
-/// A CSR well-formedness violation found by [`Graph::validate`].
-///
-/// The variants name the broken invariant; `Display` renders the offending
-/// location so a corrupted graph file can be diagnosed without a debugger.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum CsrViolation {
-    /// `offsets.len() != num_nodes + 1` or `offsets[0] != 0`.
-    OffsetShape { expected: usize, found: usize },
-    /// Offsets must be non-decreasing and end at `neighbors.len()`.
-    OffsetOutOfBounds {
-        node: NodeId,
-        offset: usize,
-        len: usize,
-    },
-    /// An adjacency entry names a node `>= num_nodes`.
-    NeighborOutOfBounds { node: NodeId, neighbor: NodeId },
-    /// An adjacency list is not strictly increasing (unsorted or
-    /// duplicate neighbor).
-    AdjacencyNotSorted { node: NodeId },
-    /// A node is adjacent to itself.
-    SelfLoop { node: NodeId },
-    /// `v ∈ adj(u)` but `u ∉ adj(v)`.
-    AsymmetricEdge { u: NodeId, v: NodeId },
-    /// A label array has the wrong length: the edge labels must align with
-    /// the adjacency, and the extra labels need one entry per node.
-    LabelArrayMisaligned { expected: usize, found: usize },
-}
-
-impl std::fmt::Display for CsrViolation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CsrViolation::OffsetShape { expected, found } => {
-                write!(
-                    f,
-                    "offset array has wrong shape: expected {expected}, found {found}"
-                )
-            }
-            CsrViolation::OffsetOutOfBounds { node, offset, len } => {
-                write!(
-                    f,
-                    "offset {offset} of node {node} outside adjacency of length {len}"
-                )
-            }
-            CsrViolation::NeighborOutOfBounds { node, neighbor } => {
-                write!(f, "node {node} lists out-of-bounds neighbor {neighbor}")
-            }
-            CsrViolation::AdjacencyNotSorted { node } => {
-                write!(f, "adjacency of node {node} is not strictly sorted")
-            }
-            CsrViolation::SelfLoop { node } => write!(f, "node {node} has a self loop"),
-            CsrViolation::AsymmetricEdge { u, v } => {
-                write!(
-                    f,
-                    "edge {u}-{v} present in adj({u}) but missing from adj({v})"
-                )
-            }
-            CsrViolation::LabelArrayMisaligned { expected, found } => {
-                write!(
-                    f,
-                    "label array misaligned: expected {expected}, found {found}"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for CsrViolation {}
 
 /// A borrowed view of one unique undirected edge.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -123,7 +54,7 @@ impl Graph {
         num_node_labels: usize,
         num_edge_labels: usize,
     ) -> Self {
-        let g = Graph {
+        Graph {
             offsets,
             neighbors,
             adj_edge_labels,
@@ -131,98 +62,7 @@ impl Graph {
             extra_labels,
             num_node_labels,
             num_edge_labels,
-        };
-        debug_assert!(
-            g.validate().is_ok(),
-            "GraphBuilder produced a malformed CSR: {:?}",
-            g.validate()
-        );
-        g
-    }
-
-    /// Check every CSR well-formedness invariant: offset shape and bounds,
-    /// in-bounds sorted self-loop-free adjacencies, edge symmetry, and
-    /// label arrays of the right length.
-    ///
-    /// Construction through [`crate::GraphBuilder`] upholds these by
-    /// design (and debug builds re-check). Call this after deserializing a
-    /// graph from disk or the network: serde fills the private arrays
-    /// directly, so a corrupted or hand-edited file is otherwise only
-    /// caught by an index panic deep inside a traversal.
-    pub fn validate(&self) -> Result<(), CsrViolation> {
-        let n = self.node_labels.len();
-        let adj_len = self.neighbors.len();
-        if self.offsets.len() != n + 1 || self.offsets.first() != Some(&0) {
-            return Err(CsrViolation::OffsetShape {
-                expected: n + 1,
-                found: self.offsets.len(),
-            });
         }
-        for v in 0..n {
-            let (s, e) = (self.offsets[v] as usize, self.offsets[v + 1] as usize);
-            if s > e || e > adj_len {
-                return Err(CsrViolation::OffsetOutOfBounds {
-                    node: crate::node_id(v),
-                    offset: e,
-                    len: adj_len,
-                });
-            }
-        }
-        if self.offsets[n] as usize != adj_len {
-            return Err(CsrViolation::OffsetOutOfBounds {
-                node: crate::node_id(n),
-                offset: self.offsets[n] as usize,
-                len: adj_len,
-            });
-        }
-        for v in 0..n {
-            let adj = &self.neighbors[self.offsets[v] as usize..self.offsets[v + 1] as usize];
-            for (i, &u) in adj.iter().enumerate() {
-                if u as usize >= n {
-                    return Err(CsrViolation::NeighborOutOfBounds {
-                        node: crate::node_id(v),
-                        neighbor: u,
-                    });
-                }
-                if u as usize == v {
-                    return Err(CsrViolation::SelfLoop {
-                        node: crate::node_id(v),
-                    });
-                }
-                if i > 0 && adj[i - 1] >= u {
-                    return Err(CsrViolation::AdjacencyNotSorted {
-                        node: crate::node_id(v),
-                    });
-                }
-            }
-            for &u in adj {
-                let back = &self.neighbors
-                    [self.offsets[u as usize] as usize..self.offsets[u as usize + 1] as usize];
-                if back.binary_search(&crate::node_id(v)).is_err() {
-                    return Err(CsrViolation::AsymmetricEdge {
-                        u: crate::node_id(v),
-                        v: u,
-                    });
-                }
-            }
-        }
-        if let Some(al) = &self.adj_edge_labels {
-            if al.len() != adj_len {
-                return Err(CsrViolation::LabelArrayMisaligned {
-                    expected: adj_len,
-                    found: al.len(),
-                });
-            }
-        }
-        if let Some(extra) = &self.extra_labels {
-            if extra.len() != n {
-                return Err(CsrViolation::LabelArrayMisaligned {
-                    expected: n,
-                    found: extra.len(),
-                });
-            }
-        }
-        Ok(())
     }
 
     /// Number of nodes `|V|`.
@@ -392,127 +232,6 @@ impl Graph {
             }
         }
         cnt == n
-    }
-}
-
-#[cfg(test)]
-mod validate_tests {
-    use super::CsrViolation;
-    use crate::{Graph, GraphBuilder};
-
-    fn valid_path() -> Graph {
-        let mut b = GraphBuilder::new(3);
-        b.set_label(0, 0).set_label(1, 1).set_label(2, 0);
-        b.add_edge(0, 1).add_edge(1, 2);
-        b.build()
-    }
-
-    #[test]
-    fn builder_graphs_validate() {
-        assert_eq!(valid_path().validate(), Ok(()));
-        assert_eq!(GraphBuilder::new(0).build().validate(), Ok(()));
-    }
-
-    #[test]
-    fn detects_offset_shape() {
-        let mut g = valid_path();
-        g.offsets.pop();
-        assert!(matches!(
-            g.validate(),
-            Err(CsrViolation::OffsetShape { .. })
-        ));
-    }
-
-    #[test]
-    fn detects_offset_out_of_bounds() {
-        let mut g = valid_path();
-        let last = g.offsets.len() - 1;
-        g.offsets[last] = 99;
-        assert!(matches!(
-            g.validate(),
-            Err(CsrViolation::OffsetOutOfBounds { .. })
-        ));
-    }
-
-    #[test]
-    fn detects_out_of_bounds_neighbor() {
-        let mut g = valid_path();
-        g.neighbors[0] = 7;
-        assert!(matches!(
-            g.validate(),
-            Err(CsrViolation::NeighborOutOfBounds {
-                node: 0,
-                neighbor: 7
-            })
-        ));
-    }
-
-    #[test]
-    fn detects_unsorted_adjacency() {
-        let mut g = valid_path();
-        // node 1 is adjacent to [0, 2]; swap to break strict ordering
-        let s = g.offsets[1] as usize;
-        g.neighbors.swap(s, s + 1);
-        assert!(matches!(
-            g.validate(),
-            Err(CsrViolation::AdjacencyNotSorted { node: 1 })
-        ));
-    }
-
-    #[test]
-    fn detects_self_loop() {
-        let mut g = valid_path();
-        g.neighbors[0] = 0;
-        assert!(matches!(
-            g.validate(),
-            Err(CsrViolation::SelfLoop { node: 0 })
-        ));
-    }
-
-    #[test]
-    fn detects_asymmetric_edge() {
-        let mut g = valid_path();
-        // adj(0) = [1]; retarget to 2 without touching adj(2) = [1]
-        g.neighbors[0] = 2;
-        assert!(matches!(
-            g.validate(),
-            Err(CsrViolation::AsymmetricEdge { u: 0, v: 2 })
-        ));
-    }
-
-    #[test]
-    fn detects_misaligned_labels() {
-        let mut g = valid_path();
-        g.node_labels.push(0);
-        // One extra node label changes the expected offsets length first.
-        assert!(g.validate().is_err());
-
-        let mut g = valid_path();
-        g.adj_edge_labels = Some(vec![1]); // 4 adjacency entries, 1 label
-        assert!(matches!(
-            g.validate(),
-            Err(CsrViolation::LabelArrayMisaligned { .. })
-        ));
-
-        // One extra-label list for three nodes: `extra_labels(2)` would
-        // index past its end.
-        let mut g = valid_path();
-        g.extra_labels = Some(vec![vec![1]]);
-        assert_eq!(
-            g.validate(),
-            Err(CsrViolation::LabelArrayMisaligned {
-                expected: 3,
-                found: 1
-            })
-        );
-    }
-
-    #[test]
-    fn violations_render() {
-        let mut g = valid_path();
-        g.neighbors[0] = 7;
-        let msg = g.validate().unwrap_err().to_string();
-        assert!(msg.contains("out-of-bounds neighbor 7"), "{msg}");
     }
 }
 

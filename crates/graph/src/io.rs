@@ -1,6 +1,9 @@
 //! Graph (de)serialization: a line-oriented text format compatible in
 //! spirit with the `SubgraphMatching` dataset format used by the paper's
-//! query sets, plus serde-JSON helpers for whole workloads.
+//! query sets. It is the one stored form of a graph: data graph files,
+//! query files, serve requests and the queries inside a workload's JSON
+//! all hold this text, and `from_text(&to_text(&g))` gives back `g` for
+//! every graph [`GraphBuilder`] makes.
 //!
 //! Text format:
 //!
@@ -42,16 +45,14 @@ pub fn to_text(g: &Graph) -> String {
     let mut s = String::new();
     let _ = writeln!(s, "t {} {}", g.num_nodes(), g.num_edges());
     for v in g.nodes() {
-        let l = g.label(v);
-        if l == WILDCARD {
-            let _ = writeln!(s, "v {} -1", v);
-        } else {
-            let _ = write!(s, "v {} {}", v, l);
-            for e in g.extra_labels(v) {
-                let _ = write!(s, " {}", e);
-            }
-            let _ = writeln!(s);
+        let _ = match g.label(v) {
+            WILDCARD => write!(s, "v {v} -1"),
+            l => write!(s, "v {v} {l}"),
+        };
+        for e in g.extra_labels(v) {
+            let _ = write!(s, " {e}");
         }
+        let _ = writeln!(s);
     }
     for e in g.edges() {
         if e.label == WILDCARD {

@@ -18,7 +18,7 @@
 //!   `G_L` of §4.3 (Fig. 3) used for embedding pre-training;
 //! * [`extract`] — random connected-subgraph extraction, the query
 //!   generator of §6.1;
-//! * [`io`] — serde-based persistence of graphs and query workloads.
+//! * [`io`] — the `t/v/e` text format, the one stored form of a graph.
 //!
 //! Nodes in a *query* graph may be unlabeled (the paper's "**any**" label);
 //! this is encoded with the sentinel [`WILDCARD`].
@@ -75,7 +75,7 @@ pub use bfs::{bfs_tree, BfsTree};
 pub use builder::GraphBuilder;
 pub use canon::{canonical_hash, canonical_key, CanonicalKey};
 pub use decompose::{decompose, Decomposition, PackedGraphs};
-pub use graph::{CsrViolation, EdgeRef, Graph};
+pub use graph::{EdgeRef, Graph};
 pub use labels::LabelStats;
 
 /// Node identifier within a graph (dense, `0..n`).

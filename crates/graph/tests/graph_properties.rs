@@ -1,5 +1,5 @@
-//! Property tests for the graph substrate: CSR invariants, builder
-//! determinism, BFS trees, decomposition, extraction, and text IO.
+//! Property tests for the graph substrate: the builder's CSR invariants,
+//! builder determinism, BFS trees, decomposition, extraction, and text IO.
 
 // Test code opts back out of the library panic/numeric policy: a panic IS
 // the failure report here, and fixtures are tiny.
@@ -51,8 +51,9 @@ fn graph_with_edge_labels(edge_labels: bool) -> impl Strategy<Value = Graph> {
 }
 
 /// Strategy: a graph using every part of the text format: wildcard and
-/// near-`u32::MAX` node labels, extra labels, and edges with and without
-/// labels.
+/// near-`u32::MAX` node labels, extra labels (on wildcard nodes too, and
+/// on nodes whose primary label is set after them), edges with and
+/// without labels, duplicate edges and self loops.
 fn rich_graph() -> impl Strategy<Value = Graph> {
     let label = |x: u32| match x {
         5 => WILDCARD,
@@ -61,18 +62,18 @@ fn rich_graph() -> impl Strategy<Value = Graph> {
     };
     (1usize..=10).prop_flat_map(move |n| {
         (
-            proptest::collection::vec((0u32..7, 0u32..8, 0u32..8), n),
+            proptest::collection::vec((0u32..7, 0u32..8, 0u32..8, any::<bool>()), n),
             proptest::collection::vec((0u32..n as u32, 0u32..n as u32, 0u32..7), 0..=2 * n),
         )
             .prop_map(move |(nodes, edges)| {
                 let mut b = GraphBuilder::new(n);
-                for (v, (l, x, y)) in (0u32..).zip(nodes) {
+                for (v, (l, x, y, relabel)) in (0u32..).zip(nodes) {
                     b.set_label(v, label(l));
-                    // The format gives a wildcard node no extra labels.
-                    if label(l) != WILDCARD {
-                        for extra in [x, y].into_iter().filter(|&e| e < 5) {
-                            b.add_extra_label(v, extra);
-                        }
+                    for extra in [x, y].into_iter().filter(|&e| e < 5) {
+                        b.add_extra_label(v, extra);
+                    }
+                    if relabel {
+                        b.set_label(v, label(x));
                     }
                 }
                 for (u, v, l) in edges {
@@ -91,14 +92,27 @@ proptest! {
         prop_assert_eq!(from_text(&to_text(&g)).unwrap(), g);
     }
 
+    /// The CSR invariants every builder graph keeps: in-bounds, strictly
+    /// sorted, symmetric adjacency without self loops, edge labels aligned
+    /// with it, and extra labels sorted and without the primary label.
     #[test]
-    fn csr_adjacency_is_sorted_and_symmetric(g in arbitrary_graph()) {
+    fn builder_graphs_keep_the_csr_invariants(g in rich_graph()) {
+        let n = g.num_nodes();
         for v in g.nodes() {
             let nb = g.neighbors(v);
             prop_assert!(nb.windows(2).all(|w| w[0] < w[1]), "unsorted adjacency");
             for &u in nb {
-                prop_assert!(g.neighbors(u).contains(&v), "asymmetric edge");
+                prop_assert!((u as usize) < n, "out-of-bounds neighbor");
+                prop_assert!(u != v, "self loop");
+                prop_assert!(g.neighbors(u).binary_search(&v).is_ok(), "asymmetric edge");
+                prop_assert_eq!(g.edge_label(u, v), g.edge_label(v, u));
             }
+            if let Some(labels) = g.neighbor_edge_labels(v) {
+                prop_assert_eq!(labels.len(), nb.len());
+            }
+            let extra = g.extra_labels(v);
+            prop_assert!(extra.windows(2).all(|w| w[0] < w[1]), "unsorted extra labels");
+            prop_assert!(!extra.contains(&g.label(v)), "primary label among the extras");
         }
         // handshake lemma
         let total_degree: usize = g.nodes().map(|v| g.degree(v)).sum();

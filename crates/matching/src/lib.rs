@@ -72,7 +72,7 @@ pub use isomorphism::count_isomorphisms;
 use alss_graph::Graph;
 
 /// Which matching semantics to count under (§2).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Semantics {
     /// Any structure/label-preserving function `f : V_q → V`.
     Homomorphism,
@@ -128,12 +128,5 @@ mod semantics_tests {
     fn display_names() {
         assert_eq!(Semantics::Homomorphism.to_string(), "homomorphism");
         assert_eq!(Semantics::Isomorphism.to_string(), "isomorphism");
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let json = serde_json::to_string(&Semantics::Isomorphism).unwrap();
-        let back: Semantics = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, Semantics::Isomorphism);
     }
 }

@@ -4,10 +4,8 @@
 
 use crate::mat::Mat;
 use crate::param::{GradShard, ParamId, ParamStore};
-use serde::{Deserialize, Serialize};
-
 /// Adam hyper-parameters.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct AdamConfig {
     /// Initial learning rate.
     pub lr: f32,
@@ -37,7 +35,7 @@ impl Default for AdamConfig {
 }
 
 /// Adam state (first/second moments per parameter).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Adam {
     cfg: AdamConfig,
     lr: f32,

@@ -50,9 +50,11 @@ const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Largest node count a query header may declare. The parser sizes its
-/// node storage from the header, so a larger one is refused before it can
-/// exhaust memory; served queries have at most a few dozen nodes.
-const MAX_QUERY_NODES: usize = 1024;
+/// node storage from the header, so a larger one is refused before it is
+/// allocated. The decomposition holds one BFS tree per node, up to `n²`
+/// rows for the GIN, so this also bounds the model's work: 16,384 rows at
+/// 128 nodes. Served queries have at most a few dozen nodes.
+const MAX_QUERY_NODES: usize = 128;
 
 /// Server configuration.
 #[derive(Clone, Debug)]

@@ -591,6 +591,68 @@ fn a_non_finite_model_answer_is_degraded_and_never_cached() {
 }
 
 #[test]
+fn a_model_answer_too_large_for_a_linear_count_is_degraded_and_never_cached() {
+    let (graph, sketch) = fixtures("overflowing-count");
+    // A regression output of 400: finite, but `10^400` is not. The MLP
+    // head's output weight (`values[12]`) is zeroed and the regression
+    // neuron's bias (`values[13]`, entry 0) set to 400.
+    let huge = edited(&sketch, |v| {
+        for x in data_mut(weight_mut(v, 12)) {
+            *x = serde_json::Value::Float(0.0);
+        }
+        data_mut(weight_mut(v, 13))[0] = serde_json::Value::Float(400.0);
+    });
+    let q = graph_from_edges(&[0, 1], &[(0, 1)]);
+    let pred = LearnedSketch::from_json(&huge).unwrap().predict(&q);
+    assert_eq!(pred.log10_count, 400.0, "the edit must set the output");
+    assert!(!pred.count().is_finite());
+    std::fs::write(&sketch, &huge).unwrap();
+
+    let handle = alss_serve::serve(&config(graph, Some(sketch))).unwrap();
+    let mut client = Client::connect(&handle.addr.to_string(), Duration::from_secs(5)).unwrap();
+    let answers: Vec<_> = (1..=2)
+        .map(|id| client.estimate(id, &to_text(&q), None).unwrap())
+        .collect();
+    for a in &answers {
+        assert!(a.ok && a.degraded && !a.cached, "{a:?}");
+        assert!(a.log10.is_finite() && a.estimate.is_finite(), "{a:?}");
+    }
+    assert_eq!(answers[0].log10.to_bits(), answers[1].log10.to_bits());
+    let stats = client.call(&Request::control("stats")).unwrap();
+    assert_eq!(stats.estimate, 0.0, "nothing was cached");
+    handle.stop();
+    handle.join();
+}
+
+/// A star: node 0 joined to each of `leaves` leaves, all labeled 0.
+fn star(leaves: u32) -> String {
+    let labels = vec![0; leaves as usize + 1];
+    let edges: Vec<(u32, u32)> = (1..=leaves).map(|v| (0, v)).collect();
+    to_text(&graph_from_edges(&labels, &edges))
+}
+
+#[test]
+fn a_query_of_more_than_128_nodes_is_refused() {
+    let (graph, sketch) = fixtures("node-limit");
+    let handle = alss_serve::serve(&config(graph, Some(sketch))).unwrap();
+    let mut client = Client::connect(&handle.addr.to_string(), Duration::from_secs(5)).unwrap();
+
+    // 129 nodes: refused by the header, before any decomposition.
+    let over = client.estimate(1, &star(128), None).unwrap();
+    assert!(!over.ok, "{over:?}");
+    assert!(over.error.contains("limit of 128"), "{}", over.error);
+
+    // 128 nodes: 128 BFS trees of 128 nodes each, answered promptly.
+    let started = std::time::Instant::now();
+    let at = client.estimate(2, &star(127), None).unwrap();
+    let took = started.elapsed();
+    assert!(at.ok && !at.degraded, "{at:?}");
+    assert!(took < Duration::from_secs(1), "took {took:?}");
+    handle.stop();
+    handle.join();
+}
+
+#[test]
 fn a_client_that_stops_reading_does_not_block_shutdown() {
     use std::io::Write;
     let (graph, sketch) = fixtures("no-reader");

@@ -226,37 +226,52 @@ fn cli_reports_errors_cleanly() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown dataset"));
 
-    // a workload whose query names an out-of-range neighbor is reported,
-    // not traversed (it panicked with an index out of bounds in BFS)
+    // a workload whose query names an out-of-range node is reported by
+    // the text parser, with the query and the line
     let graph = dir.join("g.txt");
     std::fs::write(&graph, "t 3 2\nv 0 0\nv 1 0\nv 2 1\ne 0 1\ne 1 2\n").unwrap();
     let path = alss::graph::builder::graph_from_edges(&[0, 0, 1], &[(0, 1), (1, 2)]);
     let w = alss::core::Workload::from_queries(vec![alss::core::LabeledQuery::new(path, 2)]);
     let json = serde_json::to_string(&w).unwrap();
-    assert!(json.contains("\"neighbors\":[1,0,2,1]"), "{json}");
+    assert!(json.contains("\"graph\":\"t 3 2\\n"), "{json}");
+    assert!(json.contains("e 1 2\\n"), "{json}");
+    let train_on = |workload: &std::path::Path| {
+        let out = alss()
+            .args([
+                "train",
+                "--graph",
+                graph.to_str().unwrap(),
+                "--workload",
+                workload.to_str().unwrap(),
+                "--out",
+                dir.join("s.json").to_str().unwrap(),
+            ])
+            .output()
+            .expect("run");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert_eq!(out.status.code(), Some(1), "{stderr}");
+        stderr
+    };
     let corrupt = dir.join("corrupt.json");
+    std::fs::write(&corrupt, json.replace("e 1 2", "e 1 9")).unwrap();
+    assert_eq!(
+        train_on(&corrupt).trim_end(),
+        format!(
+            "error: parse {}: query 0: graph: line 6: edge endpoint out of range",
+            corrupt.display()
+        )
+    );
+
+    // a workload in the old CSR form is refused, naming the `graph` field
+    let old = dir.join("old.json");
     std::fs::write(
-        &corrupt,
-        json.replace("\"neighbors\":[1,0,2,1]", "\"neighbors\":[1,0,9,1]"),
+        &old,
+        r#"{"queries":[{"graph":{"offsets":[0,1,2],"neighbors":[1,0],"adj_edge_labels":null,"node_labels":[0,0],"num_node_labels":1,"num_edge_labels":0},"count":2}]}"#,
     )
     .unwrap();
-    let out = alss()
-        .args([
-            "train",
-            "--graph",
-            graph.to_str().unwrap(),
-            "--workload",
-            corrupt.to_str().unwrap(),
-            "--out",
-            dir.join("s.json").to_str().unwrap(),
-        ])
-        .output()
-        .expect("run");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    let stderr = train_on(&old);
     assert!(
-        stderr.starts_with("error: parse ")
-            && stderr.contains("query 0: node 1 lists out-of-bounds neighbor 9"),
+        stderr.starts_with(&format!("error: parse {}: query 0: graph: ", old.display())),
         "{stderr}"
     );
 
