@@ -222,7 +222,7 @@ pub fn train_and_eval_lss(
         .zip(&items)
         .map(|(q, (eq, _))| {
             let watch = Stopwatch::start();
-            let est = sketch.model().predict(eq).count();
+            let est = sketch.model().predict(eq).count().unwrap_or(f64::INFINITY);
             QueryResult {
                 size: q.size(),
                 truth: q.count as f64,

@@ -143,7 +143,7 @@ pub fn load_workload(name: &str, data: &Graph, semantics: Semantics) -> Workload
     // Each query is read by `from_text`; an entry that does not parse is
     // regenerated.
     let cached = std::fs::read_to_string(&path).ok();
-    if let Some(w) = cached.and_then(|text| serde_json::from_str::<Workload>(&text).ok()) {
+    if let Some(w) = cached.and_then(|text| Workload::from_json(&text).ok()) {
         return w;
     }
     alss_telemetry::progress(
@@ -169,9 +169,7 @@ pub fn load_workload(name: &str, data: &Graph, semantics: Semantics) -> Workload
         seed: 0xC0DE ^ name.len() as u64,
     };
     let w = generate_workload(data, &spec);
-    if let Ok(text) = serde_json::to_string(&w) {
-        std::fs::write(&path, text).ok();
-    }
+    std::fs::write(&path, w.to_json()).ok();
     w
 }
 

@@ -2,6 +2,7 @@
 //! pre-trained-embedding-based, and concatenated node encodings, plus the
 //! frequency-based edge encoding used for edge-labeled graphs (Eq. 4).
 
+use crate::json::{array_of, f32_of, field, float, object, uint_of, variant_of};
 use alss_embedding::prone::{prone, ProneConfig};
 use alss_embedding::Embedding;
 use alss_graph::augmented::label_augmented_graph;
@@ -9,12 +10,12 @@ use alss_graph::labels::LabelStats;
 use alss_graph::{Graph, PackedGraphs, WILDCARD};
 use alss_nn::Mat;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde_json::Value;
 use std::sync::Arc;
 
 /// Which node encoding variant to use (the LSS-fre / LSS-emb / LSS-con of
 /// §6.2).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EncodingKind {
     /// Frequency-based: `|Σ|`-dimensional filter-capability vector.
     Frequency,
@@ -22,6 +23,24 @@ pub enum EncodingKind {
     Embedding,
     /// `[frequency ‖ embedding]`.
     Concatenated,
+}
+
+impl EncodingKind {
+    /// Every variant, in declaration order.
+    const ALL: [EncodingKind; 3] = [
+        EncodingKind::Frequency,
+        EncodingKind::Embedding,
+        EncodingKind::Concatenated,
+    ];
+
+    /// The variant's name in a checkpoint.
+    fn stored_name(self) -> &'static str {
+        match self {
+            EncodingKind::Frequency => "Frequency",
+            EncodingKind::Embedding => "Embedding",
+            EncodingKind::Concatenated => "Concatenated",
+        }
+    }
 }
 
 impl std::fmt::Display for EncodingKind {
@@ -55,7 +74,7 @@ pub struct EncodedQuery {
 /// The §4.3 feature encoder: holds the data-graph statistics and the
 /// optional pre-trained label embedding. Its label counts are the
 /// statistics' ([`LabelStats::num_labels`], [`LabelStats::num_edge_labels`]).
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Encoder {
     kind: EncodingKind,
     stats: LabelStats,
@@ -66,29 +85,67 @@ pub struct Encoder {
     hops: u32,
 }
 
-/// An [`Encoder`] as a checkpoint stores it, before its label table is
-/// checked.
-#[derive(Deserialize)]
-struct EncoderFields {
-    kind: EncodingKind,
-    stats: LabelStats,
-    label_embedding: Option<Vec<Vec<f32>>>,
-    hops: u32,
-}
+impl Encoder {
+    /// The encoder as a checkpoint stores it: `kind`, `stats` (`freq`,
+    /// `num_nodes`, `edge_freq`, `num_edges`), `label_embedding` (`null`
+    /// for the frequency encoding) and `hops`.
+    pub(crate) fn to_json(&self) -> Value {
+        let stats = &self.stats;
+        let counts = |n: usize, count: fn(&LabelStats, u32) -> u64| {
+            Value::Array(
+                (0..n)
+                    .map(|l| Value::UInt(count(stats, alss_graph::label_id(l))))
+                    .collect(),
+            )
+        };
+        let table = self.label_embedding.as_ref().map_or(Value::Null, |t| {
+            Value::Array(
+                t.iter()
+                    .map(|row| Value::Array(row.iter().map(|&x| float(x)).collect()))
+                    .collect(),
+            )
+        });
+        object([
+            ("kind", Value::Str(self.kind.stored_name().to_string())),
+            (
+                "stats",
+                object([
+                    ("freq", counts(stats.num_labels(), LabelStats::frequency)),
+                    ("num_nodes", Value::UInt(stats.num_nodes())),
+                    (
+                        "edge_freq",
+                        counts(stats.num_edge_labels(), LabelStats::edge_frequency),
+                    ),
+                    ("num_edges", Value::UInt(stats.num_edges())),
+                ]),
+            ),
+            ("label_embedding", table),
+            ("hops", Value::UInt(u64::from(self.hops))),
+        ])
+    }
 
-impl Deserialize for Encoder {
-    /// Fails, naming the field, on a label table that is present for the
-    /// frequency encoding or missing for the others, that does not hold one
-    /// row per label, whose rows differ in width, or that holds a value
-    /// that is not finite.
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        let EncoderFields {
-            kind,
-            stats,
-            label_embedding,
-            hops,
-        } = EncoderFields::deserialize(v)?;
-        let fail = |msg: String| Err(serde::Error::custom(format!("label_embedding{msg}")));
+    /// Read an encoder written by [`Encoder::to_json`]. Fails, naming the
+    /// field, on a missing or mistyped field, and on a label table that is
+    /// present for the frequency encoding or missing for the others, that
+    /// does not hold one row per label, whose rows differ in width, or
+    /// that holds a value that is not finite.
+    pub(crate) fn from_json(v: &Value) -> Result<Self, String> {
+        let kind = field(v, "kind", |x| {
+            variant_of(x, &EncodingKind::ALL, EncodingKind::stored_name)
+        })?;
+        let counts = |path| field(v, path, |x| array_of(x, uint_of::<u64>));
+        let stats = LabelStats::from_counts(
+            counts("stats.freq")?,
+            field(v, "stats.num_nodes", uint_of)?,
+            counts("stats.edge_freq")?,
+            field(v, "stats.num_edges", uint_of)?,
+        );
+        let label_embedding = field(v, "label_embedding", |x| match x {
+            Value::Null => Ok(None),
+            table => array_of(table, |row| array_of(row, f32_of)).map(Some),
+        })?;
+        let hops = field(v, "hops", uint_of)?;
+        let fail = |msg: String| Err(format!("label_embedding{msg}"));
         match (&label_embedding, kind) {
             (None, EncodingKind::Frequency) => {}
             (Some(_), EncodingKind::Frequency) => return fail(format!(": present for {kind}")),
@@ -119,9 +176,7 @@ impl Deserialize for Encoder {
             hops,
         })
     }
-}
 
-impl Encoder {
     /// Frequency-based encoder (LSS-fre).
     pub fn frequency(data: &Graph, hops: u32) -> Self {
         Encoder {

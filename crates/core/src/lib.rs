@@ -52,6 +52,7 @@
 
 pub mod active;
 pub mod encode;
+mod json;
 pub mod metrics;
 pub mod model;
 pub mod parallel;

@@ -10,12 +10,11 @@ use alss_nn::{
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// How per-substructure representations are aggregated into the query
 /// representation (`w(·)` of Eq. 2): the paper's structured self-attention
 /// or a plain unweighted sum (the `ablation_attention` baseline).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum Aggregator {
     /// Structured self-attention (Algorithm 1, lines 8–11).
     #[default]
@@ -26,7 +25,7 @@ pub enum Aggregator {
 
 /// LSS hyper-parameters (§6.1 defaults: 3 GIN layers × 64 hidden units,
 /// dropout 0.5, two-layer MLP, λ = 1/3).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct LssConfig {
     /// GIN hidden width.
     pub hidden: usize,
@@ -45,12 +44,10 @@ pub struct LssConfig {
     /// Multi-task coefficient λ of Eq. (6).
     pub lambda: f32,
     /// Substructure aggregation (attention per the paper, or sum pooling
-    /// for the ablation).
-    #[serde(default)]
+    /// for the ablation). A checkpoint without it gets the default.
     pub aggregator: Aggregator,
     /// GNN neighborhood aggregation (GIN sum per the paper, or mean for
-    /// the ablation).
-    #[serde(default)]
+    /// the ablation). A checkpoint without it gets the default.
     pub gnn_aggregation: Aggregation,
 }
 
@@ -101,8 +98,11 @@ pub struct Prediction {
 
 impl Prediction {
     /// Estimated count in linear scale, clamped to ≥ 1 (§2's assumption).
-    pub fn count(&self) -> f64 {
-        10f64.powf(self.log10_count).max(1.0)
+    /// `None` when there is no finite count to give: `log10_count` is not
+    /// finite, or `10^log10_count` overflows `f64` (from about 308.25 on).
+    pub fn count(&self) -> Option<f64> {
+        let count = 10f64.powf(self.log10_count);
+        (self.log10_count.is_finite() && count.is_finite()).then(|| count.max(1.0))
     }
 
     /// Most likely magnitude class `ŷ₁`.
@@ -362,7 +362,7 @@ mod tests {
         let p2 = model.predict(&eq);
         assert_eq!(p1.log10_count, p2.log10_count);
         assert!((p1.class_probs.iter().sum::<f64>() - 1.0).abs() < 1e-5);
-        assert!(p1.count() >= 1.0);
+        assert!(p1.count().is_some_and(|c| c >= 1.0));
     }
 
     #[test]
@@ -406,7 +406,7 @@ mod tests {
         assert!(pooled.num_weights() < attn.num_weights());
         let q = graph_from_edges(&[0, 1, 2], &[(0, 1), (1, 2)]);
         let p = pooled.predict(&enc.encode_query(&q));
-        assert!(p.count().is_finite() && p.count() >= 1.0);
+        assert!(p.count().is_some_and(|c| c >= 1.0));
     }
 
     #[test]
@@ -419,7 +419,7 @@ mod tests {
         let model = LssModel::new(cfg, enc.node_dim(), enc.edge_dim(), &mut rng);
         let q = graph_from_edges(&[0, 1], &[(0, 1)]);
         let p = model.predict(&enc.encode_query(&q));
-        assert!(p.count().is_finite());
+        assert!(p.count().is_some());
     }
 
     #[test]
@@ -437,6 +437,20 @@ mod tests {
         let (a, b) = (model.predict(&eq), back.predict(&eq));
         assert_eq!(a.log10_count.to_bits(), b.log10_count.to_bits());
         assert_eq!(a.class_probs, b.class_probs);
+    }
+
+    #[test]
+    fn a_count_past_f64_is_none() {
+        let at = |log10_count: f64| Prediction {
+            log10_count,
+            class_probs: vec![1.0],
+        };
+        assert_eq!(at(2.0).count(), Some(100.0));
+        assert_eq!(at(-3.0).count(), Some(1.0));
+        assert!(at(308.0).count().is_some());
+        for log10 in [308.3, 400.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            assert_eq!(at(log10).count(), None, "log10 {log10}");
+        }
     }
 
     #[test]

@@ -4,17 +4,21 @@
 
 use crate::active::{select_batch, Strategy};
 use crate::encode::{EncodedQuery, Encoder, EncodingKind};
-use crate::model::{LssConfig, LssModel, Prediction};
+use crate::json::{
+    array_of, f32_of, field, finite_f32_of, float, object, optional_field, uint, uint_of,
+    variant_of,
+};
+use crate::model::{Aggregator, LssConfig, LssModel, Prediction};
 use crate::train::{
     encode_workload, finetune_model, train_model, EncodedItem, TrainConfig, TrainReport,
 };
 use crate::workload::Workload;
 use alss_embedding::prone::ProneConfig;
 use alss_graph::Graph;
-use alss_nn::Mat;
+use alss_nn::{Aggregation, Mat};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize, Value};
+use serde_json::Value;
 
 /// End-to-end configuration for building a sketch.
 #[derive(Clone, Copy, Debug)]
@@ -76,60 +80,101 @@ pub struct LearnedSketch {
     model: LssModel,
 }
 
-impl Serialize for LearnedSketch {
-    fn serialize(&self) -> Value {
-        let object = |pairs: Vec<(&str, Value)>| {
-            Value::Object(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-        };
-        let store = object(vec![("values", self.model.store().values().serialize())]);
-        let model = object(vec![
-            ("cfg", self.model.config().serialize()),
-            ("store", store),
-        ]);
-        object(vec![
-            ("encoder", self.encoder.serialize()),
-            ("model", model),
-        ])
+/// The checkpoint's name for each [`Aggregator`].
+fn aggregator_name(a: Aggregator) -> &'static str {
+    match a {
+        Aggregator::Attention => "Attention",
+        Aggregator::SumPool => "SumPool",
     }
 }
 
-impl Deserialize for LearnedSketch {
-    fn deserialize(v: &Value) -> Result<Self, serde::Error> {
-        let encoder: Encoder = field(v, "encoder")?;
-        let cfg: LssConfig = field(v, "model.cfg")?;
-        if cfg.gnn_layers == 0 {
-            return Err(serde::Error::custom(
-                "model.cfg.gnn_layers: 0, the GIN needs a layer",
-            ));
-        }
-        let values = value_at(v, "model.store.values")?
-            .as_array()
-            .ok_or_else(|| serde::Error::custom("model.store.values: not an array"))?
-            .iter()
-            .enumerate()
-            .map(|(i, m)| {
-                Mat::deserialize(m)
-                    .map_err(|e| serde::Error::custom(format!("model.store.values[{i}]: {e}")))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let model = LssModel::from_weights(cfg, encoder.node_dim(), encoder.edge_dim(), values)
-            .map_err(|e| serde::Error::custom(format!("model.store.{e}")))?;
-        Ok(LearnedSketch { encoder, model })
+/// The checkpoint's name for each [`Aggregation`].
+fn aggregation_name(a: Aggregation) -> &'static str {
+    match a {
+        Aggregation::Sum => "Sum",
+        Aggregation::Mean => "Mean",
     }
 }
 
-/// The value at the dotted `path` of a checkpoint.
-fn value_at<'a>(v: &'a Value, path: &str) -> Result<&'a Value, serde::Error> {
-    path.split('.').try_fold(v, |node, key| {
-        node.get(key)
-            .ok_or_else(|| serde::Error::custom(format!("missing field `{path}`")))
+/// `model.cfg` as a checkpoint stores it, in field order.
+fn config_to_json(cfg: &LssConfig) -> Value {
+    object([
+        ("hidden", uint(cfg.hidden)),
+        ("gnn_layers", uint(cfg.gnn_layers)),
+        ("dropout", float(cfg.dropout)),
+        ("att_hidden", uint(cfg.att_hidden)),
+        ("att_heads", uint(cfg.att_heads)),
+        ("mlp_hidden", uint(cfg.mlp_hidden)),
+        ("num_classes", uint(cfg.num_classes)),
+        ("lambda", float(cfg.lambda)),
+        (
+            "aggregator",
+            Value::Str(aggregator_name(cfg.aggregator).to_string()),
+        ),
+        (
+            "gnn_aggregation",
+            Value::Str(aggregation_name(cfg.gnn_aggregation).to_string()),
+        ),
+    ])
+}
+
+/// `model.cfg` of checkpoint `v`. `dropout` and `lambda` must be finite;
+/// a checkpoint without `aggregator` or `gnn_aggregation` gets the
+/// paper's choice.
+fn config_from_json(v: &Value) -> Result<LssConfig, String> {
+    let size = |key: &str| field(v, &format!("model.cfg.{key}"), uint_of);
+    Ok(LssConfig {
+        hidden: size("hidden")?,
+        gnn_layers: size("gnn_layers")?,
+        dropout: field(v, "model.cfg.dropout", finite_f32_of)?,
+        att_hidden: size("att_hidden")?,
+        att_heads: size("att_heads")?,
+        mlp_hidden: size("mlp_hidden")?,
+        num_classes: size("num_classes")?,
+        lambda: field(v, "model.cfg.lambda", finite_f32_of)?,
+        aggregator: optional_field(v, "model.cfg.aggregator", |x| {
+            variant_of(
+                x,
+                &[Aggregator::Attention, Aggregator::SumPool],
+                aggregator_name,
+            )
+        })?
+        .unwrap_or_default(),
+        gnn_aggregation: optional_field(v, "model.cfg.gnn_aggregation", |x| {
+            variant_of(x, &[Aggregation::Sum, Aggregation::Mean], aggregation_name)
+        })?
+        .unwrap_or_default(),
     })
 }
 
-/// The value at the dotted `path` of a checkpoint, deserialized; an error
-/// names the path.
-fn field<T: Deserialize>(v: &Value, path: &str) -> Result<T, serde::Error> {
-    T::deserialize(value_at(v, path)?).map_err(|e| serde::Error::custom(format!("{path}: {e}")))
+/// A weight matrix as a checkpoint stores it: `rows`, `cols` and the
+/// row-major `data`.
+fn mat_to_json(m: &Mat) -> Value {
+    object([
+        ("rows", uint(m.rows())),
+        ("cols", uint(m.cols())),
+        (
+            "data",
+            Value::Array(m.data().iter().map(|&x| float(x)).collect()),
+        ),
+    ])
+}
+
+/// A weight matrix written by [`mat_to_json`]. `data` must hold exactly
+/// `rows × cols` values, so a corrupted checkpoint fails to load instead
+/// of panicking at its first use. A value past `f32`'s range reads as an
+/// infinity, which the parameter store then rejects, naming the layer.
+fn mat_from_json(v: &Value) -> Result<Mat, String> {
+    let rows: usize = field(v, "rows", uint_of)?;
+    let cols: usize = field(v, "cols", uint_of)?;
+    let data = field(v, "data", |x| array_of(x, f32_of))?;
+    if rows.checked_mul(cols) != Some(data.len()) {
+        return Err(format!(
+            "a {rows}×{cols} matrix holds {} values",
+            data.len()
+        ));
+    }
+    Ok(Mat::from_vec(rows, cols, data))
 }
 
 impl LearnedSketch {
@@ -139,25 +184,46 @@ impl LearnedSketch {
         LearnedSketch { encoder, model }
     }
 
-    /// Serialize the whole sketch (encoder statistics, pre-trained label
-    /// embedding, and model weights) to JSON.
-    pub fn to_json(&self) -> serde_json::Result<String> {
-        serde_json::to_string(self)
+    /// The whole sketch (encoder statistics, pre-trained label embedding,
+    /// model config and weights) as JSON: `{"encoder": …, "model":
+    /// {"cfg": …, "store": {"values": […]}}}`.
+    pub fn to_json(&self) -> String {
+        let values = self.model.store().values().iter().map(mat_to_json);
+        serde_json::to_string(&object([
+            ("encoder", self.encoder.to_json()),
+            (
+                "model",
+                object([
+                    ("cfg", config_to_json(self.model.config())),
+                    (
+                        "store",
+                        object([("values", Value::Array(values.collect()))]),
+                    ),
+                ]),
+            ),
+        ]))
     }
 
-    /// Deserialize a sketch saved with [`LearnedSketch::to_json`], or by
-    /// an older version that also stored the layers' wiring. An error
-    /// names the offending field.
-    pub fn from_json(json: &str) -> serde_json::Result<Self> {
-        serde_json::from_str(json)
+    /// Read a sketch saved with [`LearnedSketch::to_json`], or by an older
+    /// version that also stored the layers' wiring. An error names the
+    /// offending field: `encoder: label_embedding[1]: …`,
+    /// `model.cfg.lambda: …`, `model.store.values[12] (lss.mlp.l1.w): …`.
+    pub fn from_json(json: &str) -> Result<Self, String> {
+        let v = serde_json::from_str(json).map_err(|e| e.to_string())?;
+        let encoder = field(&v, "encoder", Encoder::from_json)?;
+        let cfg = config_from_json(&v)?;
+        if cfg.gnn_layers == 0 {
+            return Err("model.cfg.gnn_layers: 0, the GIN needs a layer".to_string());
+        }
+        let values = field(&v, "model.store.values", |x| array_of(x, mat_from_json))?;
+        let model = LssModel::from_weights(cfg, encoder.node_dim(), encoder.edge_dim(), values)
+            .map_err(|e| format!("model.store.{e}"))?;
+        Ok(LearnedSketch { encoder, model })
     }
 
     /// Persist the sketch to a file.
     pub fn save(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        let json = self
-            .to_json()
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-        std::fs::write(path, json)
+        std::fs::write(path, self.to_json())
     }
 
     /// Load a sketch persisted with [`LearnedSketch::save`].
@@ -225,9 +291,12 @@ impl LearnedSketch {
         self.model.predict(&self.encode(q))
     }
 
-    /// Estimated count `ĉ(q)` in linear scale (≥ 1).
+    /// Estimated count `ĉ(q)` in linear scale (≥ 1), for scoring: `+inf`
+    /// when the prediction has no finite count ([`Prediction::count`] is
+    /// `None`), which [`q_error`](crate::q_error) scores as the worst
+    /// error. To report a count, read [`LearnedSketch::predict`]'s.
     pub fn estimate(&self, q: &Graph) -> f64 {
-        self.predict(q).count()
+        self.predict(q).count().unwrap_or(f64::INFINITY)
     }
 }
 
@@ -389,7 +458,7 @@ mod tests {
         let d = data_graph();
         let w = real_workload(&d);
         let (sketch, _) = LearnedSketch::train(&d, &w, &SketchConfig::tiny());
-        let json = sketch.to_json().expect("serialize");
+        let json = sketch.to_json();
         let back = LearnedSketch::from_json(&json).expect("deserialize");
         for q in &w.queries {
             let a = sketch.predict(&q.graph);
@@ -416,7 +485,7 @@ mod tests {
         let d = data_graph();
         let w = real_workload(&d);
         let (sketch, _) = LearnedSketch::train(&d, &w, &SketchConfig::tiny());
-        let json = sketch.to_json().expect("serialize");
+        let json = sketch.to_json();
         assert!(!json.contains("\"grads\""), "checkpoint carries gradients");
 
         // Older checkpoints also stored a gradient buffer shaped like the
@@ -428,7 +497,7 @@ mod tests {
             panic!("store is not an object");
         };
         pairs.insert(1, ("grads".to_string(), grads));
-        let old_json = serde_json::to_string(&value).expect("render");
+        let old_json = serde_json::to_string(&value);
         assert!(old_json.contains("\"grads\""));
         let old = LearnedSketch::from_json(&old_json).expect("older checkpoint loads");
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -444,7 +513,7 @@ mod tests {
         let d = data_graph();
         let w = real_workload(&d);
         let (sketch, _) = LearnedSketch::train(&d, &w, &SketchConfig::tiny());
-        let json = sketch.to_json().expect("serialize");
+        let json = sketch.to_json();
         let mut value: serde_json::Value = serde_json::from_str(&json).expect("parse");
         let store = field_mut(field_mut(&mut value, "model"), "store");
         // values[0] is the first GIN weight, `lss.gin.gin0.l0.w`
@@ -456,7 +525,7 @@ mod tests {
         };
         data.pop();
         let path = std::env::temp_dir().join("alss_short_matrix_test.json");
-        std::fs::write(&path, serde_json::to_string(&value).expect("render")).expect("write");
+        std::fs::write(&path, serde_json::to_string(&value)).expect("write");
         let err = LearnedSketch::load(&path)
             .err()
             .expect("a short matrix must not load");
@@ -465,6 +534,25 @@ mod tests {
         let err = err.to_string();
         assert!(err.starts_with("model.store.values[0]: a "), "{err}");
         assert!(err.contains("matrix holds"), "{err}");
+    }
+
+    #[test]
+    fn reading_a_matrix_checks_its_shape() {
+        let m = Mat::from_vec(2, 3, vec![1., 2., 3., 4., 5., 6.]);
+        assert_eq!(mat_from_json(&mat_to_json(&m)).unwrap(), m);
+        let with = |rows: u64, cols: u64, len: usize| {
+            mat_from_json(&object([
+                ("rows", Value::UInt(rows)),
+                ("cols", Value::UInt(cols)),
+                ("data", Value::Array(vec![float(0.0); len])),
+            ]))
+        };
+        let short = with(2, 3, 5).unwrap_err();
+        assert!(short.contains("2×3 matrix holds 5"), "{short}");
+        assert!(with(2, 3, 7).is_err());
+        // rows × cols overflows usize: an error, not a wrapped product.
+        assert!(with(1 << 33, 1 << 33, 0).is_err());
+        assert!(with(0, 5, 0).is_ok());
     }
 
     #[test]

@@ -274,10 +274,15 @@ pub fn finetune_model(
 
 /// Evaluate: `(true, estimated)` count pairs over encoded items, fanned
 /// out over `par` (prediction is pure per item, so the output is
-/// independent of it).
+/// independent of it). An estimate with no finite count
+/// ([`Prediction::count`](crate::Prediction::count) is `None`) is `+inf`,
+/// which [`q_error`](crate::q_error) scores as the worst error.
 pub fn evaluate_with(model: &LssModel, items: &[EncodedItem], par: Parallelism) -> Vec<(f64, f64)> {
     par_map(par, items, |_, (eq, c)| {
-        (*c as f64, model.predict(eq).count())
+        (
+            *c as f64,
+            model.predict(eq).count().unwrap_or(f64::INFINITY),
+        )
     })
 }
 
@@ -489,8 +494,8 @@ mod tests {
         train_model(&mut model, &items, &TrainConfig::quick(60));
         // the 2-node label (0,0) query (count 10) must predict far below the
         // 4-node (count 50k) query
-        let small = model.predict(&items[0].0).count();
-        let large = model.predict(&items[6].0).count();
+        let small = model.predict(&items[0].0).count().unwrap();
+        let large = model.predict(&items[6].0).count().unwrap();
         assert!(
             large > small * 10.0,
             "magnitudes should separate: {small} vs {large}"

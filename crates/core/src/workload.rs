@@ -2,11 +2,12 @@
 //! split utilities used throughout §6 (stratified train/test splits,
 //! size-bucket grouping, true-count-range bucketing).
 
+use crate::json::{field, items_of, object, str_of, uint_of};
 use alss_graph::io::{from_text, to_text};
 use alss_graph::Graph;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize, Value};
+use serde_json::Value;
 
 /// One labeled training/test query (the `(q_i, c(q_i))` of §2). Stored
 /// as `{"graph": "<t/v/e text>", "count": c}`: the graph in the text
@@ -30,57 +31,31 @@ impl LabeledQuery {
     pub fn size(&self) -> usize {
         self.graph.num_nodes()
     }
-}
 
-impl Serialize for LabeledQuery {
-    fn serialize(&self) -> Value {
-        Value::Object(vec![
-            ("graph".to_string(), Value::Str(to_text(&self.graph))),
-            ("count".to_string(), self.count.serialize()),
+    /// `{"graph": "<t/v/e text>", "count": c}`.
+    fn to_json(&self) -> Value {
+        object([
+            ("graph", Value::Str(to_text(&self.graph))),
+            ("count", Value::UInt(self.count)),
         ])
     }
-}
 
-impl Deserialize for LabeledQuery {
-    fn deserialize(v: &Value) -> Result<Self, serde::Error> {
-        let field = |name| {
-            v.get(name)
-                .ok_or_else(|| serde::Error::missing_field("LabeledQuery", name))
-        };
-        let at =
-            |name: &str, e: &dyn std::fmt::Display| serde::Error::custom(format!("{name}: {e}"));
-        let text = String::deserialize(field("graph")?).map_err(|e| at("graph", &e))?;
-        let graph = from_text(&text).map_err(|e| at("graph", &e))?;
-        let count = u64::deserialize(field("count")?).map_err(|e| at("count", &e))?;
+    /// Read a query written by [`LabeledQuery::to_json`]; an error names
+    /// the field: `graph: line <n>: …`.
+    fn from_json(v: &Value) -> Result<Self, String> {
+        let graph = field(v, "graph", |x| {
+            from_text(str_of(x)?).map_err(|e| e.to_string())
+        })?;
+        let count = field(v, "count", uint_of)?;
         Ok(LabeledQuery { graph, count })
     }
 }
 
 /// A workload of labeled queries, stored as `{"queries": [...]}`.
-#[derive(Clone, Debug, Default, Serialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Workload {
     /// The labeled queries.
     pub queries: Vec<LabeledQuery>,
-}
-
-/// Reads each query through [`LabeledQuery`]'s reader and names the
-/// first one that fails: `query <i>: graph: line <n>: …`.
-impl Deserialize for Workload {
-    fn deserialize(v: &Value) -> Result<Self, serde::Error> {
-        let queries = v
-            .get("queries")
-            .and_then(Value::as_array)
-            .ok_or_else(|| serde::Error::custom("queries: missing or not an array"))?;
-        let queries = queries
-            .iter()
-            .enumerate()
-            .map(|(i, q)| {
-                LabeledQuery::deserialize(q)
-                    .map_err(|e| serde::Error::custom(format!("query {i}: {e}")))
-            })
-            .collect::<Result<_, _>>()?;
-        Ok(Workload { queries })
-    }
 }
 
 /// `⌊frac · n⌉` clamped to `0..=n`: the one float→usize cast for
@@ -101,6 +76,25 @@ impl Workload {
         Workload {
             queries: Vec::new(),
         }
+    }
+
+    /// The workload as JSON: `{"queries": [{"graph": "<t/v/e text>",
+    /// "count": c}, …]}`.
+    pub fn to_json(&self) -> String {
+        let queries = self.queries.iter().map(LabeledQuery::to_json).collect();
+        serde_json::to_string(&object([("queries", Value::Array(queries))]))
+    }
+
+    /// Read a workload written by [`Workload::to_json`]. An error names
+    /// the first query that fails and why: `query <i>: graph: line <n>: …`.
+    pub fn from_json(json: &str) -> Result<Self, String> {
+        let v = serde_json::from_str(json).map_err(|e| e.to_string())?;
+        let queries = field(&v, "queries", items_of)?
+            .iter()
+            .enumerate()
+            .map(|(i, q)| LabeledQuery::from_json(q).map_err(|e| format!("query {i}: {e}")))
+            .collect::<Result<_, _>>()?;
+        Ok(Workload { queries })
     }
 
     /// Wrap a query list.
@@ -235,5 +229,50 @@ mod tests {
         let total: usize = parts.iter().map(|p| p.len()).sum();
         assert_eq!(total, w.len());
         assert_eq!(parts[0].of_size(3).len(), 12);
+    }
+
+    /// A two-query workload file: a path with a multi-labeled middle node
+    /// and an edge-labeled edge, and an edge with a wildcard end whose
+    /// count is `u64::MAX`.
+    const WORKLOAD_JSON: &str = r#"{"queries":[{"graph":"t 3 2\nv 0 0\nv 1 1 2 5\nv 2 0\ne 0 1\ne 1 2 3\n","count":12},{"graph":"t 2 1\nv 0 -1\nv 1 4\ne 0 1\n","count":18446744073709551615}]}"#;
+
+    #[test]
+    fn a_workload_file_is_pinned() {
+        let w = Workload::from_queries(vec![
+            LabeledQuery::new(
+                from_text("t 3 2\nv 0 0\nv 1 1 2 5\nv 2 0\ne 0 1\ne 1 2 3\n").unwrap(),
+                12,
+            ),
+            LabeledQuery::new(
+                from_text("t 2 1\nv 0 -1\nv 1 4\ne 0 1\n").unwrap(),
+                u64::MAX,
+            ),
+        ]);
+        assert_eq!(w.to_json(), WORKLOAD_JSON);
+        let back = Workload::from_json(WORKLOAD_JSON).unwrap();
+        assert_eq!(back.to_json(), WORKLOAD_JSON);
+        assert_eq!(back.queries[0].graph, w.queries[0].graph);
+    }
+
+    #[test]
+    fn a_workload_error_names_the_query_and_the_field() {
+        let err = |json: &str| Workload::from_json(json).unwrap_err();
+        assert_eq!(err(r#"{"q":[]}"#), "missing field `queries`");
+        assert_eq!(
+            err(r#"{"queries":{}}"#),
+            "queries: expected array, found object"
+        );
+        assert_eq!(
+            err(r#"{"queries":[{"graph":"t 1 0\nv 0 0\n","count":1},{"count":2}]}"#),
+            "query 1: missing field `graph`"
+        );
+        assert_eq!(
+            err(r#"{"queries":[{"graph":"t 2 1\nv 0 0\nv 1 0\ne 0 2\n","count":1}]}"#),
+            "query 0: graph: line 4: edge endpoint out of range"
+        );
+        assert_eq!(
+            err(r#"{"queries":[{"graph":"t 1 0\nv 0 0\n","count":-1}]}"#),
+            "query 0: count: expected unsigned integer, found integer"
+        );
     }
 }

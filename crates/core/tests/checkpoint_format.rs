@@ -21,6 +21,11 @@ use serde_json::Value;
 /// counts.
 const WIRED: &str = include_str!("fixtures/wired_sketch.json");
 
+/// [`WIRED`], loaded and saved again, as the layout of
+/// [`LearnedSketch::to_json`] wrote it when [`WIRED`] was first re-saved:
+/// pins the writer's bytes, which comparing two of its outputs cannot.
+const RESAVED: &str = include_str!("fixtures/resaved_sketch.json");
+
 /// What [`WIRED`] predicted for each workload query when it was written:
 /// the bits of `log10_count`, then of each class probability.
 const WIRED_PREDICTIONS: [(u64, [u64; 4]); 6] = [
@@ -173,15 +178,16 @@ fn a_wired_checkpoint_loads_to_the_same_predictions() {
 #[test]
 fn a_wired_checkpoint_resaves_to_the_file_training_writes() {
     let (data, workload, cfg) = inputs();
-    let resaved = LearnedSketch::from_json(WIRED).unwrap().to_json().unwrap();
+    let resaved = LearnedSketch::from_json(WIRED).unwrap().to_json();
+    assert!(resaved == RESAVED, "the writer's bytes changed");
     let (trained, _) = LearnedSketch::train(&data, &workload, &cfg);
-    assert_eq!(resaved, trained.to_json().unwrap());
+    assert_eq!(resaved, trained.to_json());
     assert!(resaved.len() < WIRED.len());
 }
 
 #[test]
 fn a_checkpoint_holds_the_encoder_the_config_and_the_weights_only() {
-    let json = LearnedSketch::from_json(WIRED).unwrap().to_json().unwrap();
+    let json = LearnedSketch::from_json(WIRED).unwrap().to_json();
     let value: Value = serde_json::from_str(&json).unwrap();
     let keys = |v: &Value| -> Vec<String> {
         v.as_object()
@@ -202,7 +208,7 @@ fn a_checkpoint_holds_the_encoder_the_config_and_the_weights_only() {
 fn edited(edit: impl FnOnce(&mut Value)) -> String {
     let mut value: Value = serde_json::from_str(WIRED).unwrap();
     edit(&mut value);
-    serde_json::to_string(&value).unwrap()
+    serde_json::to_string(&value)
 }
 
 /// The value at `path` (object keys and array indices) of a JSON tree.
@@ -242,7 +248,7 @@ fn keys_that_are_no_longer_read_do_not_change_a_prediction() {
 #[test]
 fn corrupt_checkpoints_fail_to_load_naming_the_field() {
     let float = |x: f64| Value::Float(x);
-    let cases: [(&[&str], Value, &str); 5] = [
+    let cases: [(&[&str], Value, &str); 9] = [
         (
             &["encoder", "label_embedding", "1"],
             Value::Array(vec![float(0.5); 3]),
@@ -267,6 +273,27 @@ fn corrupt_checkpoints_fail_to_load_naming_the_field() {
             &["model", "cfg", "gnn_layers"],
             Value::UInt(0),
             "model.cfg.gnn_layers: ",
+        ),
+        // A config number that is `null` or past `f32` does not load.
+        (
+            &["model", "cfg", "lambda"],
+            Value::Null,
+            "model.cfg.lambda: expected number, found null",
+        ),
+        (
+            &["model", "cfg", "lambda"],
+            float(1e39),
+            "model.cfg.lambda: 1e39 is not a finite f32",
+        ),
+        (
+            &["model", "cfg", "dropout"],
+            Value::Null,
+            "model.cfg.dropout: expected number, found null",
+        ),
+        (
+            &["model", "cfg", "dropout"],
+            float(1e39),
+            "model.cfg.dropout: 1e39 is not a finite f32",
         ),
     ];
     for (path, value, error) in cases {
@@ -337,7 +364,7 @@ fn leaves(v: &Value, path: &mut Vec<String>, out: &mut Vec<Vec<String>>) {
 #[test]
 fn mutated_checkpoints_fail_to_load_or_predict_finite_values() {
     let (_, workload, _) = inputs();
-    let checkpoint = LearnedSketch::from_json(WIRED).unwrap().to_json().unwrap();
+    let checkpoint = LearnedSketch::from_json(WIRED).unwrap().to_json();
     let original: Value = serde_json::from_str(&checkpoint).unwrap();
     let mut targets = Vec::new();
     leaves(&original, &mut Vec::new(), &mut targets);
@@ -367,7 +394,7 @@ fn mutated_checkpoints_fail_to_load_or_predict_finite_values() {
             }
             _ => *target = numbers[rng.gen_range(0..numbers.len())].clone(),
         }
-        let json = serde_json::to_string(&mutant).unwrap();
+        let json = serde_json::to_string(&mutant);
         let Ok(sketch) = LearnedSketch::from_json(&json) else {
             rejected += 1;
             continue;

@@ -1,7 +1,6 @@
 //! Label statistics: frequency `F(l)`, entropy `Ent(Σ)`, and label coverage.
 
 use crate::{Graph, LabelId, WILDCARD};
-use serde::{Deserialize, Serialize};
 
 /// Per-label occurrence statistics of a data graph (§4.3, Table 2).
 ///
@@ -9,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// and the label entropy `Ent(Σ) = -Σ_l p(l) log p(l)` (natural log, as in
 /// Table 2) characterizes label skew: the *lower* the entropy the more
 /// skewed the distribution.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct LabelStats {
     freq: Vec<u64>,
     num_nodes: u64,
@@ -42,6 +41,34 @@ impl LabelStats {
             edge_freq,
             num_edges: g.num_edges() as u64,
         }
+    }
+
+    /// Statistics from their raw counts: `freq[l]` nodes carry node label
+    /// `l` and `edge_freq[l]` edges carry edge label `l`, of `num_nodes`
+    /// nodes and `num_edges` edges. Nothing is checked against a graph:
+    /// this is how a stored sketch gets its statistics back.
+    pub fn from_counts(
+        freq: Vec<u64>,
+        num_nodes: u64,
+        edge_freq: Vec<u64>,
+        num_edges: u64,
+    ) -> Self {
+        LabelStats {
+            freq,
+            num_nodes,
+            edge_freq,
+            num_edges,
+        }
+    }
+
+    /// Number of data nodes `|V|`.
+    pub fn num_nodes(&self) -> u64 {
+        self.num_nodes
+    }
+
+    /// Number of data edges `|E|`.
+    pub fn num_edges(&self) -> u64 {
+        self.num_edges
     }
 
     /// Number of distinct node labels tracked.

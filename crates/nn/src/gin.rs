@@ -25,14 +25,13 @@ use crate::param::{ParamError, ParamStore};
 use crate::tape::{Tape, Var};
 use alss_graph::PackedGraphs;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Neighborhood aggregation variant (the GNN ablation of DESIGN.md):
 /// injective **sum** (GIN, as powerful as the WL test — the paper's
 /// choice) or **mean** (GCN/GraphSAGE-style, not injective: it cannot
 /// distinguish neighborhoods that differ only in multiplicity).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum Aggregation {
     /// `h_v + Σ_u h_u` — injective, WL-powerful (GIN-0).
     #[default]

@@ -5,42 +5,16 @@
 //! kernels is sufficient. Shapes are validated eagerly with panics: a shape
 //! mismatch is a programming error, not a runtime condition.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::ops::Range;
 
 /// A dense `rows × cols` matrix of `f32`, row-major.
-///
-/// Deserializing checks the shape: `data` must hold exactly `rows × cols`
-/// values, so a corrupted checkpoint fails to load instead of panicking
-/// at its first use.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Mat {
     rows: usize,
     cols: usize,
     data: Vec<f32>,
-}
-
-/// The serialized fields of a [`Mat`], before the shape check.
-#[derive(Deserialize)]
-struct MatFields {
-    rows: usize,
-    cols: usize,
-    data: Vec<f32>,
-}
-
-impl Deserialize for Mat {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        let MatFields { rows, cols, data } = MatFields::deserialize(v)?;
-        if rows.checked_mul(cols) != Some(data.len()) {
-            return Err(serde::Error::custom(format!(
-                "a {rows}×{cols} matrix holds {} values",
-                data.len()
-            )));
-        }
-        Ok(Mat { rows, cols, data })
-    }
 }
 
 impl Mat {
@@ -422,29 +396,6 @@ impl Hasher for RowHasher {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn deserializing_checks_the_shape() {
-        use serde::{Serialize, Value};
-        let m = Mat::from_vec(2, 3, vec![1., 2., 3., 4., 5., 6.]);
-        assert_eq!(Mat::deserialize(&m.serialize()).unwrap(), m);
-        let with = |rows: Value, cols: Value, data: Vec<f32>| {
-            let Value::Object(mut fields) = m.serialize() else {
-                panic!("a Mat serializes to an object");
-            };
-            fields[0].1 = rows;
-            fields[1].1 = cols;
-            fields[2].1 = data.serialize();
-            Mat::deserialize(&Value::Object(fields))
-        };
-        let short = with(Value::UInt(2), Value::UInt(3), vec![0.0; 5]).unwrap_err();
-        assert!(short.to_string().contains("2×3 matrix holds 5"), "{short}");
-        assert!(with(Value::UInt(2), Value::UInt(3), vec![0.0; 7]).is_err());
-        // rows × cols overflows usize: an error, not a wrapped product.
-        let huge = Value::UInt(1 << 33);
-        assert!(with(huge.clone(), huge, Vec::new()).is_err());
-        assert!(with(Value::UInt(0), Value::UInt(5), Vec::new()).is_ok());
-    }
 
     #[test]
     fn matmul_known_product() {

@@ -75,14 +75,15 @@ pub fn magnitude_class_of(log10: f64) -> u64 {
 }
 
 /// Compute a full-quality model estimate, or `None` when the model's
-/// output is not finite (finite weights can still overflow), which is no
-/// estimate to serve or cache. A finite `log10` of about 308.3 or more is
-/// not finite either: its linear count overflows to `inf`.
+/// output has no finite count ([`Prediction::count`]: finite weights can
+/// still overflow, and a finite `log10` of about 308.3 or more overflows
+/// the linear count) or a non-finite class probability, which is no
+/// estimate to serve or cache.
+///
+/// [`Prediction::count`]: alss_core::Prediction::count
 pub fn model_outcome(sketch: &LearnedSketch, query: &Graph) -> Option<Outcome> {
     let pred = sketch.predict(query);
-    let finite = pred.log10_count.is_finite()
-        && pred.count().is_finite()
-        && pred.class_probs.iter().all(|p| p.is_finite());
+    let finite = pred.count().is_some() && pred.class_probs.iter().all(|p| p.is_finite());
     finite.then(|| Outcome {
         log10: pred.log10_count,
         magnitude_class: u64::try_from(pred.top_class()).unwrap_or(u64::MAX),

@@ -479,7 +479,7 @@ fn edited(path: &std::path::Path, edit: impl FnOnce(&mut serde_json::Value)) -> 
     let mut value: serde_json::Value =
         serde_json::from_str(&std::fs::read_to_string(path).unwrap()).unwrap();
     edit(&mut value);
-    serde_json::to_string(&value).unwrap()
+    serde_json::to_string(&value)
 }
 
 #[test]
@@ -605,7 +605,7 @@ fn a_model_answer_too_large_for_a_linear_count_is_degraded_and_never_cached() {
     let q = graph_from_edges(&[0, 1], &[(0, 1)]);
     let pred = LearnedSketch::from_json(&huge).unwrap().predict(&q);
     assert_eq!(pred.log10_count, 400.0, "the edit must set the output");
-    assert!(!pred.count().is_finite());
+    assert_eq!(pred.count(), None);
     std::fs::write(&sketch, &huge).unwrap();
 
     let handle = alss_serve::serve(&config(graph, Some(sketch))).unwrap();

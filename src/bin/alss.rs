@@ -142,8 +142,7 @@ fn cmd_workload(args: &Args) -> Result<(), String> {
             seed,
         },
     );
-    let json = serde_json::to_string(&w).map_err(|e| e.to_string())?;
-    std::fs::write(out, json).map_err(|e| format!("write {out}: {e}"))?;
+    std::fs::write(out, w.to_json()).map_err(|e| format!("write {out}: {e}"))?;
     let (lo, hi) = w.count_range().unwrap_or((0, 0));
     println!(
         "wrote {out}: {} labeled queries, sizes {:?}, counts in [{lo}, {hi}]",
@@ -158,7 +157,7 @@ fn cmd_workload(args: &Args) -> Result<(), String> {
 /// nodes would decompose into nothing, so it is refused too.
 fn load_workload(path: &str) -> Result<Workload, String> {
     let json = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-    let w: Workload = serde_json::from_str(&json).map_err(|e| format!("parse {path}: {e}"))?;
+    let w = Workload::from_json(&json).map_err(|e| format!("parse {path}: {e}"))?;
     match w.queries.iter().position(|q| q.graph.num_nodes() == 0) {
         Some(i) => Err(format!("parse {path}: query {i}: no nodes")),
         None => Ok(w),
@@ -216,7 +215,13 @@ fn cmd_estimate(args: &Args) -> Result<(), String> {
         return Err(format!("query {path}: no nodes"));
     }
     let pred = sketch.predict(&q);
-    println!("estimate: {:.1}", pred.count());
+    let count = pred.count().ok_or_else(|| {
+        format!(
+            "query {path}: the model predicts log10 {}, which has no finite count",
+            pred.log10_count
+        )
+    })?;
+    println!("estimate: {count:.1}");
     println!("log10:    {:.3}", pred.log10_count);
     println!("magnitude class: {}", pred.top_class());
     Ok(())
@@ -242,18 +247,34 @@ fn cmd_evaluate(args: &Args) -> Result<(), String> {
     let par = Parallelism::auto();
     let items = encode_workload_with(sketch.encoder(), &w, par);
     let pairs = evaluate_with(sketch.model(), &items, par);
-    let stats = QErrorStats::from_pairs(&pairs).ok_or("empty workload")?;
-    println!("q-error over {} queries:", stats.count);
-    println!("{}", stats.render());
-    for size in w.sizes() {
-        let sp: Vec<(f64, f64)> = w
+    if pairs.is_empty() {
+        return Err("empty workload".to_string());
+    }
+    // A prediction with no finite count is a `+inf` estimate: such queries
+    // are counted apart, not scored into the q-error percentiles.
+    let of_size = |size: Option<usize>| {
+        let (scored, overflowed): (Vec<(f64, f64)>, Vec<_>) = w
             .queries
             .iter()
             .zip(&pairs)
-            .filter(|(q, _)| q.size() == size)
+            .filter(|(q, _)| size.is_none() || size == Some(q.size()))
             .map(|(_, &pair)| pair)
-            .collect();
-        if let Some(s) = QErrorStats::from_pairs(&sp) {
+            .partition(|&(_, estimate)| estimate.is_finite());
+        (QErrorStats::from_pairs(&scored), overflowed.len())
+    };
+    let (stats, overflowed) = of_size(None);
+    println!(
+        "q-error over {} queries:",
+        stats.as_ref().map_or(0, |s| s.count)
+    );
+    if let Some(stats) = stats {
+        println!("{}", stats.render());
+    }
+    if overflowed > 0 {
+        println!("{overflowed} queries not scored: their estimate has no finite count");
+    }
+    for size in w.sizes() {
+        if let (Some(s), _) = of_size(Some(size)) {
             println!("  {size}-node: {}", s.render());
         }
     }

@@ -232,7 +232,7 @@ fn cli_reports_errors_cleanly() {
     std::fs::write(&graph, "t 3 2\nv 0 0\nv 1 0\nv 2 1\ne 0 1\ne 1 2\n").unwrap();
     let path = alss::graph::builder::graph_from_edges(&[0, 0, 1], &[(0, 1), (1, 2)]);
     let w = alss::core::Workload::from_queries(vec![alss::core::LabeledQuery::new(path, 2)]);
-    let json = serde_json::to_string(&w).unwrap();
+    let json = w.to_json();
     assert!(json.contains("\"graph\":\"t 3 2\\n"), "{json}");
     assert!(json.contains("e 1 2\\n"), "{json}");
     let train_on = |workload: &std::path::Path| {
@@ -285,7 +285,7 @@ fn cli_reports_errors_cleanly() {
         .queries
         .push(alss::core::LabeledQuery::new(empty, 3));
     let empty_json = dir.join("empty.json");
-    std::fs::write(&empty_json, serde_json::to_string(&with_empty).unwrap()).unwrap();
+    std::fs::write(&empty_json, with_empty.to_json()).unwrap();
     let sketch = dir.join("s.json");
     let run = |args: &[&str]| {
         let out = alss().args(args).output().expect("run");
@@ -311,5 +311,100 @@ fn cli_reports_errors_cleanly() {
             "{args:?}"
         );
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The value at `path` (object keys and array indices) of a JSON tree.
+fn at_mut<'a>(mut v: &'a mut serde_json::Value, path: &[&str]) -> &'a mut serde_json::Value {
+    for key in path {
+        v = match v {
+            serde_json::Value::Object(pairs) => {
+                &mut pairs.iter_mut().find(|(k, _)| k == key).expect(key).1
+            }
+            serde_json::Value::Array(items) => &mut items[key.parse::<usize>().expect(key)],
+            other => panic!("{key}: not a container but {}", other.kind()),
+        };
+    }
+    v
+}
+
+/// A sketch whose regression output is 400 for every query: finite, but
+/// `10^400` is past `f64`. `estimate` refuses to print such a count, and
+/// `evaluate` counts such queries instead of scoring them as `+inf`.
+#[test]
+fn an_estimate_with_no_finite_count_is_an_error() {
+    use alss::core::{LabeledQuery, LearnedSketch, SketchConfig, Workload};
+    use alss::graph::builder::graph_from_edges;
+    use serde_json::Value;
+
+    let dir = tmpdir("no_finite_count");
+    let data = graph_from_edges(&[0, 0, 1, 1, 2], &[(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]);
+    let w = Workload::from_queries(vec![
+        LabeledQuery::new(graph_from_edges(&[0, 1], &[(0, 1)]), 2),
+        LabeledQuery::new(graph_from_edges(&[1, 2], &[(0, 1)]), 2),
+        LabeledQuery::new(graph_from_edges(&[0, 1, 2], &[(0, 1), (1, 2)]), 3),
+    ]);
+    let (sketch, _) = LearnedSketch::train(&data, &w, &SketchConfig::tiny());
+    // Under `SketchConfig::tiny()`, the MLP head's output weight is
+    // `values[12]` and the regression neuron's bias `values[13]`, entry 0.
+    let mut checkpoint: Value = serde_json::from_str(&sketch.to_json()).unwrap();
+    let values = ["model", "store", "values"];
+    let Value::Array(weights) = at_mut(&mut checkpoint, &[&values[..], &["12", "data"]].concat())
+    else {
+        panic!("a weight matrix's data is not an array");
+    };
+    weights.fill(Value::Float(0.0));
+    *at_mut(
+        &mut checkpoint,
+        &[&values[..], &["13", "data", "0"]].concat(),
+    ) = Value::Float(400.0);
+
+    let (g, s, q, wl) = (
+        dir.join("g.txt"),
+        dir.join("s.json"),
+        dir.join("q.txt"),
+        dir.join("w.json"),
+    );
+    std::fs::write(&g, alss::graph::io::to_text(&data)).unwrap();
+    std::fs::write(&s, serde_json::to_string(&checkpoint)).unwrap();
+    std::fs::write(&q, "t 2 1\nv 0 0\nv 1 1\ne 0 1\n").unwrap();
+    std::fs::write(&wl, w.to_json()).unwrap();
+    let run = |args: &[&std::path::Path]| {
+        let out = alss()
+            .args(args.iter().map(|a| a.as_os_str()))
+            .output()
+            .expect("run");
+        let text = |b: &[u8]| String::from_utf8_lossy(b).into_owned();
+        (out.status.code(), text(&out.stdout), text(&out.stderr))
+    };
+    let arg = |a: &'static str| std::path::Path::new(a);
+
+    let (code, stdout, stderr) = run(&[arg("estimate"), arg("--sketch"), &s, arg("--query"), &q]);
+    assert_eq!(code, Some(1), "{stdout}{stderr}");
+    assert!(!stdout.contains("estimate:"), "{stdout}");
+    assert_eq!(
+        stderr.trim_end(),
+        format!(
+            "error: query {}: the model predicts log10 400, which has no finite count",
+            q.display()
+        )
+    );
+
+    let (code, stdout, stderr) = run(&[
+        arg("evaluate"),
+        arg("--sketch"),
+        &s,
+        arg("--graph"),
+        &g,
+        arg("--workload"),
+        &wl,
+    ]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(stdout.contains("q-error over 0 queries:"), "{stdout}");
+    assert!(
+        stdout.contains("3 queries not scored: their estimate has no finite count"),
+        "{stdout}"
+    );
+    assert!(!stdout.contains("inf"), "{stdout}");
     std::fs::remove_dir_all(&dir).ok();
 }

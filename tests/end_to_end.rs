@@ -117,8 +117,8 @@ fn active_learning_rounds_integrate_with_exact_engine() {
 #[test]
 fn workload_serde_roundtrip() {
     let (_, workload) = pipeline_workload();
-    let json = serde_json::to_string(&workload).expect("serialize");
-    let back: alss::core::Workload = serde_json::from_str(&json).expect("deserialize");
+    let json = workload.to_json();
+    let back = alss::core::Workload::from_json(&json).expect("deserialize");
     assert_eq!(back.len(), workload.len());
     for (a, b) in workload.queries.iter().zip(&back.queries) {
         assert_eq!(a.count, b.count);
