@@ -4,12 +4,13 @@
 //! returned guard alive for the whole run:
 //!
 //! ```text
-//! ALSS_TELEMETRY=spans cargo run --bin fig4 -- --telemetry out.jsonl
+//! cargo run --bin fig4 -- --telemetry out.jsonl
 //! ```
 //!
 //! `--telemetry <path>` (or `--telemetry=<path>`) is handed to
-//! [`alss_telemetry::init`] as the capture path; without the flag,
-//! `ALSS_TELEMETRY` alone installs the pretty stderr sink.
+//! [`alss_telemetry::init`] as the capture path, which records
+//! everything; without the flag, an `ALSS_TELEMETRY` set to anything but
+//! empty, `0`, `off` or `none` installs the pretty stderr sink instead.
 
 /// Extract the `--telemetry <path>` / `--telemetry=<path>` flag from the
 /// raw argument list, returning the path when present.

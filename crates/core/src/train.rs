@@ -25,6 +25,7 @@ use alss_nn::{Adam, AdamConfig, GradShard, Tape};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
+use serde_json::Value;
 use std::time::{Duration, Instant};
 
 /// Training hyper-parameters (§6.1: lr ∈ [1e-4, 1e-3], 50–150 epochs,
@@ -164,7 +165,7 @@ fn run_item(
 /// Within each mini-batch the per-item passes run data-parallel per
 /// `cfg.parallelism` (see the module docs for the determinism contract).
 ///
-/// When telemetry events are enabled, every epoch emits a `train.epoch`
+/// When telemetry is on, every epoch emits a `train.epoch`
 /// event carrying the mean multi-task loss, the mean pre-step gradient
 /// norm, and the current learning rate, plus a `train.parallel_speedup`
 /// event relating summed per-item time to epoch wall time; per-item
@@ -174,8 +175,7 @@ pub fn train_model(model: &mut LssModel, items: &[EncodedItem], cfg: &TrainConfi
     assert!(!items.is_empty(), "empty training set");
     assert!(cfg.batch_size >= 1, "batch size must be ≥ 1");
     let _span = alss_telemetry::Span::enter("train");
-    let telemetry_on = alss_telemetry::enabled(alss_telemetry::Category::Events);
-    let timing_on = telemetry_on || alss_telemetry::enabled(alss_telemetry::Category::Metrics);
+    let telemetry_on = alss_telemetry::enabled();
     let start = Instant::now();
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
     let mut adam = Adam::new(cfg.adam, model.store());
@@ -195,7 +195,7 @@ pub fn train_model(model: &mut LssModel, items: &[EncodedItem], cfg: &TrainConfi
             let scale = 1.0 / batch.len() as f32;
             let outcomes = par_map(cfg.parallelism, batch, |_, &i| {
                 let rng = item_rng(cfg.seed, epoch as u64, i as u64);
-                run_item(model, &items[i], scale, rng, timing_on)
+                run_item(model, &items[i], scale, rng, telemetry_on)
             });
             // Reduce in batch-position order: keeps the f32 gradient and
             // f64 loss sums identical to the single-threaded pass.
@@ -222,30 +222,30 @@ pub fn train_model(model: &mut LssModel, items: &[EncodedItem], cfg: &TrainConfi
             alss_telemetry::event(
                 "train.epoch",
                 &[
-                    ("epoch", alss_telemetry::Field::from(epoch)),
-                    ("loss", alss_telemetry::Field::F64(mean_loss)),
+                    ("epoch", Value::UInt(epoch as u64)),
+                    ("loss", Value::Float(mean_loss)),
                     (
                         "grad_norm",
-                        alss_telemetry::Field::F64(grad_norm_sum / num_batches.max(1) as f64),
+                        Value::Float(grad_norm_sum / num_batches.max(1) as f64),
                     ),
-                    ("lr", alss_telemetry::Field::from(lr)),
+                    ("lr", Value::Float(f64::from(lr))),
                 ],
             );
             alss_telemetry::event(
                 "train.parallel_speedup",
                 &[
-                    ("epoch", alss_telemetry::Field::from(epoch)),
-                    ("threads", alss_telemetry::Field::from(workers)),
+                    ("epoch", Value::UInt(epoch as u64)),
+                    ("threads", Value::UInt(workers as u64)),
                     (
                         "speedup",
-                        alss_telemetry::Field::F64(if wall_us > 0.0 {
+                        Value::Float(if wall_us > 0.0 {
                             item_us_sum / wall_us
                         } else {
                             1.0
                         }),
                     ),
-                    ("items_us", alss_telemetry::Field::F64(item_us_sum)),
-                    ("wall_us", alss_telemetry::Field::F64(wall_us)),
+                    ("items_us", Value::Float(item_us_sum)),
+                    ("wall_us", Value::Float(wall_us)),
                 ],
             );
         }

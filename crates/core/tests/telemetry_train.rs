@@ -5,7 +5,8 @@ use alss_core::train::{encode_workload, finetune_model, seeded_rng, train_model,
 use alss_core::{Encoder, LabeledQuery, LssConfig, LssModel, Workload};
 use alss_graph::builder::graph_from_edges;
 use alss_telemetry::test_support::with_capture;
-use alss_telemetry::{Category, Event, Field};
+use alss_telemetry::Event;
+use serde_json::Value;
 
 fn tiny_setup() -> (LssModel, Vec<(alss_core::EncodedQuery, u64)>) {
     let data = graph_from_edges(&[0, 0, 1, 1, 2], &[(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]);
@@ -21,17 +22,17 @@ fn tiny_setup() -> (LssModel, Vec<(alss_core::EncodedQuery, u64)>) {
     (model, items)
 }
 
-fn field_f64(fields: &[(String, Field)], key: &str) -> f64 {
+fn field_f64(fields: &[(String, Value)], key: &str) -> f64 {
     match fields.iter().find(|(k, _)| k == key) {
-        Some((_, Field::F64(v))) => *v,
-        other => panic!("field {key}: expected F64, got {other:?}"),
+        Some((_, Value::Float(v))) => *v,
+        other => panic!("field {key}: expected Float, got {other:?}"),
     }
 }
 
-fn field_u64(fields: &[(String, Field)], key: &str) -> u64 {
+fn field_u64(fields: &[(String, Value)], key: &str) -> u64 {
     match fields.iter().find(|(k, _)| k == key) {
-        Some((_, Field::U64(v))) => *v,
-        other => panic!("field {key}: expected U64, got {other:?}"),
+        Some((_, Value::UInt(v))) => *v,
+        other => panic!("field {key}: expected UInt, got {other:?}"),
     }
 }
 
@@ -40,7 +41,7 @@ fn train_emits_one_epoch_event_per_epoch() {
     let epochs = 4;
     let (mut model, items) = tiny_setup();
     let cfg = TrainConfig::quick(epochs);
-    let (report, events) = with_capture(Category::ALL, || train_model(&mut model, &items, &cfg));
+    let (report, events) = with_capture(|| train_model(&mut model, &items, &cfg));
     assert_eq!(report.epoch_losses.len(), epochs);
 
     let epoch_events: Vec<_> = events
@@ -89,7 +90,7 @@ fn train_emits_parallel_speedup_event_per_epoch() {
     let (mut model, items) = tiny_setup();
     let mut cfg = TrainConfig::quick(epochs);
     cfg.parallelism = alss_core::Parallelism::fixed(2);
-    let (_report, events) = with_capture(Category::ALL, || train_model(&mut model, &items, &cfg));
+    let (_report, events) = with_capture(|| train_model(&mut model, &items, &cfg));
 
     let speedup_events: Vec<_> = events
         .iter()
@@ -118,9 +119,7 @@ fn train_emits_parallel_speedup_event_per_epoch() {
 fn finetune_emits_epoch_events_under_finetune_span() {
     let (mut model, items) = tiny_setup();
     let cfg = TrainConfig::quick(2);
-    let (_report, events) = with_capture(Category::ALL, || {
-        finetune_model(&mut model, &items, &cfg, 11)
-    });
+    let (_report, events) = with_capture(|| finetune_model(&mut model, &items, &cfg, 11));
 
     let n_epoch_events = events
         .iter()

@@ -41,7 +41,7 @@ impl<'a> Context<'a> {
 /// registry (a no-op when telemetry is disabled) once per search.
 #[derive(Default)]
 pub(crate) struct SearchStats {
-    /// Backtracking nodes expanded (calls into `extend`/`find`).
+    /// Backtracking nodes expanded (calls into `extend`).
     pub nodes_expanded: u64,
     /// Candidates rejected by the anchor edge-label check.
     pub pruned_label: u64,
@@ -56,7 +56,7 @@ pub(crate) struct SearchStats {
 impl SearchStats {
     /// Add the tallies into the global metrics registry.
     pub fn flush(&self) {
-        if !alss_telemetry::enabled(alss_telemetry::Category::Metrics) {
+        if !alss_telemetry::enabled() {
             return;
         }
         alss_telemetry::counter("matching.nodes_expanded").add(self.nodes_expanded);
@@ -70,6 +70,8 @@ impl SearchStats {
 /// Mutable per-worker search state.
 pub(crate) struct Search<'a, 'c> {
     ctx: &'c Context<'a>,
+    /// Stop at the first complete mapping (an existence check).
+    first_only: bool,
     /// Image of `mo.order[i]` for positions `< depth`.
     map: Vec<NodeId>,
     /// Telemetry tallies for this worker.
@@ -77,15 +79,17 @@ pub(crate) struct Search<'a, 'c> {
 }
 
 impl<'a, 'c> Search<'a, 'c> {
-    pub fn new(ctx: &'c Context<'a>) -> Self {
+    pub fn new(ctx: &'c Context<'a>, first_only: bool) -> Self {
         Search {
             ctx,
+            first_only,
             map: vec![0; ctx.query.num_nodes()],
             stats: SearchStats::default(),
         }
     }
 
-    /// Count all completions with the root pinned to `root`.
+    /// Count the completions with the root pinned to `root` (any
+    /// non-zero count once one is found, if `first_only`).
     pub fn count_from_root(
         &mut self,
         root: NodeId,
@@ -93,16 +97,6 @@ impl<'a, 'c> Search<'a, 'c> {
     ) -> Result<u64, BudgetExceeded> {
         self.map[0] = root;
         self.extend(1, budget)
-    }
-
-    /// Early-terminating existence search with the root pinned to `root`.
-    pub fn find_from_root(
-        &mut self,
-        root: NodeId,
-        budget: &Budget,
-    ) -> Result<bool, BudgetExceeded> {
-        self.map[0] = root;
-        self.find(1, budget)
     }
 
     #[inline]
@@ -166,6 +160,9 @@ impl<'a, 'c> Search<'a, 'c> {
                 }
                 self.map[pos] = dv;
                 total = total.saturating_add(self.extend(pos + 1, budget)?);
+                if self.first_only && total > 0 {
+                    return Ok(total);
+                }
             }
             return Ok(total);
         }
@@ -206,82 +203,11 @@ impl<'a, 'c> Search<'a, 'c> {
             }
             self.map[pos] = dv;
             total = total.saturating_add(self.extend(pos + 1, budget)?);
+            if self.first_only && total > 0 {
+                return Ok(total);
+            }
         }
         Ok(total)
-    }
-}
-
-impl<'a, 'c> Search<'a, 'c> {
-    /// Existence-only variant of `extend`: returns as soon as one full
-    /// mapping is found.
-    fn find(&mut self, pos: usize, budget: &Budget) -> Result<bool, BudgetExceeded> {
-        let ctx = self.ctx;
-        let n = ctx.query.num_nodes();
-        if pos == n {
-            return Ok(true);
-        }
-        budget.charge(1)?;
-        self.stats.nodes_expanded += 1;
-        let qv = ctx.mo.order[pos];
-        let bw = &ctx.mo.backward[pos];
-
-        if bw.is_empty() {
-            budget.charge(ctx.data.num_nodes() as u64)?;
-            for dv in ctx.data.nodes() {
-                if !ctx.filter.feasible(ctx.query, qv, dv, ctx.injective) {
-                    self.stats.pruned_filter += 1;
-                    continue;
-                }
-                if ctx.injective && self.used(pos, dv) {
-                    self.stats.pruned_injective += 1;
-                    continue;
-                }
-                self.map[pos] = dv;
-                if self.find(pos + 1, budget)? {
-                    return Ok(true);
-                }
-            }
-            return Ok(false);
-        }
-
-        // As in `extend`: `bw` is non-empty here, the fallbacks only make
-        // the path total.
-        let Some(&anchor) = bw.iter().min_by_key(|&&j| ctx.data.degree(self.map[j])) else {
-            debug_assert!(false, "non-empty backward set");
-            return Ok(false);
-        };
-        let au = self.map[anchor];
-        let Some(ql_anchor) = ctx.query.edge_label(ctx.mo.order[anchor], qv) else {
-            debug_assert!(false, "anchor implies query edge");
-            return Ok(false);
-        };
-        let neighbors = ctx.data.neighbors(au);
-        budget.charge(neighbors.len() as u64)?;
-        let edge_labels = ctx.data.neighbor_edge_labels(au);
-        for (i, &dv) in neighbors.iter().enumerate() {
-            let dl = edge_labels.map(|l| l[i]).unwrap_or(WILDCARD);
-            if !label_matches(ql_anchor, dl) {
-                self.stats.pruned_label += 1;
-                continue;
-            }
-            if !ctx.filter.feasible(ctx.query, qv, dv, ctx.injective) {
-                self.stats.pruned_filter += 1;
-                continue;
-            }
-            if ctx.injective && self.used(pos, dv) {
-                self.stats.pruned_injective += 1;
-                continue;
-            }
-            if !self.backward_ok(pos, anchor, qv, dv) {
-                self.stats.pruned_backward += 1;
-                continue;
-            }
-            self.map[pos] = dv;
-            if self.find(pos + 1, budget)? {
-                return Ok(true);
-            }
-        }
-        Ok(false)
     }
 }
 
@@ -292,25 +218,35 @@ pub(crate) fn note_budget_exhausted<T>(res: &Result<T, BudgetExceeded>) {
     }
 }
 
-/// Sequential counting entry point shared by both semantics.
+/// Sequential search entry point shared by both semantics. With
+/// `first_only` it is an existence check: it stops at the first complete
+/// mapping, so a non-zero result means "at least one".
 pub(crate) fn count(
     data: &Graph,
     query: &Graph,
     budget: &Budget,
     injective: bool,
+    first_only: bool,
 ) -> Result<u64, BudgetExceeded> {
     if query.num_nodes() == 0 {
         return Ok(1); // the empty mapping
     }
-    let _span = alss_telemetry::Span::enter("matching.count");
+    let _span = alss_telemetry::Span::enter(if first_only {
+        "matching.exists"
+    } else {
+        "matching.count"
+    });
     let ctx = Context::new(data, query, injective);
     let roots = ctx.roots();
-    let mut search = Search::new(&ctx);
+    let mut search = Search::new(&ctx, first_only);
     let res = (|| {
         budget.charge(roots.len() as u64)?;
         let mut total: u64 = 0;
         for r in roots {
             total = total.saturating_add(search.count_from_root(r, budget)?);
+            if first_only && total > 0 {
+                break;
+            }
         }
         Ok(total)
     })();

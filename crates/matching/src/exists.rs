@@ -4,35 +4,8 @@
 //! a witness, but relabeled §6.6 patterns may not).
 
 use crate::budget::{Budget, BudgetExceeded};
-use crate::engine::{Context, Search};
+use crate::engine;
 use alss_graph::Graph;
-
-fn exists(
-    data: &Graph,
-    query: &Graph,
-    budget: &Budget,
-    injective: bool,
-) -> Result<bool, BudgetExceeded> {
-    if query.num_nodes() == 0 {
-        return Ok(true);
-    }
-    let _span = alss_telemetry::Span::enter("matching.exists");
-    let ctx = Context::new(data, query, injective);
-    let roots = ctx.roots();
-    let mut search = Search::new(&ctx);
-    let res = (|| {
-        budget.charge(roots.len() as u64)?;
-        for r in roots {
-            if search.find_from_root(r, budget)? {
-                return Ok(true);
-            }
-        }
-        Ok(false)
-    })();
-    search.stats.flush();
-    crate::engine::note_budget_exhausted(&res);
-    res
-}
 
 /// Does `data` contain at least one homomorphic image of `query`?
 pub fn homomorphism_exists(
@@ -40,7 +13,7 @@ pub fn homomorphism_exists(
     query: &Graph,
     budget: &Budget,
 ) -> Result<bool, BudgetExceeded> {
-    exists(data, query, budget, false)
+    engine::count(data, query, budget, false, true).map(|n| n > 0)
 }
 
 /// Does `data` contain at least one (injective) embedding of `query`?
@@ -49,7 +22,7 @@ pub fn isomorphism_exists(
     query: &Graph,
     budget: &Budget,
 ) -> Result<bool, BudgetExceeded> {
-    exists(data, query, budget, true)
+    engine::count(data, query, budget, true, true).map(|n| n > 0)
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@ pub fn count_homomorphisms(
     query: &Graph,
     budget: &Budget,
 ) -> Result<u64, BudgetExceeded> {
-    engine::count(data, query, budget, false)
+    engine::count(data, query, budget, false, false)
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@ pub fn count_isomorphisms(
     query: &Graph,
     budget: &Budget,
 ) -> Result<u64, BudgetExceeded> {
-    engine::count(data, query, budget, true)
+    engine::count(data, query, budget, true, false)
 }
 
 #[cfg(test)]

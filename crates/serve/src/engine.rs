@@ -6,6 +6,7 @@ use alss_estimators::{CardinalityEstimator, WanderJoin};
 use alss_graph::Graph;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use serde_json::Value;
 use std::io::ErrorKind;
 use std::path::Path;
 use std::time::Duration;
@@ -45,7 +46,7 @@ pub fn load_sketch_with_retry(
                 alss_telemetry::counter("serve.model_load_retry").inc();
                 alss_telemetry::event(
                     "serve.model_load_retry",
-                    &[("attempt", u64::from(attempt).into())],
+                    &[("attempt", Value::UInt(u64::from(attempt)))],
                 );
                 if attempt + 1 < attempts {
                     std::thread::sleep(delay);

@@ -375,6 +375,11 @@ mod tests {
             err(r#"{"id":1.5}"#),
             "parse: id: expected unsigned integer, found number"
         );
+        // 2^64 parses as a float; it is one past `u64::MAX`, not `u64::MAX`.
+        assert_eq!(
+            err(r#"{"id":18446744073709551616}"#),
+            "parse: id: expected unsigned integer, found number"
+        );
         assert_eq!(
             err(r#"{"op":null}"#),
             "parse: op: expected string, found null"

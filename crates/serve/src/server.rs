@@ -26,6 +26,7 @@ use alss_core::LearnedSketch;
 use alss_estimators::{LabelIndex, WanderJoin};
 use alss_graph::io::{from_text, from_text_bounded};
 use alss_graph::{canonical_key, Graph};
+use serde_json::Value;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
@@ -190,8 +191,8 @@ pub fn serve(cfg: &ServeConfig) -> Result<ServerHandle, String> {
     alss_telemetry::event(
         "serve.listening",
         &[
-            ("addr", addr.to_string().as_str().into()),
-            ("setup_us", us_since(started).into()),
+            ("addr", Value::Str(addr.to_string())),
+            ("setup_us", Value::UInt(us_since(started))),
         ],
     );
     Ok(ServerHandle {
@@ -219,7 +220,7 @@ fn load_model(cfg: &ServeConfig) -> Option<LearnedSketch> {
             // Degraded mode is an operational state, not a startup
             // failure: answer everything from the fallback estimator.
             alss_telemetry::counter("serve.model_load_failed").inc();
-            alss_telemetry::event("serve.model_load_failed", &[("error", e.as_str().into())]);
+            alss_telemetry::event("serve.model_load_failed", &[("error", Value::Str(e))]);
             None
         }
     }

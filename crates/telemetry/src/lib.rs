@@ -1,17 +1,18 @@
 //! # alss-telemetry
 //!
-//! Zero-dependency structured tracing, metrics, and profiling hooks for the
-//! ALSS workspace. Three layers:
+//! Structured tracing, metrics, and profiling hooks for the ALSS
+//! workspace. Its one dependency is the workspace's JSON crate
+//! (`serde_json`), which prints every JSON line. Three layers:
 //!
 //! 1. **Tracing core** ([`span`]) — RAII [`Span`] scopes with per-thread
 //!    span stacks and monotonic timing, plus a [`Stopwatch`] for explicit
 //!    interval measurement. Completed spans are routed to a pluggable
 //!    [`Sink`]: a JSON-lines file sink, a pretty stderr sink, and a
 //!    test-capturing sink ship in [`sink`].
-//! 2. **Metrics registry** ([`registry`]) — named [`Counter`]s, [`Gauge`]s,
-//!    and log-scale [`LogHistogram`]s (p50/p95/p99/max). [`snapshot`]
-//!    freezes the registry into a [`Snapshot`] that serializes to the same
-//!    JSON-lines schema the sinks write.
+//! 2. **Metrics registry** ([`registry`]) — named [`Counter`]s and
+//!    log-scale [`LogHistogram`]s (p50/p95/p99/max). [`snapshot`] freezes
+//!    the registry into a [`Snapshot`] that renders to the same JSON-lines
+//!    schema the sinks write.
 //! 3. **Probes** — the instrumented crates (`alss-graph`, `alss-core`,
 //!    `alss-matching`, `alss-estimators`, `alss-bench`) call [`Span::enter`],
 //!    [`counter`], [`event`], … directly; a disabled probe is one untaken
@@ -19,11 +20,12 @@
 //!
 //! ## Gating
 //!
-//! Recording is gated at **run time** by the `ALSS_TELEMETRY` environment
-//! filter — a comma-separated subset of `spans`, `metrics`, `events` (or
-//! `all` / `off`), parsed once by [`init`] into a bitmask checked with one
-//! relaxed atomic load per probe. With the filter unset every probe is a
-//! single untaken branch.
+//! Recording is gated at **run time** by one switch: [`install`] turns
+//! it on and [`uninstall`] turns it off, and every probe checks it with
+//! one relaxed atomic load ([`enabled`]). [`init`] turns it on for a
+//! `--telemetry <path>` capture, or when the `ALSS_TELEMETRY` environment
+//! variable is set to anything but empty, `0`, `off` or `none`. Switched
+//! off, every probe is a single untaken branch.
 //!
 //! [`progress`] is the one exception: it replaces the ad-hoc
 //! `println!`-style progress reporting of the bench binaries and therefore
@@ -38,7 +40,7 @@
 //! {"type":"span","name":"decompose","path":"encode.query/decompose","thread":"main","us":12.5}
 //! {"type":"event","name":"train.epoch","fields":{"epoch":1,"loss":0.52,"grad_norm":1.8,"lr":0.003}}
 //! {"type":"progress","topic":"fig4","message":"aids: 80 train / 20 test"}
-//! {"type":"snapshot","counters":{"matching.nodes_expanded":10234},"gauges":{},"histograms":{"span.matching.count_us":{"count":96,"sum":5120,"mean":53.3,"p50":48,"p95":96,"p99":96,"max":101}}}
+//! {"type":"snapshot","counters":{"matching.nodes_expanded":10234},"histograms":{"span.matching.count_us":{"count":96,"sum":5120,"mean":53.3,"p50":48,"p95":96,"p99":96,"max":101}}}
 //! ```
 
 // Library code reports failures as `Result`, prints only through
@@ -62,68 +64,43 @@
     )
 )]
 
-pub mod json;
 pub mod registry;
 pub mod sink;
 pub mod span;
 
-pub use registry::{Counter, Gauge, Histogram, HistogramSummary, LogHistogram, Snapshot};
-pub use sink::{CaptureSink, Event, Field, JsonLinesSink, Sink, StderrSink};
+pub use registry::{Counter, Histogram, HistogramSummary, LogHistogram, Snapshot};
+pub use sink::{CaptureSink, Event, JsonLinesSink, Sink, StderrSink};
 pub use span::{Span, Stopwatch};
 
+use serde_json::Value;
 use std::path::Path;
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
-/// Categories of recorded data; bits of the runtime enable mask.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Category {
-    /// RAII span scopes (timing tree).
-    Spans,
-    /// Counters, gauges, histograms.
-    Metrics,
-    /// Structured point events (e.g. one per training epoch).
-    Events,
-}
-
-impl Category {
-    /// This category's bit in the enable mask.
-    pub const fn bit(self) -> u8 {
-        match self {
-            Category::Spans => 1,
-            Category::Metrics => 2,
-            Category::Events => 4,
-        }
-    }
-
-    /// Mask with every category enabled.
-    pub const ALL: u8 = 7;
-}
-
-static MASK: AtomicU8 = AtomicU8::new(0);
+static ENABLED: AtomicBool = AtomicBool::new(false);
 static SINK: RwLock<Option<Arc<dyn Sink + Send + Sync>>> = RwLock::new(None);
 
-/// Is recording for `cat` enabled? One relaxed atomic load of the mask.
+/// Is recording on? One relaxed atomic load.
 #[inline(always)]
-pub fn enabled(cat: Category) -> bool {
-    MASK.load(Ordering::Relaxed) & cat.bit() != 0
+pub fn enabled() -> bool {
+    ENABLED.load(Ordering::Relaxed)
 }
 
-/// Install a sink and set the runtime enable mask. Replaces any previous
-/// sink (which is flushed first).
-pub fn install(sink: Arc<dyn Sink + Send + Sync>, mask: u8) {
+/// Install a sink and turn recording on. Replaces any previous sink
+/// (which is flushed first).
+pub fn install(sink: Arc<dyn Sink + Send + Sync>) {
     if let Ok(mut s) = SINK.write() {
         if let Some(prev) = s.take() {
             prev.flush();
         }
         *s = Some(sink);
     }
-    MASK.store(mask & Category::ALL, Ordering::Relaxed);
+    ENABLED.store(true, Ordering::Relaxed);
 }
 
-/// Disable recording and drop the sink (flushing it).
+/// Turn recording off and drop the sink (flushing it).
 pub fn uninstall() {
-    MASK.store(0, Ordering::Relaxed);
+    ENABLED.store(false, Ordering::Relaxed);
     if let Ok(mut s) = SINK.write() {
         if let Some(prev) = s.take() {
             prev.flush();
@@ -131,33 +108,10 @@ pub fn uninstall() {
     }
 }
 
-/// Parse the `ALSS_TELEMETRY` environment filter. `None` when unset;
-/// `Some(mask)` otherwise (`off`/`0` give 0; `all`/`1`/`on` give
-/// [`Category::ALL`]; otherwise a comma-separated subset of
-/// `spans`,`metrics`,`events`).
-pub fn mask_from_env() -> Option<u8> {
-    let raw = std::env::var("ALSS_TELEMETRY").ok()?;
-    Some(parse_mask(&raw))
-}
-
-/// Parse a filter string (see [`mask_from_env`]).
-pub fn parse_mask(raw: &str) -> u8 {
-    let raw = raw.trim();
-    match raw {
-        "" | "0" | "off" | "none" => return 0,
-        "1" | "all" | "on" => return Category::ALL,
-        _ => {}
-    }
-    let mut mask = 0;
-    for tok in raw.split(',') {
-        mask |= match tok.trim() {
-            "spans" | "span" => Category::Spans.bit(),
-            "metrics" | "metric" => Category::Metrics.bit(),
-            "events" | "event" => Category::Events.bit(),
-            _ => 0,
-        };
-    }
-    mask
+/// Does this `ALSS_TELEMETRY` value turn recording on? Unset, empty, `0`,
+/// `off` and `none` leave it off; any other value turns it on.
+fn switched_on(raw: Option<&str>) -> bool {
+    raw.is_some_and(|raw| !matches!(raw.trim(), "" | "0" | "off" | "none"))
 }
 
 /// Keeps the sink installed for the lifetime of a binary's `main`; on
@@ -186,24 +140,25 @@ impl Drop for TelemetryGuard {
 /// Set up telemetry for a binary named `topic`. Call it before any
 /// instrumented work and keep the returned guard alive until exit.
 ///
-/// * `capture`: install a JSON-lines file sink at this path; the recording
-///   mask comes from `ALSS_TELEMETRY` and defaults to everything. A path
-///   that cannot be opened is reported as progress and nothing is
-///   installed.
-/// * Without `capture`, a non-zero `ALSS_TELEMETRY` installs the pretty
-///   stderr sink; otherwise nothing is installed and recording stays off.
+/// * `capture`: install a JSON-lines file sink at this path, which records
+///   everything. A path that cannot be opened is reported as progress and
+///   nothing is installed.
+/// * Without `capture`, an `ALSS_TELEMETRY` that is switched on installs
+///   the pretty stderr sink; otherwise nothing is installed and recording
+///   stays off.
 ///
 /// The guard is active exactly when a sink was installed.
 pub fn init(topic: &str, capture: Option<&str>) -> TelemetryGuard {
-    init_with_mask(topic, capture, mask_from_env())
+    let env = std::env::var("ALSS_TELEMETRY").ok();
+    init_with(topic, capture, switched_on(env.as_deref()))
 }
 
-/// [`init`] with the parsed `ALSS_TELEMETRY` value passed in.
-fn init_with_mask(topic: &str, capture: Option<&str>, env_mask: Option<u8>) -> TelemetryGuard {
+/// [`init`] with the `ALSS_TELEMETRY` switch passed in.
+fn init_with(topic: &str, capture: Option<&str>, env_on: bool) -> TelemetryGuard {
     let active = match capture {
         Some(path) => match JsonLinesSink::create(Path::new(path)) {
             Ok(sink) => {
-                install(Arc::new(sink), env_mask.unwrap_or(Category::ALL));
+                install(Arc::new(sink));
                 true
             }
             Err(e) => {
@@ -211,13 +166,11 @@ fn init_with_mask(topic: &str, capture: Option<&str>, env_mask: Option<u8>) -> T
                 false
             }
         },
-        None => match env_mask.filter(|&m| m != 0) {
-            Some(mask) => {
-                install(Arc::new(StderrSink), mask);
-                true
-            }
-            None => false,
-        },
+        None if env_on => {
+            install(Arc::new(StderrSink));
+            true
+        }
+        None => false,
     };
     TelemetryGuard { active }
 }
@@ -240,38 +193,29 @@ pub fn flush() {
     }
 }
 
-/// Counter handle for `name` (no-op when metrics are disabled).
+/// Counter handle for `name` (no-op when recording is off).
 #[inline]
 pub fn counter(name: &str) -> Counter {
-    if !enabled(Category::Metrics) {
+    if !enabled() {
         return Counter::noop();
     }
     registry::global().counter(name)
 }
 
-/// Gauge handle for `name` (no-op when metrics are disabled).
-#[inline]
-pub fn gauge(name: &str) -> Gauge {
-    if !enabled(Category::Metrics) {
-        return Gauge::noop();
-    }
-    registry::global().gauge(name)
-}
-
-/// Histogram handle for `name` (no-op when metrics are disabled).
+/// Histogram handle for `name` (no-op when recording is off).
 #[inline]
 pub fn histogram(name: &str) -> Histogram {
-    if !enabled(Category::Metrics) {
+    if !enabled() {
         return Histogram::noop();
     }
     registry::global().histogram(name)
 }
 
-/// Emit a structured point event. The field list is only materialized
-/// when events are enabled, so pass-through cost is one branch.
+/// Emit a structured point event. The field list is only copied when
+/// recording is on, so pass-through cost is one branch.
 #[inline]
-pub fn event(name: &'static str, fields: &[(&str, Field)]) {
-    if !enabled(Category::Events) {
+pub fn event(name: &'static str, fields: &[(&str, Value)]) {
+    if !enabled() {
         return;
     }
     emit(&Event::Point {
@@ -283,8 +227,8 @@ pub fn event(name: &'static str, fields: &[(&str, Field)]) {
     });
 }
 
-/// Freeze the metrics registry into a snapshot (empty when metrics were
-/// never enabled).
+/// Freeze the metrics registry into a snapshot (empty when recording was
+/// never on).
 pub fn snapshot() -> Snapshot {
     registry::global().snapshot()
 }
@@ -335,20 +279,20 @@ pub mod test_support {
     static TEST_GUARD: Mutex<()> = Mutex::new(());
 
     /// Run `f` while holding the process-wide lock that every test
-    /// touching the global sink or mask must hold.
+    /// touching the global sink or switch must hold.
     pub fn serialized<R>(f: impl FnOnce() -> R) -> R {
         let _serialized = lock_unpoisoned(&TEST_GUARD);
         f()
     }
 
-    /// Run `f` with a fresh [`CaptureSink`] installed under `mask`, and
-    /// return its result plus everything captured. Note the metrics
-    /// registry is process-global and is *not* reset — assert on deltas
-    /// or on uniquely named instruments.
-    pub fn with_capture<R>(mask: u8, f: impl FnOnce() -> R) -> (R, Vec<Event>) {
+    /// Run `f` with recording on into a fresh [`CaptureSink`], and return
+    /// its result plus everything captured. Note the metrics registry is
+    /// process-global and is *not* reset — assert on deltas or on uniquely
+    /// named instruments.
+    pub fn with_capture<R>(f: impl FnOnce() -> R) -> (R, Vec<Event>) {
         serialized(|| {
             let sink = Arc::new(CaptureSink::new());
-            install(sink.clone(), mask);
+            install(sink.clone());
             let result = f();
             let events = sink.take();
             uninstall();
@@ -362,19 +306,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mask_parsing() {
-        assert_eq!(parse_mask("off"), 0);
-        assert_eq!(parse_mask("0"), 0);
-        assert_eq!(parse_mask(""), 0);
-        assert_eq!(parse_mask("all"), Category::ALL);
-        assert_eq!(parse_mask("1"), Category::ALL);
-        assert_eq!(parse_mask("spans"), Category::Spans.bit());
-        assert_eq!(
-            parse_mask("spans,metrics"),
-            Category::Spans.bit() | Category::Metrics.bit()
-        );
-        assert_eq!(parse_mask(" events , spans "), 5);
-        assert_eq!(parse_mask("bogus"), 0);
+    fn the_env_switch_is_off_only_for_unset_empty_0_off_and_none() {
+        for off in [
+            None,
+            Some(""),
+            Some("0"),
+            Some("off"),
+            Some("none"),
+            Some(" off "),
+        ] {
+            assert!(!switched_on(off), "{off:?}");
+        }
+        for on in ["1", "on", "all", "spans", "metrics,events"] {
+            assert!(switched_on(Some(on)), "{on:?}");
+        }
     }
 
     #[test]
@@ -383,8 +328,6 @@ mod tests {
         let c = Counter::noop();
         c.add(5);
         c.inc();
-        let g = Gauge::noop();
-        g.set(3);
         let h = Histogram::noop();
         h.record(10);
     }
@@ -393,9 +336,9 @@ mod tests {
     fn capture_path_installs_a_jsonl_sink() {
         let path = std::env::temp_dir().join(format!("alss-init-{}.jsonl", std::process::id()));
         test_support::serialized(|| {
-            let guard = init_with_mask("init-test", path.to_str(), None);
+            let guard = init_with("init-test", path.to_str(), false);
             assert!(guard.is_active());
-            assert!(enabled(Category::Spans) && enabled(Category::Metrics));
+            assert!(enabled());
             progress("init-test", "hello");
             drop(guard);
             uninstall();
@@ -415,9 +358,8 @@ mod tests {
         let path = std::env::temp_dir()
             .join(format!("alss-no-such-dir-{}", std::process::id()))
             .join("t.jsonl");
-        let (active, events) = test_support::with_capture(Category::ALL, || {
-            init_with_mask("init-test", path.to_str(), Some(Category::ALL)).is_active()
-        });
+        let (active, events) =
+            test_support::with_capture(|| init_with("init-test", path.to_str(), true).is_active());
         assert!(!active);
         assert!(events.iter().any(|e| matches!(
             e,
@@ -426,16 +368,13 @@ mod tests {
     }
 
     #[test]
-    fn no_capture_installs_stderr_sink_only_for_a_nonzero_mask() {
+    fn no_capture_installs_stderr_sink_only_when_switched_on() {
         test_support::serialized(|| {
-            for unset in [None, Some(parse_mask("off"))] {
-                assert!(!init_with_mask("init-test", None, unset).is_active());
-                assert!(!enabled(Category::Spans));
-            }
-            let guard = init_with_mask("init-test", None, Some(parse_mask("metrics,events")));
+            assert!(!init_with("init-test", None, false).is_active());
+            assert!(!enabled());
+            let guard = init_with("init-test", None, true);
             assert!(guard.is_active());
-            assert!(enabled(Category::Metrics) && enabled(Category::Events));
-            assert!(!enabled(Category::Spans));
+            assert!(enabled());
             drop(guard);
             uninstall();
         });

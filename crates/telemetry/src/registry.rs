@@ -1,10 +1,10 @@
-//! Metrics registry: named counters, gauges, and log-scale histograms,
-//! with a serializable point-in-time [`Snapshot`].
+//! Metrics registry: named counters and log-scale histograms, with a
+//! point-in-time [`Snapshot`] that renders to JSON.
 
-use crate::json::Obj;
 use crate::lock_unpoisoned;
+use serde_json::Value;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// A log₂-bucketed histogram of `u64` samples (typically microseconds).
@@ -124,7 +124,7 @@ impl LogHistogram {
         self.max()
     }
 
-    /// Summarize into a serializable record.
+    /// Summarize into a point-in-time record.
     pub fn summary(&self) -> HistogramSummary {
         HistogramSummary {
             count: self.count(),
@@ -158,22 +158,21 @@ pub struct HistogramSummary {
 }
 
 impl HistogramSummary {
-    /// Render as a JSON object.
-    pub fn to_json(&self) -> String {
-        Obj::new()
-            .u64("count", self.count)
-            .u64("sum", self.sum)
-            .f64("mean", self.mean)
-            .u64("p50", self.p50)
-            .u64("p95", self.p95)
-            .u64("p99", self.p99)
-            .u64("max", self.max)
-            .finish()
+    /// The JSON object this summary renders to.
+    pub fn to_value(&self) -> Value {
+        Value::Object(vec![
+            ("count".into(), Value::UInt(self.count)),
+            ("sum".into(), Value::UInt(self.sum)),
+            ("mean".into(), Value::Float(self.mean)),
+            ("p50".into(), Value::UInt(self.p50)),
+            ("p95".into(), Value::UInt(self.p95)),
+            ("p99".into(), Value::UInt(self.p99)),
+            ("max".into(), Value::UInt(self.max)),
+        ])
     }
 }
 
-/// Monotonic counter handle. Inert when obtained while metrics are
-/// disabled.
+/// Monotonic counter handle. Inert when obtained while recording is off.
 #[derive(Clone, Debug, Default)]
 pub struct Counter(Option<Arc<AtomicU64>>);
 
@@ -195,33 +194,6 @@ impl Counter {
     #[inline]
     pub fn inc(&self) {
         self.add(1);
-    }
-}
-
-/// Last-write-wins gauge handle.
-#[derive(Clone, Debug, Default)]
-pub struct Gauge(Option<Arc<AtomicI64>>);
-
-impl Gauge {
-    /// An inert handle.
-    pub fn noop() -> Self {
-        Gauge(None)
-    }
-
-    /// Set the gauge.
-    #[inline]
-    pub fn set(&self, v: i64) {
-        if let Some(g) = &self.0 {
-            g.store(v, Ordering::Relaxed);
-        }
-    }
-
-    /// Adjust the gauge by `delta`.
-    #[inline]
-    pub fn add(&self, delta: i64) {
-        if let Some(g) = &self.0 {
-            g.fetch_add(delta, Ordering::Relaxed);
-        }
     }
 }
 
@@ -248,7 +220,6 @@ impl Histogram {
 #[derive(Default)]
 pub struct Registry {
     counters: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
-    gauges: Mutex<BTreeMap<String, Arc<AtomicI64>>>,
     histograms: Mutex<BTreeMap<String, Arc<LogHistogram>>>,
 }
 
@@ -257,12 +228,6 @@ impl Registry {
     pub fn counter(&self, name: &str) -> Counter {
         let mut map = lock_unpoisoned(&self.counters);
         Counter(Some(Arc::clone(map.entry(name.to_string()).or_default())))
-    }
-
-    /// Gauge handle for `name`, creating it on first use.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        let mut map = lock_unpoisoned(&self.gauges);
-        Gauge(Some(Arc::clone(map.entry(name.to_string()).or_default())))
     }
 
     /// Histogram handle for `name`, creating it on first use.
@@ -277,17 +242,12 @@ impl Registry {
             .iter()
             .map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed)))
             .collect();
-        let gauges = lock_unpoisoned(&self.gauges)
-            .iter()
-            .map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed)))
-            .collect();
         let histograms = lock_unpoisoned(&self.histograms)
             .iter()
             .map(|(k, v)| (k.clone(), v.summary()))
             .collect();
         Snapshot {
             counters,
-            gauges,
             histograms,
         }
     }
@@ -304,33 +264,28 @@ pub fn global() -> &'static Registry {
 pub struct Snapshot {
     /// Counter values.
     pub counters: Vec<(String, u64)>,
-    /// Gauge values.
-    pub gauges: Vec<(String, i64)>,
     /// Histogram summaries.
     pub histograms: Vec<(String, HistogramSummary)>,
 }
 
 impl Snapshot {
-    /// Render the snapshot body (without the `"type"` tag) as JSON.
-    pub fn to_json(&self) -> String {
-        let mut counters = Obj::new();
-        for (k, v) in &self.counters {
-            counters = counters.u64(k, *v);
-        }
-        let mut gauges = Obj::new();
-        for (k, v) in &self.gauges {
-            gauges = gauges.i64(k, *v);
-        }
-        let mut hists = Obj::new();
-        for (k, v) in &self.histograms {
-            hists = hists.raw(k, &v.to_json());
-        }
-        Obj::new()
-            .str("type", "snapshot")
-            .raw("counters", &counters.finish())
-            .raw("gauges", &gauges.finish())
-            .raw("histograms", &hists.finish())
-            .finish()
+    /// The JSON object this snapshot renders to, `"type"` tag included.
+    pub fn to_value(&self) -> Value {
+        let counters = self
+            .counters
+            .iter()
+            .map(|(k, v)| (k.clone(), Value::UInt(*v)))
+            .collect();
+        let histograms = self
+            .histograms
+            .iter()
+            .map(|(k, h)| (k.clone(), h.to_value()))
+            .collect();
+        Value::Object(vec![
+            ("type".into(), Value::Str("snapshot".into())),
+            ("counters".into(), Value::Object(counters)),
+            ("histograms".into(), Value::Object(histograms)),
+        ])
     }
 
     /// Value of a counter, if present.
@@ -462,12 +417,10 @@ mod tests {
     fn snapshot_renders_json() {
         let r = Registry::default();
         r.counter("c").add(7);
-        r.gauge("g").set(-2);
         r.histogram("h").record(4);
-        let j = r.snapshot().to_json();
+        let j = serde_json::to_string(&r.snapshot().to_value());
         assert!(j.starts_with("{\"type\":\"snapshot\""), "{j}");
         assert!(j.contains("\"c\":7"), "{j}");
-        assert!(j.contains("\"g\":-2"), "{j}");
         assert!(j.contains("\"count\":1"), "{j}");
     }
 

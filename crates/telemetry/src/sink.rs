@@ -1,63 +1,14 @@
 //! Event types and the pluggable [`Sink`] trait, with three shipped
 //! implementations: JSON-lines file, pretty stderr, and test capture.
 
-use crate::json::Obj;
 use crate::lock_unpoisoned;
 use crate::registry::Snapshot;
+use serde_json::Value;
 use std::fs::File;
 use std::io::{BufWriter, Write as _};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-
-/// One typed value in a point event.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Field {
-    /// Unsigned integer.
-    U64(u64),
-    /// Signed integer.
-    I64(i64),
-    /// Float.
-    F64(f64),
-    /// String.
-    Str(String),
-}
-
-impl From<u64> for Field {
-    fn from(v: u64) -> Self {
-        Field::U64(v)
-    }
-}
-
-impl From<usize> for Field {
-    fn from(v: usize) -> Self {
-        Field::U64(v as u64)
-    }
-}
-
-impl From<i64> for Field {
-    fn from(v: i64) -> Self {
-        Field::I64(v)
-    }
-}
-
-impl From<f64> for Field {
-    fn from(v: f64) -> Self {
-        Field::F64(v)
-    }
-}
-
-impl From<f32> for Field {
-    fn from(v: f32) -> Self {
-        Field::F64(f64::from(v))
-    }
-}
-
-impl From<&str> for Field {
-    fn from(v: &str) -> Self {
-        Field::Str(v.to_string())
-    }
-}
 
 /// One telemetry record.
 #[derive(Clone, Debug)]
@@ -78,8 +29,8 @@ pub enum Event {
     Point {
         /// Event name.
         name: &'static str,
-        /// Ordered field list.
-        fields: Vec<(String, Field)>,
+        /// Ordered field list (a JSON object's pairs).
+        fields: Vec<(String, Value)>,
     },
     /// A human-facing progress line (always emitted, never filtered).
     Progress {
@@ -93,44 +44,39 @@ pub enum Event {
 }
 
 impl Event {
-    /// Render as one JSON line (no trailing newline).
-    pub fn to_json(&self) -> String {
+    /// The JSON object this event renders to.
+    pub fn to_value(&self) -> Value {
+        let s = |x: &str| Value::Str(x.to_string());
         match self {
             Event::Span {
                 name,
                 path,
                 micros,
                 thread,
-            } => Obj::new()
-                .str("type", "span")
-                .str("name", name)
-                .str("path", path)
-                .str("thread", thread)
-                .f64("us", *micros)
-                .finish(),
-            Event::Point { name, fields } => {
-                let mut f = Obj::new();
-                for (k, v) in fields {
-                    f = match v {
-                        Field::U64(x) => f.u64(k, *x),
-                        Field::I64(x) => f.i64(k, *x),
-                        Field::F64(x) => f.f64(k, *x),
-                        Field::Str(x) => f.str(k, x),
-                    };
-                }
-                Obj::new()
-                    .str("type", "event")
-                    .str("name", name)
-                    .raw("fields", &f.finish())
-                    .finish()
-            }
-            Event::Progress { topic, message } => Obj::new()
-                .str("type", "progress")
-                .str("topic", topic)
-                .str("message", message)
-                .finish(),
-            Event::Snapshot(snap) => snap.to_json(),
+            } => Value::Object(vec![
+                ("type".into(), s("span")),
+                ("name".into(), s(name)),
+                ("path".into(), s(path)),
+                ("thread".into(), s(thread)),
+                ("us".into(), Value::Float(*micros)),
+            ]),
+            Event::Point { name, fields } => Value::Object(vec![
+                ("type".into(), s("event")),
+                ("name".into(), s(name)),
+                ("fields".into(), Value::Object(fields.clone())),
+            ]),
+            Event::Progress { topic, message } => Value::Object(vec![
+                ("type".into(), s("progress")),
+                ("topic".into(), s(topic)),
+                ("message".into(), s(message)),
+            ]),
+            Event::Snapshot(snap) => snap.to_value(),
         }
+    }
+
+    /// Render as one JSON line (no trailing newline).
+    pub fn to_json(&self) -> String {
+        serde_json::to_string(&self.to_value())
     }
 
     /// The standard single-line stderr rendering of this event.
@@ -146,10 +92,9 @@ impl Event {
                 let mut line = format!("[alss:{name}]");
                 for (k, v) in fields {
                     match v {
-                        Field::U64(x) => line.push_str(&format!(" {k}={x}")),
-                        Field::I64(x) => line.push_str(&format!(" {k}={x}")),
-                        Field::F64(x) => line.push_str(&format!(" {k}={x:.6}")),
-                        Field::Str(x) => line.push_str(&format!(" {k}={x}")),
+                        Value::Float(x) => line.push_str(&format!(" {k}={x:.6}")),
+                        Value::Str(x) => line.push_str(&format!(" {k}={x}")),
+                        v => line.push_str(&format!(" {k}={}", serde_json::to_string(v))),
                     }
                 }
                 line
@@ -157,9 +102,8 @@ impl Event {
             Event::Progress { topic, message } => format!("[alss:{topic}] {message}"),
             Event::Snapshot(snap) => {
                 format!(
-                    "[alss:snapshot] {} counters, {} gauges, {} histograms",
+                    "[alss:snapshot] {} counters, {} histograms",
                     snap.counters.len(),
-                    snap.gauges.len(),
                     snap.histograms.len()
                 )
             }
@@ -204,14 +148,12 @@ impl JsonLinesSink {
 impl Sink for JsonLinesSink {
     fn emit(&self, event: &Event) {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let mut json = event.to_json();
-        // splice the seq in before the closing brace
-        json.pop();
-        let line = if json.len() > 1 {
-            format!("{json},\"seq\":{seq}}}")
-        } else {
-            format!("{json}\"seq\":{seq}}}")
-        };
+        let mut value = event.to_value();
+        // Every event renders to an object; `seq` is its last key.
+        if let Value::Object(pairs) = &mut value {
+            pairs.push(("seq".into(), Value::UInt(seq)));
+        }
+        let line = serde_json::to_string(&value);
         let mut w = lock_unpoisoned(&self.out);
         // I/O errors are swallowed by design: a full disk must not abort
         // the instrumented run.
@@ -293,8 +235,8 @@ mod tests {
         let e = Event::Point {
             name: "train.epoch",
             fields: vec![
-                ("epoch".to_string(), Field::U64(3)),
-                ("loss".to_string(), Field::F64(0.5)),
+                ("epoch".to_string(), Value::UInt(3)),
+                ("loss".to_string(), Value::Float(0.5)),
             ],
         };
         assert_eq!(

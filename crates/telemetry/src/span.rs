@@ -2,7 +2,6 @@
 //! interval timer.
 
 use crate::sink::Event;
-use crate::Category;
 use std::cell::RefCell;
 use std::time::{Duration, Instant};
 
@@ -22,7 +21,7 @@ pub fn current_stack() -> Vec<&'static str> {
 /// ancestry and duration, and records the duration into the
 /// `span.<name>_us` histogram.
 ///
-/// When span recording is disabled the constructor returns an inert value
+/// When recording is off the constructor returns an inert value
 /// and the whole probe costs one branch.
 #[must_use = "a span measures until dropped; binding it to `_` drops immediately"]
 pub struct Span {
@@ -33,7 +32,7 @@ impl Span {
     /// Open a span named `name` on this thread.
     #[inline]
     pub fn enter(name: &'static str) -> Span {
-        if !crate::enabled(Category::Spans) {
+        if !crate::enabled() {
             return Span { active: None };
         }
         SPAN_STACK.with(|s| s.borrow_mut().push(name));
@@ -129,8 +128,9 @@ mod tests {
 
     #[test]
     fn inert_span_leaves_stack_alone() {
-        // With no mask set, entering a span must not touch the thread-local
-        // stack. Serialized because other tests here install a mask.
+        // With recording off, entering a span must not touch the
+        // thread-local stack. Serialized because other tests here turn
+        // recording on.
         crate::test_support::serialized(|| {
             let before = current_stack();
             {

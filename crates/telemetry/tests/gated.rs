@@ -3,9 +3,8 @@
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
 
 use alss_telemetry::test_support::with_capture;
-use alss_telemetry::{
-    counter, event, histogram, parse_mask, progress, Category, Event, Field, Span, Stopwatch,
-};
+use alss_telemetry::{event, histogram, progress, Event, Span, Stopwatch};
+use serde_json::Value;
 
 fn span_events(events: &[Event]) -> Vec<(String, String)> {
     events
@@ -19,7 +18,7 @@ fn span_events(events: &[Event]) -> Vec<(String, String)> {
 
 #[test]
 fn spans_nest_and_report_their_path() {
-    let (_, events) = with_capture(Category::ALL, || {
+    let (_, events) = with_capture(|| {
         let _outer = Span::enter("outer");
         {
             let _inner = Span::enter("inner");
@@ -33,7 +32,7 @@ fn spans_nest_and_report_their_path() {
 
 #[test]
 fn sibling_spans_do_not_inherit_each_other() {
-    let (_, events) = with_capture(Category::ALL, || {
+    let (_, events) = with_capture(|| {
         {
             let _a = Span::enter("a");
         }
@@ -48,7 +47,7 @@ fn sibling_spans_do_not_inherit_each_other() {
 
 #[test]
 fn span_stacks_are_thread_isolated() {
-    let (_, events) = with_capture(Category::ALL, || {
+    let (_, events) = with_capture(|| {
         let _outer = Span::enter("main-outer");
         std::thread::Builder::new()
             .name("worker".to_string())
@@ -77,7 +76,7 @@ fn span_stacks_are_thread_isolated() {
 
 #[test]
 fn span_durations_feed_a_histogram() {
-    let (_, _) = with_capture(Category::ALL, || {
+    let (_, _) = with_capture(|| {
         let _s = Span::enter("hist-probe");
     });
     let snap = alss_telemetry::snapshot();
@@ -86,27 +85,14 @@ fn span_durations_feed_a_histogram() {
 }
 
 #[test]
-fn category_filter_masks_spans_but_not_metrics() {
-    let (_, events) = with_capture(parse_mask("metrics"), || {
-        let _s = Span::enter("filtered-out");
-        counter("gated.metric_only").add(2);
-    });
-    assert!(span_events(&events).is_empty());
-    assert_eq!(
-        alss_telemetry::snapshot().counter("gated.metric_only"),
-        Some(2)
-    );
-}
-
-#[test]
 fn point_events_carry_fields() {
-    let (_, events) = with_capture(Category::ALL, || {
+    let (_, events) = with_capture(|| {
         event(
             "train.epoch",
             &[
-                ("epoch", Field::U64(1)),
-                ("loss", Field::F64(0.25)),
-                ("note", Field::from("ok")),
+                ("epoch", Value::UInt(1)),
+                ("loss", Value::Float(0.25)),
+                ("note", Value::Str("ok".to_string())),
             ],
         );
     });
@@ -115,7 +101,7 @@ fn point_events_carry_fields() {
             *name == "train.epoch"
                 && fields
                     .iter()
-                    .any(|(k, v)| k == "loss" && *v == Field::F64(0.25))
+                    .any(|(k, v)| k == "loss" && *v == Value::Float(0.25))
         }
         _ => false,
     });
@@ -124,8 +110,7 @@ fn point_events_carry_fields() {
 
 #[test]
 fn progress_goes_through_the_sink() {
-    let (_, events) = with_capture(0, || {
-        // progress is never category-filtered
+    let (_, events) = with_capture(|| {
         progress("test-bin", "phase one done");
     });
     assert!(events.iter().any(|e| matches!(
@@ -137,7 +122,7 @@ fn progress_goes_through_the_sink() {
 
 #[test]
 fn stopwatch_records_into_named_histogram() {
-    let (_, _) = with_capture(Category::ALL, || {
+    let (_, _) = with_capture(|| {
         let sw = Stopwatch::start();
         let us = sw.record("gated.sw_us");
         assert!(us >= 0.0);
@@ -148,7 +133,7 @@ fn stopwatch_records_into_named_histogram() {
 
 #[test]
 fn histogram_handle_routes_to_registry() {
-    let (_, _) = with_capture(Category::ALL, || {
+    let (_, _) = with_capture(|| {
         histogram("gated.route_us").record(7);
     });
     let snap = alss_telemetry::snapshot();
