@@ -91,9 +91,6 @@ fn main() {
     ]);
 
     let mut per_size = TableWriter::new(&["strategy", "size", "q-error distribution"]);
-    for (c, e, s) in &base_eval {
-        let _ = (c, e, s);
-    }
     for size in test.sizes() {
         let pairs: Vec<(f64, f64)> = base_eval
             .iter()

@@ -7,7 +7,9 @@
 //! that each `--require-spans` substring (default: the decompose / model
 //! forward / matching subsystems) matches some recorded span, that every
 //! event named in `--require-events` appears at least once, and that the
-//! capture ends with a metrics snapshot carrying non-zero counters.
+//! capture ends with a metrics snapshot carrying non-zero counters and a
+//! `span.<name>_us` histogram for every span name, counting at least that
+//! span's lines.
 //!
 //! `--require-events` / `--require-spans` given with an empty or malformed
 //! list is a hard error — a gate that silently requires nothing is worse

@@ -92,7 +92,7 @@ fn run_estimator(
             let watch = Stopwatch::start();
             let e = est.estimate(&q.graph, &mut rng);
             if e.failed {
-                alss_telemetry::counter("estimator.failures").inc();
+                alss_telemetry::add("estimator.failures", 1);
             }
             QueryResult {
                 size: q.size(),
@@ -213,7 +213,7 @@ pub fn train_and_eval_lss(
     let watch = Stopwatch::start();
     let encoder = LearnedSketch::build_encoder(&sc.data, &cfg);
     watch.record("encoder.build_us");
-    let encoder_secs = watch.elapsed_secs();
+    let encoder_secs = watch.elapsed().as_secs_f64();
     let (sketch, report) = LearnedSketch::train_with_encoder(encoder, train, &cfg);
     let items = encode_workload(sketch.encoder(), test);
     let per_query = test

@@ -6,6 +6,7 @@
 //! errors to a non-zero exit.
 
 use serde_json::Value;
+use std::collections::BTreeMap;
 
 /// What to demand from a capture.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -115,9 +116,11 @@ pub struct CaptureSummary {
 /// JSON object with a known `type` tag; each `spec.require_spans` entry
 /// must match (substring) some span path; each `spec.require_events` entry
 /// must equal some event name; and the capture must end with a metrics
-/// snapshot carrying at least one non-zero counter.
+/// snapshot carrying at least one non-zero counter and, for each span
+/// name, a `span.<name>_us` histogram counting at least that span's lines.
 pub fn validate_capture(text: &str, spec: &ValidateSpec) -> Result<CaptureSummary, String> {
     let mut spans: Vec<String> = Vec::new();
+    let mut span_lines: BTreeMap<String, u64> = BTreeMap::new();
     let mut events: Vec<String> = Vec::new();
     let mut last: Option<Value> = None;
     let mut n_lines = 0usize;
@@ -133,6 +136,10 @@ pub fn validate_capture(text: &str, spec: &ValidateSpec) -> Result<CaptureSummar
             .ok_or_else(|| format!("line {}: missing \"type\" tag: {line}", i + 1))?;
         match ty {
             "span" => {
+                let name = v
+                    .get("name")
+                    .and_then(Value::as_str)
+                    .ok_or_else(|| format!("line {}: span without name: {line}", i + 1))?;
                 let path = v
                     .get("path")
                     .and_then(Value::as_str)
@@ -147,6 +154,7 @@ pub fn validate_capture(text: &str, spec: &ValidateSpec) -> Result<CaptureSummar
                         i + 1
                     ));
                 }
+                *span_lines.entry(name.to_string()).or_default() += 1;
                 spans.push(path.to_string());
             }
             "event" => {
@@ -197,6 +205,22 @@ pub fn validate_capture(text: &str, spec: &ValidateSpec) -> Result<CaptureSummar
             "snapshot has no non-zero counters ({} total)",
             counters.len()
         ));
+    }
+    for (name, &lines) in &span_lines {
+        let key = format!("span.{name}_us");
+        let count = last
+            .get("histograms")
+            .and_then(|h| h.get(&key))
+            .and_then(|h| h.get("count"))
+            .and_then(Value::as_u64)
+            .ok_or_else(|| {
+                format!("span {name:?} has {lines} lines but the snapshot has no {key:?} histogram")
+            })?;
+        if count < lines {
+            return Err(format!(
+                "{key:?} counts {count} samples, fewer than span {name:?}'s {lines} lines"
+            ));
+        }
     }
 
     Ok(CaptureSummary {
@@ -269,11 +293,11 @@ mod tests {
     }
 
     const GOOD: &str = concat!(
-        r#"{"type":"span","path":"serve.request","us":12.5}"#,
+        r#"{"type":"span","name":"serve.request","path":"serve.request","us":12.5}"#,
         "\n",
         r#"{"type":"event","name":"serve.cache_hit","fields":{}}"#,
         "\n",
-        r#"{"type":"snapshot","counters":{"serve.request":3}}"#,
+        r#"{"type":"snapshot","counters":{"serve.request":3},"histograms":{"span.serve.request_us":{"count":1}}}"#,
         "\n"
     );
 
@@ -301,9 +325,33 @@ mod tests {
     }
 
     #[test]
+    fn every_span_needs_its_histogram_in_the_snapshot() {
+        let spec = spec_for(&[], &["serve."]);
+        let span = r#"{"type":"span","name":"serve.request","path":"serve.request","us":1.0}"#;
+        let missing = format!(
+            "{span}\n{span}\n{}",
+            r#"{"type":"snapshot","counters":{"serve.request":2},"histograms":{"span.other_us":{"count":2}}}"#
+        );
+        let err = validate_capture(&missing, &spec).unwrap_err();
+        assert!(
+            err.contains("no \"span.serve.request_us\" histogram"),
+            "{err}"
+        );
+        let short = format!(
+            "{span}\n{span}\n{}",
+            r#"{"type":"snapshot","counters":{"serve.request":2},"histograms":{"span.serve.request_us":{"count":1}}}"#
+        );
+        let err = validate_capture(&short, &spec).unwrap_err();
+        assert!(err.contains("counts 1 samples"), "{err}");
+        let nameless = r#"{"type":"span","path":"serve.request","us":1.0}"#;
+        let err = validate_capture(nameless, &spec).unwrap_err();
+        assert!(err.contains("span without name"), "{err}");
+    }
+
+    #[test]
     fn capture_must_end_with_snapshot() {
         let spec = spec_for(&[], &["serve."]);
-        let text = r#"{"type":"span","path":"serve.request","us":1.0}"#;
+        let text = r#"{"type":"span","name":"serve.request","path":"serve.request","us":1.0}"#;
         let err = validate_capture(text, &spec).unwrap_err();
         assert!(err.contains("snapshot"), "{err}");
     }
@@ -312,7 +360,7 @@ mod tests {
     fn all_zero_counters_fail() {
         let spec = spec_for(&[], &["serve."]);
         let text = concat!(
-            r#"{"type":"span","path":"serve.request","us":1.0}"#,
+            r#"{"type":"span","name":"serve.request","path":"serve.request","us":1.0}"#,
             "\n",
             r#"{"type":"snapshot","counters":{"serve.request":0}}"#
         );

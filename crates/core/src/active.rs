@@ -71,7 +71,7 @@ pub fn uncertainty(strategy: Strategy, pred: &Prediction) -> f64 {
         _ => !posterior_ok,
     };
     if degenerate {
-        alss_telemetry::counter("active.degenerate_predictions").inc();
+        alss_telemetry::add("active.degenerate_predictions", 1);
         return 0.0;
     }
     match strategy {

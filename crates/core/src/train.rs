@@ -217,8 +217,8 @@ pub fn train_model(model: &mut LssModel, items: &[EncodedItem], cfg: &TrainConfi
         epoch_losses.push(mean_loss);
         if telemetry_on {
             let wall_us = epoch_watch.record("train.epoch_us");
-            alss_telemetry::counter("train.epochs").inc();
-            alss_telemetry::counter("train.batches").add(num_batches);
+            alss_telemetry::add("train.epochs", 1);
+            alss_telemetry::add("train.batches", num_batches);
             alss_telemetry::event(
                 "train.epoch",
                 &[
@@ -266,7 +266,7 @@ pub fn finetune_model(
     seed_offset: u64,
 ) -> TrainReport {
     let _span = alss_telemetry::Span::enter("finetune");
-    alss_telemetry::counter("train.finetunes").inc();
+    alss_telemetry::add("train.finetunes", 1);
     let mut cfg = *cfg;
     cfg.seed = cfg.seed.wrapping_add(seed_offset);
     train_model(model, items, &cfg)

@@ -162,7 +162,7 @@ pub fn decompose(q: &Graph, l: u32) -> Decomposition {
         }
         tree.clear();
     }
-    alss_telemetry::counter("decompose.substructures").add(d.len() as u64);
+    alss_telemetry::add("decompose.substructures", d.len() as u64);
     d
 }
 

@@ -38,7 +38,7 @@ impl<'a> Context<'a> {
 /// Per-search telemetry tallies. Plain local integers: incrementing them
 /// is negligible next to the candidate-filter probes in the same loop, so
 /// they are counted unconditionally and only flushed to the global metrics
-/// registry (a no-op when telemetry is disabled) once per search.
+/// table (a no-op when telemetry is disabled) once per search.
 #[derive(Default)]
 pub(crate) struct SearchStats {
     /// Backtracking nodes expanded (calls into `extend`).
@@ -54,16 +54,16 @@ pub(crate) struct SearchStats {
 }
 
 impl SearchStats {
-    /// Add the tallies into the global metrics registry.
+    /// Add the tallies into the global metrics table.
     pub fn flush(&self) {
         if !alss_telemetry::enabled() {
             return;
         }
-        alss_telemetry::counter("matching.nodes_expanded").add(self.nodes_expanded);
-        alss_telemetry::counter("matching.pruned.label").add(self.pruned_label);
-        alss_telemetry::counter("matching.pruned.filter").add(self.pruned_filter);
-        alss_telemetry::counter("matching.pruned.injective").add(self.pruned_injective);
-        alss_telemetry::counter("matching.pruned.backward").add(self.pruned_backward);
+        alss_telemetry::add("matching.nodes_expanded", self.nodes_expanded);
+        alss_telemetry::add("matching.pruned.label", self.pruned_label);
+        alss_telemetry::add("matching.pruned.filter", self.pruned_filter);
+        alss_telemetry::add("matching.pruned.injective", self.pruned_injective);
+        alss_telemetry::add("matching.pruned.backward", self.pruned_backward);
     }
 }
 
@@ -211,10 +211,10 @@ impl<'a, 'c> Search<'a, 'c> {
     }
 }
 
-/// Record a budget exhaustion in the global metrics registry.
+/// Record a budget exhaustion in the global metrics table.
 pub(crate) fn note_budget_exhausted<T>(res: &Result<T, BudgetExceeded>) {
     if res.is_err() {
-        alss_telemetry::counter("matching.budget_exhausted").inc();
+        alss_telemetry::add("matching.budget_exhausted", 1);
     }
 }
 

@@ -43,7 +43,7 @@ pub fn load_sketch_with_retry(
             }
             Err(e) => {
                 last_err = e.to_string();
-                alss_telemetry::counter("serve.model_load_retry").inc();
+                alss_telemetry::add("serve.model_load_retry", 1);
                 alss_telemetry::event(
                     "serve.model_load_retry",
                     &[("attempt", Value::UInt(u64::from(attempt)))],

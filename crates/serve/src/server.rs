@@ -219,7 +219,7 @@ fn load_model(cfg: &ServeConfig) -> Option<LearnedSketch> {
         Err(e) => {
             // Degraded mode is an operational state, not a startup
             // failure: answer everything from the fallback estimator.
-            alss_telemetry::counter("serve.model_load_failed").inc();
+            alss_telemetry::add("serve.model_load_failed", 1);
             alss_telemetry::event("serve.model_load_failed", &[("error", Value::Str(e))]);
             None
         }
@@ -248,7 +248,7 @@ fn accept_loop(
             let _ = stream.set_nodelay(true);
             let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
             let Some(slot) = slots.try_acquire() else {
-                alss_telemetry::counter("serve.overloaded").inc();
+                alss_telemetry::add("serve.overloaded", 1);
                 write_response(
                     &mut stream,
                     &Response::failure(0, "server overloaded: too many connections"),
@@ -262,7 +262,7 @@ fn accept_loop(
                     handle_connection(stream, addr, shared, estimator);
                 });
             if spawned.is_err() {
-                alss_telemetry::counter("serve.spawn_failed").inc();
+                alss_telemetry::add("serve.spawn_failed", 1);
             }
         }
     });
@@ -332,7 +332,7 @@ fn handle_connection(stream: TcpStream, addr: SocketAddr, shared: &Shared, est: 
                 buf.clear();
                 if !discarding {
                     discarding = true;
-                    alss_telemetry::counter("serve.line_too_long").inc();
+                    alss_telemetry::add("serve.line_too_long", 1);
                     let reply = Response::failure(
                         0,
                         format!("request line exceeds {MAX_LINE_BYTES} bytes"),
@@ -360,7 +360,7 @@ fn handle_connection(stream: TcpStream, addr: SocketAddr, shared: &Shared, est: 
             continue;
         }
         let _span = alss_telemetry::Span::enter("serve.request");
-        alss_telemetry::counter("serve.request").inc();
+        alss_telemetry::add("serve.request", 1);
         alss_telemetry::event("serve.request", &[]);
         let started = Instant::now();
         let mut shutdown = false;
@@ -370,12 +370,12 @@ fn handle_connection(stream: TcpStream, addr: SocketAddr, shared: &Shared, est: 
                 dispatch(&req, started, shared, est)
             }
             Err(e) => {
-                alss_telemetry::counter("serve.parse_error").inc();
+                alss_telemetry::add("serve.parse_error", 1);
                 Response::failure(0, e)
             }
         };
         response.latency_us = us_since(started);
-        alss_telemetry::histogram("serve.latency_us").record(response.latency_us);
+        alss_telemetry::record("serve.latency_us", response.latency_us);
         if !write_response(&mut writer, &response) {
             break;
         }
@@ -476,7 +476,7 @@ fn estimate_response(
     let key = canonical_key(&query);
 
     if let Some(hit) = shared.cache.get(&key) {
-        alss_telemetry::counter("serve.cache_hit").inc();
+        alss_telemetry::add("serve.cache_hit", 1);
         alss_telemetry::event("serve.cache_hit", &[]);
         return ok_response(
             req.id,
@@ -488,20 +488,20 @@ fn estimate_response(
             true,
         );
     }
-    alss_telemetry::counter("serve.cache_miss").inc();
+    alss_telemetry::add("serve.cache_miss", 1);
 
     let expired = req
         .deadline_ms
         .is_some_and(|d| started.elapsed() >= Duration::from_millis(d));
     let outcome = match est.model {
         Some(sketch) if !expired => model_outcome(sketch, &query).unwrap_or_else(|| {
-            alss_telemetry::counter("serve.model_non_finite").inc();
+            alss_telemetry::add("serve.model_non_finite", 1);
             fallback_outcome(est.wj, &query, key.hash)
         }),
         _ => fallback_outcome(est.wj, &query, key.hash),
     };
     if outcome.degraded {
-        alss_telemetry::counter("serve.degraded").inc();
+        alss_telemetry::add("serve.degraded", 1);
     } else {
         shared.cache.insert(
             key,

@@ -9,14 +9,15 @@
 //!    interval measurement. Completed spans are routed to a pluggable
 //!    [`Sink`]: a JSON-lines file sink, a pretty stderr sink, and a
 //!    test-capturing sink ship in [`sink`].
-//! 2. **Metrics registry** ([`registry`]) — named [`Counter`]s and
-//!    log-scale [`LogHistogram`]s (p50/p95/p99/max). [`snapshot`] freezes
-//!    the registry into a [`Snapshot`] that renders to the same JSON-lines
-//!    schema the sinks write.
+//! 2. **Metrics** — [`add`] bumps a named counter and [`record`] adds a
+//!    sample to a named log₂-bucketed histogram (p50/p95/p99/max), both in
+//!    one private table behind one lock. [`snapshot`] freezes the table
+//!    into a [`Snapshot`] that renders to the same JSON-lines schema the
+//!    sinks write.
 //! 3. **Probes** — the instrumented crates (`alss-graph`, `alss-core`,
 //!    `alss-matching`, `alss-estimators`, `alss-bench`) call [`Span::enter`],
-//!    [`counter`], [`event`], … directly; a disabled probe is one untaken
-//!    branch.
+//!    [`add`], [`record`], [`event`], … directly, each keyed by a
+//!    `&'static str`; a disabled probe is one untaken branch.
 //!
 //! ## Gating
 //!
@@ -64,11 +65,11 @@
     )
 )]
 
-pub mod registry;
+mod metrics;
 pub mod sink;
 pub mod span;
 
-pub use registry::{Counter, Histogram, HistogramSummary, LogHistogram, Snapshot};
+pub use metrics::{snapshot, HistogramSummary, Snapshot};
 pub use sink::{CaptureSink, Event, JsonLinesSink, Sink, StderrSink};
 pub use span::{Span, Stopwatch};
 
@@ -115,7 +116,7 @@ fn switched_on(raw: Option<&str>) -> bool {
 }
 
 /// Keeps the sink installed for the lifetime of a binary's `main`; on
-/// drop it emits a final metrics-registry snapshot and flushes, so a
+/// drop it emits a final metrics snapshot and flushes, so a
 /// capture always ends with the aggregate counters and histograms.
 pub struct TelemetryGuard {
     active: bool,
@@ -131,7 +132,7 @@ impl TelemetryGuard {
 impl Drop for TelemetryGuard {
     fn drop(&mut self) {
         if self.active {
-            emit_snapshot();
+            emit(&Event::Snapshot(snapshot()));
             flush();
         }
     }
@@ -193,22 +194,20 @@ pub fn flush() {
     }
 }
 
-/// Counter handle for `name` (no-op when recording is off).
+/// Add `n` to counter `name` (no-op when recording is off).
 #[inline]
-pub fn counter(name: &str) -> Counter {
-    if !enabled() {
-        return Counter::noop();
+pub fn add(name: &'static str, n: u64) {
+    if enabled() {
+        metrics::add(name, n);
     }
-    registry::global().counter(name)
 }
 
-/// Histogram handle for `name` (no-op when recording is off).
+/// Record sample `v` into histogram `name` (no-op when recording is off).
 #[inline]
-pub fn histogram(name: &str) -> Histogram {
-    if !enabled() {
-        return Histogram::noop();
+pub fn record(name: &'static str, v: u64) {
+    if enabled() {
+        metrics::record(name, v);
     }
-    registry::global().histogram(name)
 }
 
 /// Emit a structured point event. The field list is only copied when
@@ -225,17 +224,6 @@ pub fn event(name: &'static str, fields: &[(&str, Value)]) {
             .map(|(k, v)| ((*k).to_string(), v.clone()))
             .collect(),
     });
-}
-
-/// Freeze the metrics registry into a snapshot (empty when recording was
-/// never on).
-pub fn snapshot() -> Snapshot {
-    registry::global().snapshot()
-}
-
-/// Emit the current registry snapshot as an event through the sink.
-pub fn emit_snapshot() {
-    emit(&Event::Snapshot(snapshot()));
 }
 
 /// Progress reporting: the consistent replacement for ad-hoc `println!`
@@ -286,9 +274,9 @@ pub mod test_support {
     }
 
     /// Run `f` with recording on into a fresh [`CaptureSink`], and return
-    /// its result plus everything captured. Note the metrics registry is
+    /// its result plus everything captured. Note the metrics table is
     /// process-global and is *not* reset — assert on deltas or on uniquely
-    /// named instruments.
+    /// named probes.
     pub fn with_capture<R>(f: impl FnOnce() -> R) -> (R, Vec<Event>) {
         serialized(|| {
             let sink = Arc::new(CaptureSink::new());
@@ -323,13 +311,15 @@ mod tests {
     }
 
     #[test]
-    fn disabled_handles_are_noops() {
-        // Noop handles are inert and never touch the registry.
-        let c = Counter::noop();
-        c.add(5);
-        c.inc();
-        let h = Histogram::noop();
-        h.record(10);
+    fn probes_record_nothing_while_off() {
+        test_support::serialized(|| {
+            assert!(!enabled());
+            add("off.counter", 5);
+            record("off.histogram", 10);
+        });
+        let snap = snapshot();
+        assert_eq!(snap.counter("off.counter"), None);
+        assert!(snap.histogram("off.histogram").is_none());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! implementations: JSON-lines file, pretty stderr, and test capture.
 
 use crate::lock_unpoisoned;
-use crate::registry::Snapshot;
+use crate::metrics::Snapshot;
 use serde_json::Value;
 use std::fs::File;
 use std::io::{BufWriter, Write as _};
@@ -39,7 +39,7 @@ pub enum Event {
         /// The message.
         message: String,
     },
-    /// A metrics-registry snapshot.
+    /// A metrics snapshot.
     Snapshot(Snapshot),
 }
 

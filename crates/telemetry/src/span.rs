@@ -10,12 +10,6 @@ thread_local! {
     static SPAN_STACK: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Snapshot of this thread's open-span names (outermost first). Exposed
-/// for tests and diagnostics.
-pub fn current_stack() -> Vec<&'static str> {
-    SPAN_STACK.with(|s| s.borrow().clone())
-}
-
 /// A timed scope. Construct with [`Span::enter`]; the span measures until
 /// it is dropped, then emits an [`Event::Span`] carrying its `/`-joined
 /// ancestry and duration, and records the duration into the
@@ -47,18 +41,20 @@ impl Drop for Span {
         let Some((start, name)) = self.active.take() else {
             return;
         };
-        let micros = start.elapsed().as_secs_f64() * 1e6;
+        let elapsed = start.elapsed();
         let path = SPAN_STACK.with(|s| {
             let mut stack = s.borrow_mut();
             let path = stack.join("/");
             stack.pop();
             path
         });
-        crate::histogram(&format!("span.{name}_us")).record(duration_to_micros(start.elapsed()));
+        // The histogram is fed before the line is emitted, so a snapshot
+        // taken after any span line counts that span.
+        crate::metrics::record_span(name, duration_to_micros(elapsed));
         crate::emit(&Event::Span {
             name,
             path,
-            micros,
+            micros: elapsed.as_secs_f64() * 1e6,
             thread: thread_name(),
         });
     }
@@ -72,8 +68,7 @@ fn thread_name() -> String {
 }
 
 /// Saturating whole-microsecond conversion for histogram recording.
-#[inline]
-pub fn duration_to_micros(d: Duration) -> u64 {
+fn duration_to_micros(d: Duration) -> u64 {
     u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
@@ -100,24 +95,12 @@ impl Stopwatch {
         self.start.elapsed()
     }
 
-    /// Elapsed microseconds as a float (the unit the eval kit reports).
-    #[inline]
-    pub fn elapsed_micros(&self) -> f64 {
-        self.start.elapsed().as_secs_f64() * 1e6
-    }
-
-    /// Elapsed seconds as a float.
-    #[inline]
-    pub fn elapsed_secs(&self) -> f64 {
-        self.start.elapsed().as_secs_f64()
-    }
-
     /// Record the elapsed time into histogram `name` (microseconds) and
     /// return it as float microseconds.
     #[inline]
-    pub fn record(&self, name: &str) -> f64 {
+    pub fn record(&self, name: &'static str) -> f64 {
         let d = self.start.elapsed();
-        crate::histogram(name).record(duration_to_micros(d));
+        crate::record(name, duration_to_micros(d));
         d.as_secs_f64() * 1e6
     }
 }
@@ -125,6 +108,10 @@ impl Stopwatch {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn current_stack() -> Vec<&'static str> {
+        SPAN_STACK.with(|s| s.borrow().clone())
+    }
 
     #[test]
     fn inert_span_leaves_stack_alone() {
@@ -145,8 +132,7 @@ mod tests {
     fn stopwatch_measures_without_telemetry() {
         let sw = Stopwatch::start();
         std::thread::sleep(Duration::from_millis(2));
-        assert!(sw.elapsed_micros() >= 2_000.0);
-        assert!(sw.elapsed_secs() > 0.0);
+        assert!(sw.elapsed() >= Duration::from_millis(2));
         // record() is a histogram no-op when disabled but still returns
         // the measurement
         assert!(sw.record("test.sw_us") >= 2_000.0);

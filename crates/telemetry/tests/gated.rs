@@ -3,7 +3,7 @@
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
 
 use alss_telemetry::test_support::with_capture;
-use alss_telemetry::{event, histogram, progress, Event, Span, Stopwatch};
+use alss_telemetry::{add, event, progress, record, Event, Span, Stopwatch};
 use serde_json::Value;
 
 fn span_events(events: &[Event]) -> Vec<(String, String)> {
@@ -76,12 +76,24 @@ fn span_stacks_are_thread_isolated() {
 
 #[test]
 fn span_durations_feed_a_histogram() {
-    let (_, _) = with_capture(|| {
+    let (_, events) = with_capture(|| {
         let _s = Span::enter("hist-probe");
+        std::thread::sleep(std::time::Duration::from_micros(20));
     });
+    let us = events
+        .iter()
+        .find_map(|e| match e {
+            Event::Span { name, micros, .. } if *name == "hist-probe" => Some(*micros),
+            _ => None,
+        })
+        .expect("span line");
     let snap = alss_telemetry::snapshot();
     let h = snap.histogram("span.hist-probe_us").expect("histogram");
-    assert!(h.count >= 1);
+    assert_eq!(h.count, 1);
+    // One `elapsed()` read feeds both: the histogram holds the line's `us`
+    // truncated to whole microseconds (give or take float rounding).
+    let sum = h.sum as f64;
+    assert!(us - 1.0 < sum && sum <= us + 1e-6, "sum {sum}, us {us}");
 }
 
 #[test]
@@ -132,10 +144,13 @@ fn stopwatch_records_into_named_histogram() {
 }
 
 #[test]
-fn histogram_handle_routes_to_registry() {
+fn add_and_record_route_to_the_table() {
     let (_, _) = with_capture(|| {
-        histogram("gated.route_us").record(7);
+        add("gated.route", 2);
+        add("gated.route", 3);
+        record("gated.route_us", 7);
     });
     let snap = alss_telemetry::snapshot();
+    assert_eq!(snap.counter("gated.route"), Some(5));
     assert_eq!(snap.histogram("gated.route_us").map(|h| h.max), Some(7));
 }
