@@ -8,8 +8,8 @@
 //! ```
 //!
 //! `--telemetry <path>` (or `--telemetry=<path>`) is handed to
-//! [`alss_telemetry::init`] as the capture path, which records
-//! everything; without the flag, an `ALSS_TELEMETRY` set to anything but
+//! [`alss_telemetry::init`] as the capture path, which writes every
+//! line; without the flag, an `ALSS_TELEMETRY` set to anything but
 //! empty, `0`, `off` or `none` installs the pretty stderr sink instead.
 
 /// Extract the `--telemetry <path>` / `--telemetry=<path>` flag from the

@@ -130,7 +130,7 @@ fn item_rng(seed: u64, epoch: u64, item: u64) -> SmallRng {
 struct ItemOutcome {
     /// Unscaled multi-task loss value.
     loss: f64,
-    /// Forward+backward wall time (0 when telemetry timing is off).
+    /// Forward+backward wall time.
     micros: f64,
     /// The item's gradients, scaled by `1 / batch size`, from a zeroed
     /// shard.
@@ -139,14 +139,8 @@ struct ItemOutcome {
 
 /// Run one batch item on a training tape that draws its dropout masks
 /// from `rng`.
-fn run_item(
-    model: &LssModel,
-    (eq, count): &EncodedItem,
-    scale: f32,
-    rng: SmallRng,
-    timing_on: bool,
-) -> ItemOutcome {
-    let watch = timing_on.then(alss_telemetry::Stopwatch::start);
+fn run_item(model: &LssModel, (eq, count): &EncodedItem, scale: f32, rng: SmallRng) -> ItemOutcome {
+    let watch = alss_telemetry::Stopwatch::start();
     let mut tape = Tape::train(rng);
     let l = model.loss(&mut tape, eq, *count);
     let scaled = tape.scale(l, scale);
@@ -155,7 +149,7 @@ fn run_item(
     tape.backward(scaled, &mut grads);
     ItemOutcome {
         loss,
-        micros: watch.map_or(0.0, |w| w.record("train.batch_item_us")),
+        micros: watch.record("train.batch_item_us"),
         grads,
     }
 }
@@ -165,17 +159,16 @@ fn run_item(
 /// Within each mini-batch the per-item passes run data-parallel per
 /// `cfg.parallelism` (see the module docs for the determinism contract).
 ///
-/// When telemetry is on, every epoch emits a `train.epoch`
-/// event carrying the mean multi-task loss, the mean pre-step gradient
-/// norm, and the current learning rate, plus a `train.parallel_speedup`
-/// event relating summed per-item time to epoch wall time; per-item
-/// forward+backward durations feed the `train.batch_item_us` histogram.
-/// All of that is skipped entirely otherwise.
+/// Every epoch emits a `train.epoch` event carrying the mean multi-task
+/// loss, the mean pre-step gradient norm, and the current learning rate,
+/// plus a `train.parallel_speedup` event relating summed per-item time to
+/// epoch wall time; both are written only when a telemetry sink is
+/// installed. Per-item forward+backward durations feed the
+/// `train.batch_item_us` histogram and epoch wall times `train.epoch_us`.
 pub fn train_model(model: &mut LssModel, items: &[EncodedItem], cfg: &TrainConfig) -> TrainReport {
     assert!(!items.is_empty(), "empty training set");
     assert!(cfg.batch_size >= 1, "batch size must be ≥ 1");
     let _span = alss_telemetry::Span::enter("train");
-    let telemetry_on = alss_telemetry::enabled();
     let start = Instant::now();
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
     let mut adam = Adam::new(cfg.adam, model.store());
@@ -195,7 +188,7 @@ pub fn train_model(model: &mut LssModel, items: &[EncodedItem], cfg: &TrainConfi
             let scale = 1.0 / batch.len() as f32;
             let outcomes = par_map(cfg.parallelism, batch, |_, &i| {
                 let rng = item_rng(cfg.seed, epoch as u64, i as u64);
-                run_item(model, &items[i], scale, rng, telemetry_on)
+                run_item(model, &items[i], scale, rng)
             });
             // Reduce in batch-position order: keeps the f32 gradient and
             // f64 loss sums identical to the single-threaded pass.
@@ -205,9 +198,7 @@ pub fn train_model(model: &mut LssModel, items: &[EncodedItem], cfg: &TrainConfi
                 epoch_loss += o.loss;
                 item_us_sum += o.micros;
             }
-            if telemetry_on {
-                grad_norm_sum += f64::from(grads.norm());
-            }
+            grad_norm_sum += f64::from(grads.norm());
             num_batches += 1;
             adam.step(model.store_mut(), &grads);
         }
@@ -215,40 +206,38 @@ pub fn train_model(model: &mut LssModel, items: &[EncodedItem], cfg: &TrainConfi
         adam.decay_lr();
         let mean_loss = epoch_loss / items.len() as f64;
         epoch_losses.push(mean_loss);
-        if telemetry_on {
-            let wall_us = epoch_watch.record("train.epoch_us");
-            alss_telemetry::add("train.epochs", 1);
-            alss_telemetry::add("train.batches", num_batches);
-            alss_telemetry::event(
-                "train.epoch",
-                &[
-                    ("epoch", Value::UInt(epoch as u64)),
-                    ("loss", Value::Float(mean_loss)),
-                    (
-                        "grad_norm",
-                        Value::Float(grad_norm_sum / num_batches.max(1) as f64),
-                    ),
-                    ("lr", Value::Float(f64::from(lr))),
-                ],
-            );
-            alss_telemetry::event(
-                "train.parallel_speedup",
-                &[
-                    ("epoch", Value::UInt(epoch as u64)),
-                    ("threads", Value::UInt(workers as u64)),
-                    (
-                        "speedup",
-                        Value::Float(if wall_us > 0.0 {
-                            item_us_sum / wall_us
-                        } else {
-                            1.0
-                        }),
-                    ),
-                    ("items_us", Value::Float(item_us_sum)),
-                    ("wall_us", Value::Float(wall_us)),
-                ],
-            );
-        }
+        let wall_us = epoch_watch.record("train.epoch_us");
+        alss_telemetry::add("train.epochs", 1);
+        alss_telemetry::add("train.batches", num_batches);
+        alss_telemetry::event(
+            "train.epoch",
+            &[
+                ("epoch", Value::UInt(epoch as u64)),
+                ("loss", Value::Float(mean_loss)),
+                (
+                    "grad_norm",
+                    Value::Float(grad_norm_sum / num_batches.max(1) as f64),
+                ),
+                ("lr", Value::Float(f64::from(lr))),
+            ],
+        );
+        alss_telemetry::event(
+            "train.parallel_speedup",
+            &[
+                ("epoch", Value::UInt(epoch as u64)),
+                ("threads", Value::UInt(workers as u64)),
+                (
+                    "speedup",
+                    Value::Float(if wall_us > 0.0 {
+                        item_us_sum / wall_us
+                    } else {
+                        1.0
+                    }),
+                ),
+                ("items_us", Value::Float(item_us_sum)),
+                ("wall_us", Value::Float(wall_us)),
+            ],
+        );
     }
     TrainReport {
         epoch_losses,

@@ -36,9 +36,8 @@ impl<'a> Context<'a> {
 }
 
 /// Per-search telemetry tallies. Plain local integers: incrementing them
-/// is negligible next to the candidate-filter probes in the same loop, so
-/// they are counted unconditionally and only flushed to the global metrics
-/// table (a no-op when telemetry is disabled) once per search.
+/// is negligible next to the candidate-filter probes in the same loop, and
+/// they are flushed to the global metrics table once per search.
 #[derive(Default)]
 pub(crate) struct SearchStats {
     /// Backtracking nodes expanded (calls into `extend`).
@@ -56,9 +55,6 @@ pub(crate) struct SearchStats {
 impl SearchStats {
     /// Add the tallies into the global metrics table.
     pub fn flush(&self) {
-        if !alss_telemetry::enabled() {
-            return;
-        }
         alss_telemetry::add("matching.nodes_expanded", self.nodes_expanded);
         alss_telemetry::add("matching.pruned.label", self.pruned_label);
         alss_telemetry::add("matching.pruned.filter", self.pruned_filter);

@@ -17,8 +17,9 @@
 //!   estimate tagged `degraded:true` ([`engine`]). Transient checkpoint
 //!   read failures are retried with bounded exponential backoff.
 //! * **Telemetry** — a per-request span, cache hit/miss and overload
-//!   counters, and a latency histogram, recorded while telemetry is
-//!   switched on (`--telemetry <path>` or `ALSS_TELEMETRY`).
+//!   counters, and a latency histogram, always recorded in the metrics
+//!   table; span and event lines are written only when a sink is
+//!   installed (`--telemetry <path>` or `ALSS_TELEMETRY`).
 //!
 //! The wire protocol is documented in [`proto`]; [`client`] provides a
 //! blocking client plus the load generator used by the e2e tests and the

@@ -57,6 +57,15 @@ const MAX_LINE_BYTES: usize = 1 << 20;
 /// 128 nodes. Served queries have at most a few dozen nodes.
 const MAX_QUERY_NODES: usize = 128;
 
+/// Estimate-cache shard count.
+const CACHE_SHARDS: usize = 8;
+
+/// Checkpoint read attempts before giving up (transient errors only).
+const LOAD_ATTEMPTS: u32 = 3;
+
+/// Initial checkpoint retry backoff; doubles per attempt.
+const LOAD_BACKOFF: Duration = Duration::from_millis(50);
+
 /// Server configuration.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
@@ -67,14 +76,8 @@ pub struct ServeConfig {
     /// Trained checkpoint. `None` (or a path that keeps failing) starts
     /// the server in degraded mode: every answer comes from the fallback.
     pub model_path: Option<PathBuf>,
-    /// Checkpoint read attempts before giving up (transient errors only).
-    pub load_attempts: u32,
-    /// Initial retry backoff; doubles per attempt.
-    pub load_backoff: Duration,
     /// Estimate-cache capacity (entries).
     pub cache_capacity: usize,
-    /// Estimate-cache shard count.
-    pub cache_shards: usize,
 }
 
 impl Default for ServeConfig {
@@ -83,10 +86,7 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             data_path: PathBuf::new(),
             model_path: None,
-            load_attempts: 3,
-            load_backoff: Duration::from_millis(50),
             cache_capacity: 4096,
-            cache_shards: 8,
         }
     }
 }
@@ -151,7 +151,7 @@ pub fn serve(cfg: &ServeConfig) -> Result<ServerHandle, String> {
         .local_addr()
         .map_err(|e| format!("local_addr: {e}"))?;
     let shared = Arc::new(Shared {
-        cache: ShardedLru::new(cfg.cache_capacity, cfg.cache_shards),
+        cache: ShardedLru::new(cfg.cache_capacity, CACHE_SHARDS),
         stop: AtomicBool::new(false),
     });
 
@@ -214,7 +214,7 @@ fn load_data(path: &Path) -> Result<Graph, String> {
 fn load_model(cfg: &ServeConfig) -> Option<LearnedSketch> {
     let _span = alss_telemetry::Span::enter("serve.load.sketch");
     let path = cfg.model_path.as_ref()?;
-    match load_sketch_with_retry(path, cfg.load_attempts, cfg.load_backoff) {
+    match load_sketch_with_retry(path, LOAD_ATTEMPTS, LOAD_BACKOFF) {
         Ok(sketch) => Some(sketch),
         Err(e) => {
             // Degraded mode is an operational state, not a startup

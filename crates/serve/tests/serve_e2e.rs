@@ -67,7 +67,6 @@ fn config(graph: PathBuf, sketch: Option<PathBuf>) -> ServeConfig {
     ServeConfig {
         data_path: graph,
         model_path: sketch,
-        load_backoff: Duration::from_millis(1),
         ..ServeConfig::default()
     }
 }
@@ -260,9 +259,7 @@ fn over_long_line_is_refused_and_the_connection_lives() {
 fn modelless_server_degrades_everything() {
     let (graph, _) = fixtures("modelless");
     let missing = PathBuf::from("/nonexistent/alss-serve-sketch.json");
-    let mut cfg = config(graph, Some(missing));
-    cfg.load_attempts = 1;
-    let handle = alss_serve::serve(&cfg).unwrap();
+    let handle = alss_serve::serve(&config(graph, Some(missing))).unwrap();
     let addr = handle.addr.to_string();
     let mut client = Client::connect(&addr, Duration::from_secs(5)).unwrap();
 

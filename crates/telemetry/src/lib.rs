@@ -17,16 +17,19 @@
 //! 3. **Probes** — the instrumented crates (`alss-graph`, `alss-core`,
 //!    `alss-matching`, `alss-estimators`, `alss-bench`) call [`Span::enter`],
 //!    [`add`], [`record`], [`event`], … directly, each keyed by a
-//!    `&'static str`; a disabled probe is one untaken branch.
+//!    `&'static str`.
 //!
-//! ## Gating
+//! ## One recording path
 //!
-//! Recording is gated at **run time** by one switch: [`install`] turns
-//! it on and [`uninstall`] turns it off, and every probe checks it with
-//! one relaxed atomic load ([`enabled`]). [`init`] turns it on for a
+//! Every probe always updates the metrics table: [`add`], [`record`],
+//! [`Stopwatch::record`] and each span's `span.<name>_us` histogram take
+//! one lock and, once their name is in the table, allocate nothing. A
+//! [`Sink`] only decides which lines get written: [`install`] puts one in
+//! place and [`uninstall`] removes it, and while none is installed span
+//! and event lines are never built (a span's path and thread name, an
+//! event's field list). [`init`] installs a sink for a
 //! `--telemetry <path>` capture, or when the `ALSS_TELEMETRY` environment
-//! variable is set to anything but empty, `0`, `off` or `none`. Switched
-//! off, every probe is a single untaken branch.
+//! variable is set to anything but empty, `0`, `off` or `none`.
 //!
 //! [`progress`] is the one exception: it replaces the ad-hoc
 //! `println!`-style progress reporting of the bench binaries and therefore
@@ -69,26 +72,18 @@ mod metrics;
 pub mod sink;
 pub mod span;
 
-pub use metrics::{snapshot, HistogramSummary, Snapshot};
+pub use metrics::{add, record, snapshot, HistogramSummary, Snapshot};
 pub use sink::{CaptureSink, Event, JsonLinesSink, Sink, StderrSink};
 pub use span::{Span, Stopwatch};
 
 use serde_json::Value;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
 static SINK: RwLock<Option<Arc<dyn Sink + Send + Sync>>> = RwLock::new(None);
 
-/// Is recording on? One relaxed atomic load.
-#[inline(always)]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Install a sink and turn recording on. Replaces any previous sink
-/// (which is flushed first).
+/// Install a sink: span, event and progress lines are written to it from
+/// now on. Replaces any previous sink (which is flushed first).
 pub fn install(sink: Arc<dyn Sink + Send + Sync>) {
     if let Ok(mut s) = SINK.write() {
         if let Some(prev) = s.take() {
@@ -96,12 +91,10 @@ pub fn install(sink: Arc<dyn Sink + Send + Sync>) {
         }
         *s = Some(sink);
     }
-    ENABLED.store(true, Ordering::Relaxed);
 }
 
-/// Turn recording off and drop the sink (flushing it).
+/// Drop the sink (flushing it); no further lines are written.
 pub fn uninstall() {
-    ENABLED.store(false, Ordering::Relaxed);
     if let Ok(mut s) = SINK.write() {
         if let Some(prev) = s.take() {
             prev.flush();
@@ -109,8 +102,8 @@ pub fn uninstall() {
     }
 }
 
-/// Does this `ALSS_TELEMETRY` value turn recording on? Unset, empty, `0`,
-/// `off` and `none` leave it off; any other value turns it on.
+/// Does this `ALSS_TELEMETRY` value ask for the stderr sink? Unset, empty,
+/// `0`, `off` and `none` do not; any other value does.
 fn switched_on(raw: Option<&str>) -> bool {
     raw.is_some_and(|raw| !matches!(raw.trim(), "" | "0" | "off" | "none"))
 }
@@ -132,8 +125,10 @@ impl TelemetryGuard {
 impl Drop for TelemetryGuard {
     fn drop(&mut self) {
         if self.active {
-            emit(&Event::Snapshot(snapshot()));
-            flush();
+            with_sink(|sink| {
+                sink.emit(&Event::Snapshot(snapshot()));
+                sink.flush();
+            });
         }
     }
 }
@@ -141,12 +136,12 @@ impl Drop for TelemetryGuard {
 /// Set up telemetry for a binary named `topic`. Call it before any
 /// instrumented work and keep the returned guard alive until exit.
 ///
-/// * `capture`: install a JSON-lines file sink at this path, which records
-///   everything. A path that cannot be opened is reported as progress and
+/// * `capture`: install a JSON-lines file sink at this path, which writes
+///   every line. A path that cannot be opened is reported as progress and
 ///   nothing is installed.
 /// * Without `capture`, an `ALSS_TELEMETRY` that is switched on installs
-///   the pretty stderr sink; otherwise nothing is installed and recording
-///   stays off.
+///   the pretty stderr sink; otherwise nothing is installed and the
+///   metrics table records without writing any line.
 ///
 /// The guard is active exactly when a sink was installed.
 pub fn init(topic: &str, capture: Option<&str>) -> TelemetryGuard {
@@ -176,48 +171,25 @@ fn init_with(topic: &str, capture: Option<&str>, env_on: bool) -> TelemetryGuard
     TelemetryGuard { active }
 }
 
-/// Route one event to the installed sink (no-op without one).
-pub fn emit(event: &Event) {
+/// Run `f` on the installed sink; without one, do nothing.
+fn with_sink(f: impl FnOnce(&dyn Sink)) {
     if let Ok(guard) = SINK.read() {
-        if let Some(sink) = guard.as_ref() {
-            sink.emit(event);
+        if let Some(sink) = guard.as_deref() {
+            f(sink);
         }
     }
 }
 
-/// Flush the installed sink.
-pub fn flush() {
-    if let Ok(guard) = SINK.read() {
-        if let Some(sink) = guard.as_ref() {
-            sink.flush();
-        }
-    }
+/// Route the event that `build` makes to the installed sink. Without a
+/// sink, `build` never runs, so nothing is copied or formatted.
+pub(crate) fn emit_with(build: impl FnOnce() -> Event) {
+    with_sink(|sink| sink.emit(&build()));
 }
 
-/// Add `n` to counter `name` (no-op when recording is off).
-#[inline]
-pub fn add(name: &'static str, n: u64) {
-    if enabled() {
-        metrics::add(name, n);
-    }
-}
-
-/// Record sample `v` into histogram `name` (no-op when recording is off).
-#[inline]
-pub fn record(name: &'static str, v: u64) {
-    if enabled() {
-        metrics::record(name, v);
-    }
-}
-
-/// Emit a structured point event. The field list is only copied when
-/// recording is on, so pass-through cost is one branch.
-#[inline]
+/// Emit a structured point event. The field list is only copied when a
+/// sink is installed.
 pub fn event(name: &'static str, fields: &[(&str, Value)]) {
-    if !enabled() {
-        return;
-    }
-    emit(&Event::Point {
+    emit_with(|| Event::Point {
         name,
         fields: fields
             .iter()
@@ -241,12 +213,10 @@ pub fn progress(topic: &str, message: &str) {
         message: message.to_string(),
     };
     let mut echoed = false;
-    if let Ok(guard) = SINK.read() {
-        if let Some(sink) = guard.as_ref() {
-            sink.emit(&ev);
-            echoed = sink.prints_progress();
-        }
-    }
+    with_sink(|sink| {
+        sink.emit(&ev);
+        echoed = sink.prints_progress();
+    });
     if !echoed {
         eprintln!("{}", ev.progress_line());
     }
@@ -267,13 +237,13 @@ pub mod test_support {
     static TEST_GUARD: Mutex<()> = Mutex::new(());
 
     /// Run `f` while holding the process-wide lock that every test
-    /// touching the global sink or switch must hold.
+    /// touching the global sink must hold.
     pub fn serialized<R>(f: impl FnOnce() -> R) -> R {
         let _serialized = lock_unpoisoned(&TEST_GUARD);
         f()
     }
 
-    /// Run `f` with recording on into a fresh [`CaptureSink`], and return
+    /// Run `f` with a fresh [`CaptureSink`] installed, and return
     /// its result plus everything captured. Note the metrics table is
     /// process-global and is *not* reset — assert on deltas or on uniquely
     /// named probes.
@@ -293,6 +263,10 @@ pub mod test_support {
 mod tests {
     use super::*;
 
+    fn sink_installed() -> bool {
+        SINK.read().is_ok_and(|s| s.is_some())
+    }
+
     #[test]
     fn the_env_switch_is_off_only_for_unset_empty_0_off_and_none() {
         for off in [
@@ -311,24 +285,12 @@ mod tests {
     }
 
     #[test]
-    fn probes_record_nothing_while_off() {
-        test_support::serialized(|| {
-            assert!(!enabled());
-            add("off.counter", 5);
-            record("off.histogram", 10);
-        });
-        let snap = snapshot();
-        assert_eq!(snap.counter("off.counter"), None);
-        assert!(snap.histogram("off.histogram").is_none());
-    }
-
-    #[test]
     fn capture_path_installs_a_jsonl_sink() {
         let path = std::env::temp_dir().join(format!("alss-init-{}.jsonl", std::process::id()));
         test_support::serialized(|| {
             let guard = init_with("init-test", path.to_str(), false);
             assert!(guard.is_active());
-            assert!(enabled());
+            assert!(sink_installed());
             progress("init-test", "hello");
             drop(guard);
             uninstall();
@@ -361,10 +323,10 @@ mod tests {
     fn no_capture_installs_stderr_sink_only_when_switched_on() {
         test_support::serialized(|| {
             assert!(!init_with("init-test", None, false).is_active());
-            assert!(!enabled());
+            assert!(!sink_installed());
             let guard = init_with("init-test", None, true);
             assert!(guard.is_active());
-            assert!(enabled());
+            assert!(sink_installed());
             drop(guard);
             uninstall();
         });

@@ -119,14 +119,14 @@ static TABLE: Mutex<Table> = Mutex::new(Table {
 });
 
 /// Add `n` to counter `name`.
-pub(crate) fn add(name: &'static str, n: u64) {
+pub fn add(name: &'static str, n: u64) {
     let mut table = lock_unpoisoned(&TABLE);
     let counter = table.counters.entry(name).or_insert(0);
     *counter = counter.saturating_add(n);
 }
 
-/// Record `v` into histogram `name`.
-pub(crate) fn record(name: &'static str, v: u64) {
+/// Record sample `v` into histogram `name`.
+pub fn record(name: &'static str, v: u64) {
     let mut table = lock_unpoisoned(&TABLE);
     sample(&mut table.histograms, name, v);
 }
@@ -141,8 +141,8 @@ fn sample(map: &mut BTreeMap<&'static str, LogHistogram>, name: &'static str, v:
     map.entry(name).or_insert_with(LogHistogram::new).record(v);
 }
 
-/// Freeze the metrics table into a name-sorted snapshot (empty when
-/// recording was never on).
+/// Freeze the metrics table into a name-sorted snapshot (empty before
+/// the first probe).
 pub fn snapshot() -> Snapshot {
     let table = lock_unpoisoned(&TABLE);
     let counters = table

@@ -11,51 +11,41 @@ thread_local! {
 }
 
 /// A timed scope. Construct with [`Span::enter`]; the span measures until
-/// it is dropped, then emits an [`Event::Span`] carrying its `/`-joined
-/// ancestry and duration, and records the duration into the
-/// `span.<name>_us` histogram.
-///
-/// When recording is off the constructor returns an inert value
-/// and the whole probe costs one branch.
+/// it is dropped, then records the duration into the `span.<name>_us`
+/// histogram and, when a sink is installed, emits an [`Event::Span`]
+/// carrying its `/`-joined ancestry and duration.
 #[must_use = "a span measures until dropped; binding it to `_` drops immediately"]
 pub struct Span {
-    active: Option<(Instant, &'static str)>,
+    start: Instant,
+    name: &'static str,
 }
 
 impl Span {
     /// Open a span named `name` on this thread.
     #[inline]
     pub fn enter(name: &'static str) -> Span {
-        if !crate::enabled() {
-            return Span { active: None };
-        }
         SPAN_STACK.with(|s| s.borrow_mut().push(name));
         Span {
-            active: Some((Instant::now(), name)),
+            start: Instant::now(),
+            name,
         }
     }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        let Some((start, name)) = self.active.take() else {
-            return;
-        };
-        let elapsed = start.elapsed();
-        let path = SPAN_STACK.with(|s| {
-            let mut stack = s.borrow_mut();
-            let path = stack.join("/");
-            stack.pop();
-            path
-        });
+        let elapsed = self.start.elapsed();
         // The histogram is fed before the line is emitted, so a snapshot
         // taken after any span line counts that span.
-        crate::metrics::record_span(name, duration_to_micros(elapsed));
-        crate::emit(&Event::Span {
-            name,
-            path,
-            micros: elapsed.as_secs_f64() * 1e6,
-            thread: thread_name(),
+        crate::metrics::record_span(self.name, duration_to_micros(elapsed));
+        SPAN_STACK.with(|s| {
+            crate::emit_with(|| Event::Span {
+                name: self.name,
+                path: s.borrow().join("/"),
+                micros: elapsed.as_secs_f64() * 1e6,
+                thread: thread_name(),
+            });
+            s.borrow_mut().pop();
         });
     }
 }
@@ -114,18 +104,13 @@ mod tests {
     }
 
     #[test]
-    fn inert_span_leaves_stack_alone() {
-        // With recording off, entering a span must not touch the
-        // thread-local stack. Serialized because other tests here turn
-        // recording on.
-        crate::test_support::serialized(|| {
-            let before = current_stack();
-            {
-                let _s = Span::enter("probe");
-                assert_eq!(current_stack(), before);
-            }
-            assert_eq!(current_stack(), before);
-        });
+    fn a_span_holds_its_name_on_the_stack_until_dropped() {
+        let before = current_stack();
+        {
+            let _s = Span::enter("probe");
+            assert_eq!(current_stack().last(), Some(&"probe"));
+        }
+        assert_eq!(current_stack(), before);
     }
 
     #[test]
@@ -133,8 +118,7 @@ mod tests {
         let sw = Stopwatch::start();
         std::thread::sleep(Duration::from_millis(2));
         assert!(sw.elapsed() >= Duration::from_millis(2));
-        // record() is a histogram no-op when disabled but still returns
-        // the measurement
+        // record() feeds the histogram and returns the measurement
         assert!(sw.record("test.sw_us") >= 2_000.0);
     }
 

@@ -1,8 +1,8 @@
-//! Integration tests for the live recording path, through the global sink
-//! installed by `test_support::with_capture`.
+//! Integration tests for the lines written to the global sink installed
+//! by `test_support::with_capture`, and for the metrics table behind them.
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
 
-use alss_telemetry::test_support::with_capture;
+use alss_telemetry::test_support::{serialized, with_capture};
 use alss_telemetry::{add, event, progress, record, Event, Span, Stopwatch};
 use serde_json::Value;
 
@@ -26,6 +26,20 @@ fn spans_nest_and_report_their_path() {
     });
     let spans = span_events(&events);
     // inner closes first and sees the full ancestry
+    assert_eq!(spans[0], ("inner".to_string(), "outer/inner".to_string()));
+    assert_eq!(spans[1], ("outer".to_string(), "outer".to_string()));
+}
+
+#[test]
+fn a_span_opened_before_the_sink_reports_its_full_path() {
+    // The stack is kept with no sink installed, so a sink installed while
+    // spans are open still sees their whole ancestry.
+    let (outer, inner) = serialized(|| (Span::enter("outer"), Span::enter("inner")));
+    let (_, events) = with_capture(move || {
+        drop(inner);
+        drop(outer);
+    });
+    let spans = span_events(&events);
     assert_eq!(spans[0], ("inner".to_string(), "outer/inner".to_string()));
     assert_eq!(spans[1], ("outer".to_string(), "outer".to_string()));
 }

@@ -1,13 +1,15 @@
-//! With recording on, a counter or histogram probe on a name already in
-//! the table allocates nothing: the table is keyed by the probe's
-//! `&'static str`, so a probe on a known name copies nothing.
+//! A probe on a name already in the metrics table allocates nothing: the
+//! table is keyed by the probe's `&'static str`, so a counter, histogram
+//! or span probe copies nothing, and with no sink installed a span's path
+//! and an event's fields are never built.
 #![expect(
     unsafe_code,
     reason = "a counting global allocator implements the unsafe GlobalAlloc trait"
 )]
 
-use alss_telemetry::test_support::with_capture;
-use alss_telemetry::{add, record, snapshot};
+use alss_telemetry::test_support::serialized;
+use alss_telemetry::{add, event, record, snapshot, Span};
+use serde_json::Value;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -42,32 +44,58 @@ fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
 }
 
+/// Allocations made by `f` on this thread.
+fn allocations_in(f: impl FnOnce()) -> u64 {
+    let before = allocations();
+    f();
+    allocations() - before
+}
+
 #[test]
-fn probes_on_a_known_name_do_not_allocate() {
-    let (counted, _) = with_capture(|| {
-        // The first use of each name inserts it into the table.
+fn probes_on_a_known_name_do_not_allocate_without_a_sink() {
+    // Serialized, so no other test's sink is installed meanwhile.
+    let counted = serialized(|| {
+        // The first use of each name inserts it into the table, and the
+        // first span sizes this thread's span stack.
         add("no_alloc.counter", 1);
         record("no_alloc.histogram_us", 1);
-        let before = allocations();
-        for _ in 0..1_000 {
-            add("no_alloc.counter", 1);
+        {
+            let _outer = Span::enter("no_alloc.outer");
+            let _inner = Span::enter("no_alloc.inner");
         }
-        let adds = allocations() - before;
-        let before = allocations();
-        for i in 0..1_000u64 {
-            record("no_alloc.histogram_us", i);
-        }
-        (adds, allocations() - before)
+        event("no_alloc.event", &[("n", Value::UInt(1))]);
+        [
+            allocations_in(|| {
+                for _ in 0..1_000 {
+                    add("no_alloc.counter", 1);
+                }
+            }),
+            allocations_in(|| {
+                for i in 0..1_000u64 {
+                    record("no_alloc.histogram_us", i);
+                }
+            }),
+            allocations_in(|| {
+                for _ in 0..1_000 {
+                    let _outer = Span::enter("no_alloc.outer");
+                    let _inner = Span::enter("no_alloc.inner");
+                }
+            }),
+            allocations_in(|| {
+                for i in 0..1_000u64 {
+                    event("no_alloc.event", &[("n", Value::UInt(i))]);
+                }
+            }),
+        ]
     });
     assert_eq!(
-        counted,
-        (0, 0),
-        "allocations by 1,000 adds and 1,000 records"
+        counted, [0; 4],
+        "allocations by 1,000 adds, records, nested span pairs and events"
     );
     let snap = snapshot();
     assert_eq!(snap.counter("no_alloc.counter"), Some(1_001));
-    assert_eq!(
-        snap.histogram("no_alloc.histogram_us").map(|h| h.count),
-        Some(1_001)
-    );
+    let count = |name| snap.histogram(name).map(|h| h.count);
+    assert_eq!(count("no_alloc.histogram_us"), Some(1_001));
+    assert_eq!(count("span.no_alloc.outer_us"), Some(1_001));
+    assert_eq!(count("span.no_alloc.inner_us"), Some(1_001));
 }

@@ -13,7 +13,7 @@
 //! alss stats     --graph graph.txt
 //! alss decompose --query query.txt [--hops 3]
 //! alss serve     --graph graph.txt [--sketch sketch.json] [--addr 127.0.0.1:0]
-//!                [--port-file p] [--cache N] [--shards N]
+//!                [--port-file p] [--cache N]
 //!                [--telemetry out.jsonl]
 //! alss query     --addr host:port (--query q.txt | --op ping|stats|shutdown)
 //!                [--deadline-ms N]
@@ -33,6 +33,7 @@ use alss::graph::io::{from_text, to_text};
 use alss::graph::Graph;
 use alss::matching::{Budget, Semantics};
 use std::collections::HashMap;
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -87,6 +88,30 @@ impl Args {
     }
 }
 
+/// Why a command failed.
+enum Failure {
+    /// Reported as `error: <message>`.
+    Message(String),
+    /// Writing to stdout failed.
+    Stdout(std::io::Error),
+}
+
+impl From<String> for Failure {
+    fn from(message: String) -> Self {
+        Failure::Message(message)
+    }
+}
+
+impl From<std::io::Error> for Failure {
+    fn from(e: std::io::Error) -> Self {
+        Failure::Stdout(e)
+    }
+}
+
+/// What a command returns. Each command writes its output to the one
+/// locked stdout that `main` passes it.
+type CmdResult = Result<(), Failure>;
+
 fn load_graph(path: &str) -> Result<Graph, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
     from_text(&text).map_err(|e| format!("parse {path}: {e}"))
@@ -100,7 +125,7 @@ fn semantics(args: &Args) -> Semantics {
     }
 }
 
-fn cmd_generate(args: &Args) -> Result<(), String> {
+fn cmd_generate(args: &Args, stdout: &mut dyn Write) -> CmdResult {
     let dataset = args.require("dataset")?;
     let scale: f64 = args.parsed("scale", 0.2)?;
     let seed: u64 = args.parsed("seed", 0)?;
@@ -109,16 +134,17 @@ fn cmd_generate(args: &Args) -> Result<(), String> {
         format!("unknown dataset '{dataset}' (aids/yeast/youtube/wordnet/eu2005/yago)")
     })?;
     std::fs::write(out, to_text(&g)).map_err(|e| format!("write {out}: {e}"))?;
-    println!(
+    writeln!(
+        stdout,
         "wrote {out}: {} nodes, {} edges, {} labels",
         g.num_nodes(),
         g.num_edges(),
         g.num_node_labels()
-    );
+    )?;
     Ok(())
 }
 
-fn cmd_workload(args: &Args) -> Result<(), String> {
+fn cmd_workload(args: &Args, stdout: &mut dyn Write) -> CmdResult {
     let g = load_graph(args.require("graph")?)?;
     let sizes: Vec<usize> = args
         .require("sizes")?
@@ -144,11 +170,12 @@ fn cmd_workload(args: &Args) -> Result<(), String> {
     );
     std::fs::write(out, w.to_json()).map_err(|e| format!("write {out}: {e}"))?;
     let (lo, hi) = w.count_range().unwrap_or((0, 0));
-    println!(
+    writeln!(
+        stdout,
         "wrote {out}: {} labeled queries, sizes {:?}, counts in [{lo}, {hi}]",
         w.len(),
         w.sizes()
-    );
+    )?;
     Ok(())
 }
 
@@ -164,7 +191,7 @@ fn load_workload(path: &str) -> Result<Workload, String> {
     }
 }
 
-fn cmd_train(args: &Args) -> Result<(), String> {
+fn cmd_train(args: &Args, stdout: &mut dyn Write) -> CmdResult {
     let g = load_graph(args.require("graph")?)?;
     let w = load_workload(args.require("workload")?)?;
     let out = args.require("out")?;
@@ -173,7 +200,7 @@ fn cmd_train(args: &Args) -> Result<(), String> {
         "fre" => alss::core::EncodingKind::Frequency,
         "emb" => alss::core::EncodingKind::Embedding,
         "con" => alss::core::EncodingKind::Concatenated,
-        other => return Err(format!("unknown encoding '{other}' (fre|emb|con)")),
+        other => return Err(format!("unknown encoding '{other}' (fre|emb|con)").into()),
     };
     let mut cfg = SketchConfig {
         encoding,
@@ -197,22 +224,23 @@ fn cmd_train(args: &Args) -> Result<(), String> {
     cfg.seed = args.parsed("seed", 42)?;
     let (sketch, report) = LearnedSketch::train(&g, &w, &cfg);
     sketch.save(out).map_err(|e| format!("save {out}: {e}"))?;
-    println!(
+    writeln!(
+        stdout,
         "trained on {} queries ({} epochs, {:.2}s, final loss {:.4}); sketch -> {out}",
         report.num_queries,
         report.epoch_losses.len(),
         report.duration.as_secs_f64(),
         report.epoch_losses.last().copied().unwrap_or(f64::NAN)
-    );
+    )?;
     Ok(())
 }
 
-fn cmd_estimate(args: &Args) -> Result<(), String> {
+fn cmd_estimate(args: &Args, stdout: &mut dyn Write) -> CmdResult {
     let sketch = LearnedSketch::load(args.require("sketch")?).map_err(|e| e.to_string())?;
     let path = args.require("query")?;
     let q = load_graph(path)?;
     if q.num_nodes() == 0 {
-        return Err(format!("query {path}: no nodes"));
+        return Err(format!("query {path}: no nodes").into());
     }
     let pred = sketch.predict(&q);
     let count = pred.count().ok_or_else(|| {
@@ -221,34 +249,34 @@ fn cmd_estimate(args: &Args) -> Result<(), String> {
             pred.log10_count
         )
     })?;
-    println!("estimate: {count:.1}");
-    println!("log10:    {:.3}", pred.log10_count);
-    println!("magnitude class: {}", pred.top_class());
+    writeln!(stdout, "estimate: {count:.1}")?;
+    writeln!(stdout, "log10:    {:.3}", pred.log10_count)?;
+    writeln!(stdout, "magnitude class: {}", pred.top_class())?;
     Ok(())
 }
 
-fn cmd_count(args: &Args) -> Result<(), String> {
+fn cmd_count(args: &Args, stdout: &mut dyn Write) -> CmdResult {
     let g = load_graph(args.require("graph")?)?;
     let q = load_graph(args.require("query")?)?;
     let budget: u64 = args.parsed("budget", 1_000_000_000)?;
     let sem = semantics(args);
     match sem.count(&g, &q, &Budget::new(budget)) {
         Ok(c) => {
-            println!("{c}");
+            writeln!(stdout, "{c}")?;
             Ok(())
         }
-        Err(_) => Err(format!("budget of {budget} expansions exceeded")),
+        Err(_) => Err(format!("budget of {budget} expansions exceeded").into()),
     }
 }
 
-fn cmd_evaluate(args: &Args) -> Result<(), String> {
+fn cmd_evaluate(args: &Args, stdout: &mut dyn Write) -> CmdResult {
     let sketch = LearnedSketch::load(args.require("sketch")?).map_err(|e| e.to_string())?;
     let w = load_workload(args.require("workload")?)?;
     let par = Parallelism::auto();
     let items = encode_workload_with(sketch.encoder(), &w, par);
     let pairs = evaluate_with(sketch.model(), &items, par);
     if pairs.is_empty() {
-        return Err("empty workload".to_string());
+        return Err("empty workload".to_string().into());
     }
     // A prediction with no finite count is a `+inf` estimate: such queries
     // are counted apart, not scored into the q-error percentiles.
@@ -263,92 +291,96 @@ fn cmd_evaluate(args: &Args) -> Result<(), String> {
         (QErrorStats::from_pairs(&scored), overflowed.len())
     };
     let (stats, overflowed) = of_size(None);
-    println!(
+    writeln!(
+        stdout,
         "q-error over {} queries:",
         stats.as_ref().map_or(0, |s| s.count)
-    );
+    )?;
     if let Some(stats) = stats {
-        println!("{}", stats.render());
+        writeln!(stdout, "{}", stats.render())?;
     }
     if overflowed > 0 {
-        println!("{overflowed} queries not scored: their estimate has no finite count");
+        writeln!(
+            stdout,
+            "{overflowed} queries not scored: their estimate has no finite count"
+        )?;
     }
     for size in w.sizes() {
         if let (Some(s), _) = of_size(Some(size)) {
-            println!("  {size}-node: {}", s.render());
+            writeln!(stdout, "  {size}-node: {}", s.render())?;
         }
     }
     Ok(())
 }
 
-fn cmd_stats(args: &Args) -> Result<(), String> {
+fn cmd_stats(args: &Args, stdout: &mut dyn Write) -> CmdResult {
     let g = load_graph(args.require("graph")?)?;
     let stats = alss::graph::labels::LabelStats::new(&g);
-    println!("nodes:        {}", g.num_nodes());
-    println!("edges:        {}", g.num_edges());
-    println!("node labels:  {}", g.num_node_labels());
-    println!("edge labels:  {}", g.num_edge_labels());
-    println!("multi-label:  {}", g.is_multi_labeled());
-    println!("max degree:   {}", g.max_degree());
-    println!("connected:    {}", g.is_connected());
-    println!("label entropy Ent(Sigma): {:.3}", stats.entropy());
+    writeln!(stdout, "nodes:        {}", g.num_nodes())?;
+    writeln!(stdout, "edges:        {}", g.num_edges())?;
+    writeln!(stdout, "node labels:  {}", g.num_node_labels())?;
+    writeln!(stdout, "edge labels:  {}", g.num_edge_labels())?;
+    writeln!(stdout, "multi-label:  {}", g.is_multi_labeled())?;
+    writeln!(stdout, "max degree:   {}", g.max_degree())?;
+    writeln!(stdout, "connected:    {}", g.is_connected())?;
+    writeln!(stdout, "label entropy Ent(Sigma): {:.3}", stats.entropy())?;
     let order = stats.labels_by_frequency();
-    print!("top labels:  ");
+    write!(stdout, "top labels:  ")?;
     for l in order.iter().take(5) {
-        print!(" {}x{}", l, stats.frequency(*l));
+        write!(stdout, " {}x{}", l, stats.frequency(*l))?;
     }
-    println!();
+    writeln!(stdout)?;
     Ok(())
 }
 
-fn cmd_decompose(args: &Args) -> Result<(), String> {
+fn cmd_decompose(args: &Args, stdout: &mut dyn Write) -> CmdResult {
     let q = load_graph(args.require("query")?)?;
     let hops: u32 = args.parsed("hops", 3)?;
     let d = alss::graph::decompose(&q, hops);
-    println!(
+    writeln!(
+        stdout,
         "query: {} nodes, {} edges -> {} substructures ({}-hop BFS trees)",
         q.num_nodes(),
         q.num_edges(),
         d.len(),
         hops
-    );
+    )?;
     for i in 0..d.len() {
         let nodes = d.query_nodes(i);
         // a BFS tree has one edge per node but its root
-        println!(
+        writeln!(
+            stdout,
             "s{i}: root q{} | {} nodes, {} edges | original nodes {:?}",
             nodes[0],
             nodes.len(),
             nodes.len() - 1,
             nodes
-        );
+        )?;
     }
     Ok(())
 }
 
-fn cmd_serve(args: &Args) -> Result<(), String> {
+fn cmd_serve(args: &Args, stdout: &mut dyn Write) -> CmdResult {
     let _guard = alss::telemetry::init("serve", args.get("telemetry"));
     let cfg = alss::serve::ServeConfig {
         addr: args.get("addr").unwrap_or("127.0.0.1:0").to_string(),
         data_path: args.require("graph")?.into(),
         model_path: args.get("sketch").map(Into::into),
         cache_capacity: args.parsed("cache", 4096)?,
-        cache_shards: args.parsed("shards", 8)?,
-        ..alss::serve::ServeConfig::default()
     };
     let handle = alss::serve::serve(&cfg)?;
-    println!("listening on {}", handle.addr);
+    writeln!(stdout, "listening on {}", handle.addr)?;
     if let Some(port_file) = args.get("port-file") {
         // Written after bind: pollers that see the file can connect.
         std::fs::write(port_file, handle.addr.to_string())
             .map_err(|e| format!("write {port_file}: {e}"))?;
     }
     handle.join(); // blocks until a client sends `shutdown`
-    println!("server stopped");
+    writeln!(stdout, "server stopped")?;
     Ok(())
 }
 
-fn cmd_query(args: &Args) -> Result<(), String> {
+fn cmd_query(args: &Args, stdout: &mut dyn Write) -> CmdResult {
     let addr = args.require("addr")?;
     let mut client = alss::serve::Client::connect(addr, std::time::Duration::from_secs(5))?;
     let op = args.get("op").unwrap_or("estimate");
@@ -364,22 +396,18 @@ fn cmd_query(args: &Args) -> Result<(), String> {
             )
         }
         "ping" | "stats" | "shutdown" => alss::serve::Request::control(op),
-        other => {
-            return Err(format!(
-                "unknown op '{other}' (estimate|ping|stats|shutdown)"
-            ))
-        }
+        other => return Err(format!("unknown op '{other}' (estimate|ping|stats|shutdown)").into()),
     };
     let resp = client.call(&req)?;
-    println!("{}", alss::serve::proto::to_line(&resp)?);
+    writeln!(stdout, "{}", alss::serve::proto::to_line(&resp)?)?;
     if resp.ok {
         Ok(())
     } else {
-        Err(resp.error)
+        Err(resp.error.into())
     }
 }
 
-fn cmd_loadgen(args: &Args) -> Result<(), String> {
+fn cmd_loadgen(args: &Args, stdout: &mut dyn Write) -> CmdResult {
     let addr = args.require("addr")?;
     let queries: Vec<String> = args
         .require("query")?
@@ -392,7 +420,8 @@ fn cmd_loadgen(args: &Args) -> Result<(), String> {
     let rounds: u32 = args.parsed("rounds", 1)?;
     let deadline: i64 = args.parsed("deadline-ms", -1)?;
     let report = alss::serve::run_load(addr, &queries, rounds, u64::try_from(deadline).ok())?;
-    println!(
+    writeln!(
+        stdout,
         "sent {} | ok {} | cached {} | degraded {} | failed {} | mean latency {}us",
         report.sent,
         report.ok,
@@ -400,9 +429,9 @@ fn cmd_loadgen(args: &Args) -> Result<(), String> {
         report.degraded,
         report.failed,
         report.mean_latency_us
-    );
+    )?;
     if report.failed > 0 {
-        return Err(format!("{} request(s) failed", report.failed));
+        return Err(format!("{} request(s) failed", report.failed).into());
     }
     Ok(())
 }
@@ -419,18 +448,18 @@ fn main() -> ExitCode {
             return usage();
         }
     };
-    let result = match cmd.as_str() {
-        "generate" => cmd_generate(&args),
-        "workload" => cmd_workload(&args),
-        "train" => cmd_train(&args),
-        "estimate" => cmd_estimate(&args),
-        "count" => cmd_count(&args),
-        "evaluate" => cmd_evaluate(&args),
-        "stats" => cmd_stats(&args),
-        "decompose" => cmd_decompose(&args),
-        "serve" => cmd_serve(&args),
-        "query" => cmd_query(&args),
-        "loadgen" => cmd_loadgen(&args),
+    let cmd: fn(&Args, &mut dyn Write) -> CmdResult = match cmd.as_str() {
+        "generate" => cmd_generate,
+        "workload" => cmd_workload,
+        "train" => cmd_train,
+        "estimate" => cmd_estimate,
+        "count" => cmd_count,
+        "evaluate" => cmd_evaluate,
+        "stats" => cmd_stats,
+        "decompose" => cmd_decompose,
+        "serve" => cmd_serve,
+        "query" => cmd_query,
+        "loadgen" => cmd_loadgen,
         "help" | "--help" | "-h" => {
             return usage();
         }
@@ -439,9 +468,18 @@ fn main() -> ExitCode {
             return usage();
         }
     };
+    let mut stdout = std::io::stdout().lock();
+    let result = cmd(&args, &mut stdout).and_then(|()| Ok(stdout.flush()?));
     match result {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+        // A reader that stops early (`alss stats ... | head -1`) is not a
+        // failure of the command.
+        Err(Failure::Stdout(e)) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(Failure::Stdout(e)) => {
+            eprintln!("error: write stdout: {e}");
+            ExitCode::FAILURE
+        }
+        Err(Failure::Message(e)) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }

@@ -408,3 +408,22 @@ fn an_estimate_with_no_finite_count_is_an_error() {
     assert!(!stdout.contains("inf"), "{stdout}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn a_closed_stdout_is_a_clean_exit() {
+    let dir = tmpdir("closed_stdout");
+    let graph = dir.join("g.txt");
+    std::fs::write(&graph, "t 3 2\nv 0 0\nv 1 1\nv 2 0\ne 0 1\ne 1 2\n").unwrap();
+    // A pipe whose read end is already gone, like `alss stats | head -0`.
+    let (reader, writer) = std::io::pipe().unwrap();
+    drop(reader);
+    let out = alss()
+        .args(["stats", "--graph", graph.to_str().unwrap()])
+        .stdout(writer)
+        .output()
+        .expect("run stats");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
