@@ -8,7 +8,8 @@ use alss_embedding::Embedding;
 use alss_graph::augmented::label_augmented_graph;
 use alss_graph::labels::LabelStats;
 use alss_graph::{Graph, PackedGraphs, WILDCARD};
-use alss_nn::Mat;
+use alss_nn::mat::number_by_key;
+use alss_nn::{IndexedRows, Mat};
 use rand::Rng;
 use serde_json::Value;
 use std::sync::Arc;
@@ -55,20 +56,24 @@ impl std::fmt::Display for EncodingKind {
 
 /// A fully encoded query in the layout the GIN reads (the `H_q` input of
 /// Algorithm 1): its decomposed substructures packed into one
-/// block-diagonal graph, with every substructure node's features and edge
-/// sums stacked in the same row order. Cached by the trainer so encoding
-/// runs once per query.
+/// block-diagonal graph, with every packed row's features and edge sum
+/// stored as an index into their distinct rows. Cached by the trainer so
+/// encoding runs once per query.
 #[derive(Clone, Debug)]
 pub struct EncodedQuery {
-    /// `N × node_dim` initial node features `e_v^{(0)}`, row for row.
-    pub features: Mat,
+    /// Initial node features `e_v^{(0)}`: one row per distinct label list
+    /// among the query's nodes, and for every packed row the index of its
+    /// node's row.
+    pub features: IndexedRows,
     /// One packed graph per substructure, in decomposition order. Shared
     /// by `Arc`, so the training tapes that read it, on the trainer's
     /// worker threads, copy nothing.
     pub graphs: Arc<PackedGraphs>,
-    /// `N × edge_dim` per-node sums of incident initial edge features
-    /// (Eq. 4), present iff the encoder has an edge encoding.
-    pub edge_sums: Option<Mat>,
+    /// Per-row sums of incident initial edge features (Eq. 4), `edge_dim`
+    /// wide: one row per distinct sequence of a row's edge labels, and for
+    /// every packed row the index of its sum. Present iff the encoder has
+    /// an edge encoding.
+    pub edge_sums: Option<IndexedRows>,
 }
 
 /// The §4.3 feature encoder: holds the data-graph statistics and the
@@ -343,37 +348,52 @@ impl Encoder {
     }
 
     /// Decompose and encode a whole query graph (Algorithm 1, line 1 +
-    /// §4.3). The packed trees are kept as they are; each query node's
-    /// features are computed once, for every row holding it, and a row's
-    /// edge sum adds its tree edges' features in packed neighbor order.
+    /// §4.3). The packed trees are kept as they are; the features of each
+    /// distinct label list among the query's nodes are computed once, and
+    /// so is the edge sum of each distinct sequence of a row's edge labels,
+    /// which adds their features in packed neighbor order.
     pub fn encode_query(&self, q: &Graph) -> EncodedQuery {
         let _span = alss_telemetry::Span::enter("encode.query");
         let d = alss_graph::decompose(q, self.hops);
-        let per_node: Vec<f32> = q
-            .nodes()
-            .flat_map(|v| {
-                let labels: Vec<u32> = if q.label(v) == WILDCARD {
-                    vec![WILDCARD]
-                } else {
-                    q.labels_of(v).collect()
-                };
-                self.node_features_multi(&labels)
-            })
-            .collect();
-        let rows: Vec<usize> = d.nodes.iter().map(|&v| v as usize).collect();
-        let features = Mat::from_vec(q.num_nodes(), self.node_dim(), per_node).gather_rows(&rows);
+        // A node's label list: `[WILDCARD]` for an unlabeled node.
+        let labels = |i: usize, key: &mut Vec<u32>| {
+            let v = alss_graph::node_id(i);
+            if q.label(v) == WILDCARD {
+                key.push(WILDCARD);
+            } else {
+                key.extend(q.labels_of(v));
+            }
+        };
+        let (node_ids, firsts) = number_by_key(q.num_nodes(), labels);
+        let (mut distinct, mut key) = (Vec::new(), Vec::new());
+        for &i in &firsts {
+            key.clear();
+            labels(i, &mut key);
+            distinct.extend(self.node_features_multi(&key));
+        }
+        let features = IndexedRows {
+            distinct: Mat::from_vec(firsts.len(), self.node_dim(), distinct),
+            index: d.nodes.iter().map(|&v| node_ids[v as usize]).collect(),
+        };
         let edge_dim = self.edge_dim();
         let edge_sums = (edge_dim > 0).then(|| {
-            let mut sums = Mat::zeros(rows.len(), edge_dim);
-            for r in 0..rows.len() {
+            let edge_labels = |r: usize, key: &mut Vec<u32>| {
+                key.extend(d.graphs.neighbors(r).iter().map(|&u| d.edge_label(r, u)));
+            };
+            let (index, firsts) = number_by_key(d.nodes.len(), edge_labels);
+            let mut sums = Mat::zeros(firsts.len(), edge_dim);
+            for (k, &r) in firsts.iter().enumerate() {
                 for &u in d.graphs.neighbors(r) {
                     let x = self.edge_features(d.edge_label(r, u));
-                    for (o, x) in sums.row_mut(r).iter_mut().zip(x) {
+                    for (o, x) in sums.row_mut(k).iter_mut().zip(x) {
                         *o += x;
                     }
                 }
             }
-            sums
+            IndexedRows {
+                distinct: sums,
+                index,
+            }
         });
         EncodedQuery {
             features,
@@ -450,7 +470,9 @@ mod tests {
         let eq = enc.encode_query(&q);
         assert_eq!(eq.graphs.num_graphs(), 3);
         // each BFS tree of the 3-node path holds all three nodes
-        assert_eq!(eq.features.shape(), (9, 3));
+        assert_eq!(eq.features.rows(), 9);
+        // three distinct labels, so three distinct feature rows
+        assert_eq!(eq.features.distinct.shape(), (3, 3));
         assert!(eq.edge_sums.is_none());
     }
 
@@ -464,7 +486,8 @@ mod tests {
         assert_eq!(enc.edge_dim(), 2);
         let eq = enc.encode_query(&d);
         let es = eq.edge_sums.as_ref().expect("edge sums expected");
-        assert_eq!(es.shape(), (eq.features.rows(), 2));
+        assert_eq!(es.rows(), eq.features.rows());
+        assert_eq!(es.distinct.cols(), 2);
         // Substructure 0 is the tree rooted at node 0: node 0 has the
         // label-0 edge, node 1 both edges, node 2 the label-1 edge.
         let (f0, f1) = (enc.edge_features(0), enc.edge_features(1));
@@ -477,6 +500,6 @@ mod tests {
         // input-width check rejected).
         let single = alss_graph::GraphBuilder::new(1).build();
         let es = enc.encode_query(&single).edge_sums;
-        assert_eq!(es.map(|m| m.shape()), Some((1, 2)));
+        assert_eq!(es.map(|m| (m.rows(), m.distinct.cols())), Some((1, 2)));
     }
 }

@@ -13,8 +13,9 @@
 //!    graph the GIN reads;
 //! 2. [`encode`] the substructures' nodes — frequency-based,
 //!    pre-trained-embedding (ProNE on the label-augmented graph), or
-//!    concatenated features, computed once per query node, with the
-//!    Eq. (4) edge-label extension — into one packed [`EncodedQuery`];
+//!    concatenated features, computed once per distinct label list, with
+//!    the Eq. (4) edge-label extension — into one packed [`EncodedQuery`]
+//!    that stores each distinct row once, with a per-row index;
 //! 3. a GIN encoder produces per-substructure representations
 //!    (`σ(·)` of Eq. 2), structured self-attention learns query-specific
 //!    weights (`w(·)`), and a multi-task MLP emits `log10 c_Θ(q)` plus a

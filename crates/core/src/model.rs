@@ -250,8 +250,9 @@ impl LssModel {
     /// returns the regression node (`1 × 1`, `log10 c_Θ(q)`) and the
     /// classification logits (`1 × m`). Inference uses [`LssModel::predict`].
     ///
-    /// Like `predict`, it runs GIN over the query's packed substructures,
-    /// one aggregate and one MLP pass per layer. Dropout masks and weight
+    /// It runs GIN over the query's packed substructures, one aggregate and
+    /// one MLP pass per layer over every packed row (the features gathered
+    /// to one row each, as the tape needs them). Dropout masks and weight
     /// gradients still follow decomposition order substructure by
     /// substructure (see [`GinEncoder::forward`]), so training gives the
     /// same bits as a pass over one substructure at a time.
@@ -261,8 +262,8 @@ impl LssModel {
             graphs.num_graphs() > 0,
             "query decomposed into no substructures"
         );
-        let x = tape.input(query.features.clone());
-        let es = query.edge_sums.as_ref().map(|m| tape.input(m.clone()));
+        let x = tape.input(query.features.gather());
+        let es = query.edge_sums.as_ref().map(|m| tape.input(m.gather()));
         // n × hidden (Alg. 1 line 8)
         let h_q = self.gin.forward(tape, &self.store, x, graphs, es);
         let e_q = match &self.att {
@@ -294,8 +295,8 @@ impl LssModel {
 
     /// Inference: predict count and magnitude posterior (eval mode; no
     /// dropout, deterministic). Builds no tape and clones no weights: GIN
-    /// runs over the query's packed substructures as encoded, so each GIN
-    /// layer is one aggregate and one MLP pass. The result is
+    /// runs over the query's packed substructures on distinct rows only
+    /// (see [`GinEncoder::infer`]). The result is
     /// bit-identical to [`LssModel::forward`] on an eval tape followed by
     /// a softmax of the logits.
     pub fn predict(&self, query: &EncodedQuery) -> Prediction {
@@ -313,9 +314,13 @@ impl LssModel {
             .gin
             .infer(&self.store, features, graphs, edge_sums.as_ref());
         let e_q = match &self.att {
-            Some(att) => att.infer(&self.store, &h_q),
+            Some(att) => {
+                let _span = alss_telemetry::Span::enter("model.attention");
+                att.infer(&self.store, &h_q)
+            }
             None => h_q.sum_rows(),
         };
+        let _span = alss_telemetry::Span::enter("model.head");
         let out = self.mlp.infer(&self.store, &e_q);
         let mut probs = Mat::row_vector(&out.row(0)[1..1 + self.cfg.num_classes]);
         probs.softmax_rows_in_place();

@@ -123,9 +123,17 @@ fn encode_workload_is_order_stable() {
     let serial = encode_workload_with(&enc, &w, Parallelism::serial());
     let parallel = encode_workload_with(&enc, &w, Parallelism::fixed(4));
     assert_eq!(serial.len(), parallel.len());
-    // EncodedQuery carries no PartialEq; compare the packed graphs, and
-    // the stacked feature and edge-sum matrices bitwise.
-    let bits = |m: &alss_nn::Mat| m.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    // EncodedQuery carries no PartialEq; compare the packed graphs, the
+    // distinct feature and edge-sum rows bitwise, and their row indices.
+    let bits = |m: &alss_nn::IndexedRows| {
+        let rows = m
+            .distinct
+            .data()
+            .iter()
+            .map(|x| x.to_bits())
+            .collect::<Vec<_>>();
+        (rows, m.index.clone())
+    };
     for (i, (a, b)) in serial.iter().zip(&parallel).enumerate() {
         assert_eq!(a.1, b.1, "item {i} count");
         assert_eq!(a.0.graphs, b.0.graphs, "item {i} packed graphs");
@@ -221,9 +229,23 @@ fn assert_predict_matches_tape(model: &LssModel, enc: &Encoder, queries: &[Graph
     }
 }
 
-/// The suite's workload plus a one-node query and two queries whose
-/// substructures repeat GIN input rows (all nodes alike), so the forward's
-/// row dedup takes effect at every layer.
+/// A star: node 0, labeled `center`, joined to `leaves` nodes labeled
+/// `leaf`.
+fn star(center: u32, leaf: u32, leaves: u32) -> Graph {
+    let mut labels = vec![leaf; leaves as usize + 1];
+    labels[0] = center;
+    let edges: Vec<(u32, u32)> = (1..=leaves).map(|v| (0, v)).collect();
+    graph_from_edges(&labels, &edges)
+}
+
+/// The suite's workload plus a one-node query and queries whose
+/// substructures repeat GIN input rows, so the forward's row keys merge
+/// rows at every layer: a 4-cycle and a small star (all nodes alike), the
+/// largest star a server admits (128 nodes, 16,384 packed rows), and a
+/// path whose two middle nodes list neighbors of the same labels in
+/// opposite orders (edges `1-0, 1-2` and `2-3, 2-1`), so rows whose
+/// aggregates can be bit-equal come from differently ordered neighbor
+/// lists and get different keys.
 fn oracle_queries() -> Vec<Graph> {
     let mut qs: Vec<Graph> = workload().queries.iter().map(|q| q.graph.clone()).collect();
     qs.push(graph_from_edges(&[1], &[]));
@@ -232,6 +254,8 @@ fn oracle_queries() -> Vec<Graph> {
         &[(0, 1), (1, 2), (2, 3), (3, 0)],
     ));
     qs.push(graph_from_edges(&[1, 0, 0, 0], &[(0, 1), (0, 2), (0, 3)]));
+    qs.push(star(1, 0, 127));
+    qs.push(graph_from_edges(&[0, 1, 1, 0], &[(1, 0), (1, 2), (2, 3)]));
     qs
 }
 
@@ -285,11 +309,20 @@ fn predict_matches_the_eval_tape_forward_with_edge_labels() {
         labeled(&[0, 0, 1, 2], &[(0, 1, 0), (1, 2, 1), (2, 3, 1)]),
         labeled(&[1, 1, 1], &[(0, 1, 0), (1, 2, 0), (2, 0, 0)]),
         labeled(&[2], &[]),
+        // Repeated edge labels. The star's leaves on label-1 edges share
+        // an edge-sum id and merge, and the leaf on a label-0 edge
+        // differs from them only in that id; the path's middle rows add
+        // the same two edge labels in opposite orders.
+        labeled(
+            &[1, 0, 0, 0, 0],
+            &[(0, 1, 1), (0, 2, 1), (0, 3, 1), (0, 4, 0)],
+        ),
+        labeled(&[0, 1, 1, 0], &[(0, 1, 0), (1, 2, 1), (2, 3, 0)]),
     ];
     let workload = Workload::from_queries(
         queries
             .iter()
-            .zip([30u64, 200, 4_000, 60, 3])
+            .zip([30u64, 200, 4_000, 60, 3, 500, 80])
             .map(|(q, c)| LabeledQuery::new(q.clone(), c))
             .collect(),
     );

@@ -15,15 +15,17 @@
 //!
 //! Graphs reach GIN in one format, `alss-graph`'s [`PackedGraphs`]: a
 //! query's substructures as one block-diagonal graph, with their node
-//! features and edge sums stacked in the same row order. Training and
-//! inference both run each layer as one aggregate and one MLP pass over
-//! all packed rows, then read out one row per graph.
+//! features and edge sums in the same row order. Training runs each layer
+//! as one aggregate and one MLP pass over all packed rows; inference runs
+//! them once per distinct row (see [`GinEncoder::infer`]). Both then read
+//! out one row per graph.
 
 use crate::linear::{Activation, Mlp};
-use crate::mat::Mat;
+use crate::mat::{number_by_key, IndexedRows, Mat};
 use crate::param::{ParamError, ParamStore};
 use crate::tape::{Tape, Var};
 use alss_graph::PackedGraphs;
+use alss_telemetry::Span;
 use rand::Rng;
 use std::sync::Arc;
 
@@ -46,16 +48,34 @@ impl Aggregation {
     /// order.
     pub fn apply(self, x: &Mat, graphs: &PackedGraphs) -> Mat {
         assert_eq!(x.rows(), graphs.num_nodes(), "packed row mismatch");
-        let mut out = x.clone();
+        let mut out = Mat::zeros(x.rows(), x.cols());
         for v in 0..x.rows() {
-            for &u in graphs.neighbors(v) {
-                for (o, &a) in out.row_mut(v).iter_mut().zip(x.row(u)) {
-                    *o += a;
-                }
+            let nbrs = graphs.neighbors(v).iter().map(|&u| x.row(u));
+            self.aggregate_row(out.row_mut(v), x.row(v), nbrs);
+        }
+        out
+    }
+
+    /// Write one node's aggregate into `out`: its own row plus its
+    /// neighbor rows, added in order, then divided by `deg+1` under
+    /// [`Aggregation::Mean`].
+    fn aggregate_row<'a>(
+        self,
+        out: &mut [f32],
+        own: &[f32],
+        nbrs: impl ExactSizeIterator<Item = &'a [f32]>,
+    ) {
+        out.copy_from_slice(own);
+        let deg = nbrs.len();
+        for row in nbrs {
+            for (o, &a) in out.iter_mut().zip(row) {
+                *o += a;
             }
         }
-        self.scale_rows(&mut out, graphs);
-        out
+        if self == Aggregation::Mean {
+            let inv = 1.0 / (deg as f32 + 1.0);
+            out.iter_mut().for_each(|e| *e *= inv);
+        }
     }
 
     /// The transpose of [`Aggregation::apply`] (its gradient): the neighbor
@@ -181,29 +201,68 @@ impl GinEncoder {
 
     /// Inference forward without a tape; bit-identical to
     /// [`GinEncoder::forward`] on an eval tape.
+    ///
+    /// It runs on distinct rows from start to end. Each layer keys every
+    /// packed row by integers: the id of its row in the layer's input, the
+    /// id of its edge sum, and its neighbors' ids in packed order. Rows
+    /// with equal keys add equal values in the same order, so their
+    /// aggregates, and the MLP's row-by-row outputs, are bit-equal; both
+    /// run once per distinct key, and the keys' ids index the layer's
+    /// output. The readout adds each graph's rows through the index, in
+    /// row order. No step builds a matrix with one row per packed row.
     pub fn infer(
         &self,
         store: &ParamStore,
-        x: &Mat,
+        x: &IndexedRows,
         graphs: &PackedGraphs,
-        edge_sum: Option<&Mat>,
+        edge_sum: Option<&IndexedRows>,
     ) -> Mat {
-        let mut h: Option<Mat> = None;
+        assert_eq!(x.rows(), graphs.num_nodes(), "packed row mismatch");
+        let mut h: Option<IndexedRows> = None;
         for layer in &self.layers {
-            let agg = layer.aggregation.apply(h.as_ref().unwrap_or(x), graphs);
-            let input = match edge_sum {
-                Some(es) if layer.edge_dim > 0 => agg.concat_cols(es),
-                _ => agg,
+            let cur = h.as_ref().unwrap_or(x);
+            // without edge sums an edge-labeled layer fails the MLP's
+            // input-width check
+            let es = edge_sum.filter(|_| layer.edge_dim > 0);
+            let (index, firsts) = {
+                let _span = Span::enter("model.gin.key");
+                number_by_key(graphs.num_nodes(), |r, key| {
+                    key.push(cur.index[r]);
+                    key.extend(es.map(|es| es.index[r]));
+                    key.extend(graphs.neighbors(r).iter().map(|&u| cur.index[u]));
+                })
             };
-            // The MLP maps each row on its own (`Mat::matmul` row i reads
-            // only lhs row i), so each distinct input row is computed once
-            // and its output copied to the duplicates, with no change in
-            // any bit.
-            let (distinct, index) = input.distinct_rows();
-            h = Some(layer.mlp.infer(store, &distinct).gather_rows(&index));
+            alss_telemetry::add("model.gin.rows", graphs.num_nodes() as u64);
+            alss_telemetry::add("model.gin.mlp_rows", firsts.len() as u64);
+            let input = {
+                let _span = Span::enter("model.gin.agg");
+                let width = cur.distinct.cols();
+                let es_width = es.map_or(0, |es| es.distinct.cols());
+                let mut input = Mat::zeros(firsts.len(), width + es_width);
+                for (k, &r) in firsts.iter().enumerate() {
+                    let (agg, edges) = input.row_mut(k).split_at_mut(width);
+                    let nbrs = graphs.neighbors(r).iter().map(|&u| cur.row(u));
+                    layer.aggregation.aggregate_row(agg, cur.row(r), nbrs);
+                    if let Some(es) = es {
+                        edges.copy_from_slice(es.row(r));
+                    }
+                }
+                input
+            };
+            let _span = Span::enter("model.gin.mlp");
+            let distinct = layer.mlp.infer(store, &input);
+            h = Some(IndexedRows { distinct, index });
         }
         let h = h.as_ref().unwrap_or(x);
-        h.sum_row_blocks((0..graphs.num_graphs()).map(|g| graphs.rows(g)))
+        let mut out = Mat::zeros(graphs.num_graphs(), h.distinct.cols());
+        for g in 0..graphs.num_graphs() {
+            for r in graphs.rows(g) {
+                for (o, &e) in out.row_mut(g).iter_mut().zip(h.row(r)) {
+                    *o += e;
+                }
+            }
+        }
+        out
     }
 
     /// Representation width.

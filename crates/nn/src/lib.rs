@@ -99,6 +99,6 @@ pub use alss_graph::PackedGraphs;
 pub use attention::SelfAttention;
 pub use gin::{Aggregation, GinEncoder};
 pub use linear::{Activation, Linear, Mlp};
-pub use mat::Mat;
+pub use mat::{IndexedRows, Mat};
 pub use param::{GradShard, ParamError, ParamId, ParamStore};
 pub use tape::{Tape, Var};

@@ -6,7 +6,7 @@
 //! mismatch is a programming error, not a runtime condition.
 
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::Hash;
 use std::ops::Range;
 
 /// A dense `rows × cols` matrix of `f32`, row-major.
@@ -255,31 +255,6 @@ impl Mat {
         self.sum_row_blocks(std::iter::once(0..self.rows))
     }
 
-    /// The distinct rows (compared bit for bit) in first-occurrence order,
-    /// and for every row of `self` the index of its copy among them, so
-    /// `distinct.gather_rows(&index) == self`.
-    pub fn distinct_rows(&self) -> (Mat, Vec<usize>) {
-        let mut slot_of: HashMap<RowBits<'_>, usize, BuildHasherDefault<RowHasher>> =
-            HashMap::default();
-        let mut data = Vec::new();
-        let index = (0..self.rows)
-            .map(|r| {
-                let row = self.row(r);
-                let next = slot_of.len();
-                *slot_of.entry(RowBits::new(row)).or_insert_with(|| {
-                    data.extend_from_slice(row);
-                    next
-                })
-            })
-            .collect();
-        let distinct = Mat {
-            rows: slot_of.len(),
-            cols: self.cols,
-            data,
-        };
-        (distinct, index)
-    }
-
     /// A matrix whose row `i` is `self[index[i]]`.
     pub fn gather_rows(&self, index: &[usize]) -> Mat {
         let mut data = Vec::with_capacity(index.len() * self.cols);
@@ -336,61 +311,73 @@ impl Mat {
     }
 }
 
-/// FxHash's multiply-rotate step.
-fn fx_mix(h: u64, v: u64) -> u64 {
-    (h.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95)
+/// A tall matrix stored as its distinct rows: logical row `r` is
+/// `distinct.row(index[r])`. Packed GIN inputs repeat rows heavily (every
+/// BFS tree of a query holds most of its nodes), so inference keeps them
+/// in this form from the encoder to the readout.
+#[derive(Clone, Debug)]
+pub struct IndexedRows {
+    /// The stored rows.
+    pub distinct: Mat,
+    /// For every logical row, the index of its row in `distinct`.
+    pub index: Vec<usize>,
 }
 
-/// A matrix row keyed by its bit pattern, with the hash computed once.
-struct RowBits<'a> {
-    hash: u64,
-    row: &'a [f32],
-}
-
-impl<'a> RowBits<'a> {
-    fn new(row: &'a [f32]) -> Self {
-        let hash = row.iter().fold(0, |h, x| fx_mix(h, u64::from(x.to_bits())));
-        RowBits { hash, row }
+impl IndexedRows {
+    /// Number of logical rows.
+    pub fn rows(&self) -> usize {
+        self.index.len()
     }
-}
 
-impl PartialEq for RowBits<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        self.row.len() == other.row.len()
-            && self
-                .row
-                .iter()
-                .zip(other.row)
-                .all(|(a, b)| a.to_bits() == b.to_bits())
+    /// Logical row `r`.
+    #[inline]
+    pub fn row(&self, r: usize) -> &[f32] {
+        self.distinct.row(self.index[r])
     }
-}
 
-impl Eq for RowBits<'_> {}
-
-impl Hash for RowBits<'_> {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(self.hash);
+    /// The full `rows() × cols` matrix.
+    pub fn gather(&self) -> Mat {
+        self.distinct.gather_rows(&self.index)
     }
 }
 
-/// Passes a [`RowBits`] precomputed hash through unchanged.
-#[derive(Default)]
-struct RowHasher(u64);
-
-impl Hasher for RowHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = fx_mix(self.0, u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, h: u64) {
-        self.0 = h;
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
+/// Number rows `0..rows` by key, where `key(r, buf)` appends row `r`'s key
+/// to the empty `buf`. Rows with equal keys get the same id, and ids count
+/// up from 0 in order of first occurrence. Returns every row's id and every
+/// id's first row.
+///
+/// Each row's key is built in one reused buffer; the table keeps a copy of
+/// the distinct keys only.
+pub fn number_by_key<T: Hash + Eq + Clone>(
+    rows: usize,
+    mut key: impl FnMut(usize, &mut Vec<T>),
+) -> (Vec<usize>, Vec<usize>) {
+    let mut id_of: HashMap<Box<[T]>, usize> = HashMap::new();
+    let (mut firsts, mut buf, mut prev) = (Vec::new(), Vec::new(), Vec::new());
+    let mut prev_id = None;
+    let ids = (0..rows)
+        .map(|r| {
+            buf.clear();
+            key(r, &mut buf);
+            // Runs of equal keys are common (the leaves of a tree level),
+            // and one comparison with the previous key skips the hash.
+            let id = match prev_id {
+                Some(id) if buf == prev => id,
+                _ => match id_of.get(buf.as_slice()) {
+                    Some(&id) => id,
+                    None => {
+                        id_of.insert(buf.as_slice().into(), firsts.len());
+                        firsts.push(r);
+                        firsts.len() - 1
+                    }
+                },
+            };
+            std::mem::swap(&mut buf, &mut prev);
+            prev_id = Some(id);
+            id
+        })
+        .collect();
+    (ids, firsts)
 }
 
 #[cfg(test)]
@@ -447,15 +434,23 @@ mod tests {
     }
 
     #[test]
-    fn distinct_rows_round_trip_through_gather() {
-        let m = Mat::from_vec(5, 2, vec![1., 2., 3., 4., 1., 2., 0., -0., 3., 4.]);
-        let (distinct, index) = m.distinct_rows();
-        // -0.0 and 0.0 differ in bits, so [0, -0] is its own row
-        assert_eq!(distinct.data(), &[1., 2., 3., 4., 0., -0.]);
-        assert_eq!(index, vec![0, 1, 0, 2, 1]);
-        let back = distinct.gather_rows(&index);
-        let bits = |m: &Mat| m.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&back), bits(&m));
+    fn number_by_key_numbers_in_first_occurrence_order() {
+        // a run of equal keys, a key equal to an earlier one, an empty key
+        let keys: [&[u32]; 6] = [&[1, 2], &[3], &[3], &[1, 2], &[], &[3]];
+        let (ids, firsts) = number_by_key(keys.len(), |r, buf| buf.extend_from_slice(keys[r]));
+        assert_eq!(ids, vec![0, 1, 1, 0, 2, 1]);
+        assert_eq!(firsts, vec![0, 1, 4]);
+    }
+
+    #[test]
+    fn indexed_rows_gather_their_rows() {
+        let m = IndexedRows {
+            distinct: Mat::from_vec(2, 2, vec![1., 2., 3., 4.]),
+            index: vec![1, 0, 1],
+        };
+        assert_eq!(m.rows(), 3);
+        assert_eq!(m.row(2), &[3., 4.]);
+        assert_eq!(m.gather().data(), &[3., 4., 1., 2., 3., 4.]);
     }
 
     #[test]
