@@ -3,36 +3,22 @@
 //!
 //! Run: `cargo run -p alss-bench --bin ablation_gnn --release`
 
-use alss_bench::evalkit::train_eval_config;
-use alss_bench::scenario::{bench_model_config, bench_train_config, load_scenario};
+use alss_bench::evalkit::ablation_sweep;
 use alss_bench::TableWriter;
-use alss_core::{EncodingKind, SketchConfig};
-use alss_matching::Semantics;
 use alss_nn::Aggregation;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 fn main() {
     let _telemetry = alss_telemetry::init("ablation_gnn", alss_bench::telemetry_arg().as_deref());
+    let knobs = [
+        ("sum (GIN)".to_string(), Aggregation::Sum),
+        ("mean".to_string(), Aggregation::Mean),
+    ];
+    let rows = ablation_sweep(&["aids", "yeast"], 0xAB4, &knobs, |cfg, agg| {
+        cfg.model.gnn_aggregation = agg;
+    });
     let mut t = TableWriter::new(&["dataset", "gnn agg", "q-error distribution"]);
-    for name in ["aids", "yeast"] {
-        let sc = load_scenario(name, Semantics::Homomorphism);
-        let mut rng = SmallRng::seed_from_u64(0xAB4);
-        let (train, test) = sc.workload.stratified_split(0.8, &mut rng);
-        for (label, agg) in [("sum (GIN)", Aggregation::Sum), ("mean", Aggregation::Mean)] {
-            let mut model = bench_model_config();
-            model.gnn_aggregation = agg;
-            let cfg = SketchConfig {
-                encoding: EncodingKind::Embedding,
-                hops: 3,
-                model,
-                train: bench_train_config(),
-                prone_dim: 32,
-                seed: 0xAB4,
-            };
-            let (stats, _) = train_eval_config(&sc, &train, &test, &cfg);
-            t.row(vec![name.to_string(), label.to_string(), stats.render()]);
-        }
+    for r in rows {
+        t.row(vec![r.dataset, r.label, r.qerror]);
     }
     println!("== Ablation: GNN neighborhood aggregation ==\n");
     t.print();

@@ -4,38 +4,23 @@
 //!
 //! Run: `cargo run -p alss-bench --bin ablation_lambda --release`
 
-use alss_bench::evalkit::train_eval_config;
-use alss_bench::scenario::{bench_model_config, bench_train_config, load_scenario};
+use alss_bench::evalkit::ablation_sweep;
 use alss_bench::TableWriter;
-use alss_core::{EncodingKind, SketchConfig};
-use alss_matching::Semantics;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 fn main() {
     let _telemetry =
         alss_telemetry::init("ablation_lambda", alss_bench::telemetry_arg().as_deref());
-    let sc = load_scenario("aids", Semantics::Homomorphism);
-    let mut rng = SmallRng::seed_from_u64(0xAB2);
-    let (train, test) = sc.workload.stratified_split(0.8, &mut rng);
+    let knobs = [0.0f32, 1.0 / 6.0, 1.0 / 3.0, 2.0 / 3.0, 0.9].map(|l| (format!("{l:.2}"), l));
+    let rows = ablation_sweep(&["aids"], 0xAB2, &knobs, |cfg, lambda| {
+        cfg.model.lambda = lambda;
+    });
     println!(
         "== Ablation: Eq. (6) λ sweep (aids, {} test queries) ==\n",
-        test.len()
+        rows[0].test_len
     );
     let mut t = TableWriter::new(&["lambda", "q-error distribution"]);
-    for lambda in [0.0f32, 1.0 / 6.0, 1.0 / 3.0, 2.0 / 3.0, 0.9] {
-        let mut model = bench_model_config();
-        model.lambda = lambda;
-        let cfg = SketchConfig {
-            encoding: EncodingKind::Embedding,
-            hops: 3,
-            model,
-            train: bench_train_config(),
-            prone_dim: 32,
-            seed: 0xAB2,
-        };
-        let (stats, _) = train_eval_config(&sc, &train, &test, &cfg);
-        t.row(vec![format!("{lambda:.2}"), stats.render()]);
+    for r in rows {
+        t.row(vec![r.label, r.qerror]);
     }
     t.print();
     println!("\nexpected: accuracy is flat for moderate λ (the paper reports insensitivity);");

@@ -5,15 +5,15 @@
 //!
 //! Run: `cargo run -p alss-bench --bin fig10 --release`
 
-use alss_bench::scenario::{bench_model_config, bench_train_config, load_scenario};
+use alss_bench::evalkit::{score_sketch, MethodResult};
+use alss_bench::scenario::{bench_sketch_config, load_scenario};
 use alss_bench::table::fnum;
 use alss_bench::TableWriter;
 use alss_core::encode::EncodingKind;
-use alss_core::train::{encode_workload, finetune_model, EncodedItem};
-use alss_core::workload::Workload;
+use alss_core::train::{encode_workload_with, finetune_model, EncodedItem};
 use alss_core::{
-    active_round, LearnedSketch, LssEnsemble, PoolItem, QErrorStats, SketchConfig, Strategy,
-    TrainConfig,
+    active_round, LearnedSketch, LssEnsemble, Parallelism, PoolItem, QErrorStats, SketchConfig,
+    Strategy, TrainConfig,
 };
 use alss_graph::io::to_text;
 use alss_matching::Semantics;
@@ -32,11 +32,23 @@ fn reg_loss(pairs: &[(f64, f64)]) -> f64 {
         / pairs.len().max(1) as f64
 }
 
-fn eval_sketch(sketch: &LearnedSketch, test: &Workload) -> Vec<(f64, f64, usize)> {
-    test.queries
-        .iter()
-        .map(|q| (q.count as f64, sketch.estimate(&q.graph), q.size()))
-        .collect()
+/// A strategy's row of the (a)+(b) summary table.
+fn summary_row(strategy: &str, pairs: &[(f64, f64)]) -> Vec<String> {
+    let stats = QErrorStats::from_pairs(pairs).expect("non-empty test");
+    vec![
+        strategy.to_string(),
+        fnum(reg_loss(pairs)),
+        fnum(stats.l1_log),
+    ]
+}
+
+/// A strategy's rows of the (c) per-size table.
+fn per_size_rows(t: &mut TableWriter, strategy: &str, sizes: &[usize], scored: &MethodResult) {
+    for &size in sizes {
+        if let Some(st) = QErrorStats::from_pairs(&scored.pairs_of_size(size)) {
+            t.row(vec![strategy.to_string(), size.to_string(), st.render()]);
+        }
+    }
 }
 
 fn main() {
@@ -62,14 +74,7 @@ fn main() {
         .collect();
     let oracle = |g: &alss_graph::Graph| truth.get(&to_text(g)).copied();
 
-    let cfg = SketchConfig {
-        encoding: EncodingKind::Frequency,
-        hops: 3,
-        model: bench_model_config(),
-        train: bench_train_config(),
-        prone_dim: 32,
-        seed: 0x10,
-    };
+    let cfg = bench_sketch_config(EncodingKind::Frequency, 0x10);
     let rounds = 2usize;
     let budget = (pool_w.len() / (2 * rounds)).max(2);
     let finetune = TrainConfig {
@@ -79,32 +84,16 @@ fn main() {
 
     // base model (shared starting point for every strategy)
     let (base, _) = LearnedSketch::train(&sc.data, train, &cfg);
-    let base_eval = eval_sketch(&base, test);
-    let base_pairs: Vec<(f64, f64)> = base_eval.iter().map(|&(c, e, _)| (c, e)).collect();
-
+    let sizes = test.sizes();
+    let base_eval = score_sketch(&base, test);
     let mut summary = TableWriter::new(&["strategy", "test reg-loss", "avg L1 (log10)"]);
-    let base_stats = QErrorStats::from_pairs(&base_pairs).expect("non-empty test");
-    summary.row(vec![
-        "ORI".to_string(),
-        fnum(reg_loss(&base_pairs)),
-        fnum(base_stats.l1_log),
-    ]);
-
+    summary.row(summary_row("ORI", &base_eval.pairs()));
     let mut per_size = TableWriter::new(&["strategy", "size", "q-error distribution"]);
-    for size in test.sizes() {
-        let pairs: Vec<(f64, f64)> = base_eval
-            .iter()
-            .filter(|&&(_, _, s)| s == size)
-            .map(|&(c, e, _)| (c, e))
-            .collect();
-        if let Some(st) = QErrorStats::from_pairs(&pairs) {
-            per_size.row(vec!["ORI".to_string(), size.to_string(), st.render()]);
-        }
-    }
+    per_size_rows(&mut per_size, "ORI", &sizes, &base_eval);
 
     for strategy in Strategy::all() {
         let mut sketch = base.clone();
-        let mut items = encode_workload(sketch.encoder(), train);
+        let mut items = encode_workload_with(sketch.encoder(), train, Parallelism::auto());
         let mut pool: Vec<PoolItem> = pool_w
             .queries
             .iter()
@@ -127,28 +116,9 @@ fn main() {
                 &mut rng,
             );
         }
-        let eval = eval_sketch(&sketch, test);
-        let pairs: Vec<(f64, f64)> = eval.iter().map(|&(c, e, _)| (c, e)).collect();
-        let stats = QErrorStats::from_pairs(&pairs).expect("non-empty");
-        summary.row(vec![
-            strategy.name().to_string(),
-            fnum(reg_loss(&pairs)),
-            fnum(stats.l1_log),
-        ]);
-        for size in test.sizes() {
-            let sp: Vec<(f64, f64)> = eval
-                .iter()
-                .filter(|&&(_, _, s)| s == size)
-                .map(|&(c, e, _)| (c, e))
-                .collect();
-            if let Some(st) = QErrorStats::from_pairs(&sp) {
-                per_size.row(vec![
-                    strategy.name().to_string(),
-                    size.to_string(),
-                    st.render(),
-                ]);
-            }
-        }
+        let eval = score_sketch(&sketch, test);
+        summary.row(summary_row(strategy.name(), &eval.pairs()));
+        per_size_rows(&mut per_size, strategy.name(), &sizes, &eval);
     }
 
     // ENS: committee of 5 models on 80% folds of the training data
@@ -170,7 +140,7 @@ fn main() {
         }
         let mut items: Vec<Vec<EncodedItem>> = members
             .iter()
-            .map(|m| encode_workload(m.encoder(), train))
+            .map(|m| encode_workload_with(m.encoder(), train, Parallelism::auto()))
             .collect();
         let mut pool: Vec<PoolItem> = pool_w
             .queries
@@ -184,7 +154,7 @@ fn main() {
         for round in 0..rounds {
             let ens = LssEnsemble::new(members.iter().map(|m| m.model().clone()).collect());
             let encoded: Vec<_> = pool.iter().map(|p| p.encoded.clone()).collect();
-            let mut sel = ens.select_batch(&encoded, budget, &mut rng);
+            let mut sel = ens.select_batch(&encoded, budget, &mut rng, Parallelism::auto());
             sel.sort_unstable_by(|a, b| b.cmp(a));
             for idx in sel {
                 let item = pool.swap_remove(idx);
@@ -207,12 +177,7 @@ fn main() {
                 (q.count as f64, ens.predict_count(&eq))
             })
             .collect();
-        let stats = QErrorStats::from_pairs(&pairs).expect("non-empty");
-        summary.row(vec![
-            "ENS".to_string(),
-            fnum(reg_loss(&pairs)),
-            fnum(stats.l1_log),
-        ]);
+        summary.row(summary_row("ENS", &pairs));
     }
 
     println!("--- (a)+(b) final test losses ---");

@@ -4,13 +4,14 @@
 //!
 //! Run: `cargo run -p alss-bench --bin fig11 --release`
 
-use alss_bench::scenario::{bench_model_config, bench_train_config, load_scenario};
+use alss_bench::evalkit::score_sketch;
+use alss_bench::scenario::{bench_sketch_config, load_scenario};
 use alss_bench::TableWriter;
 use alss_core::encode::EncodingKind;
-use alss_core::train::encode_workload;
+use alss_core::train::encode_workload_with;
 use alss_core::workload::{LabeledQuery, Workload};
 use alss_core::{
-    active_round, LearnedSketch, PoolItem, QErrorStats, SketchConfig, Strategy, TrainConfig,
+    active_round, LearnedSketch, Parallelism, PoolItem, QErrorStats, Strategy, TrainConfig,
 };
 use alss_graph::io::to_text;
 use alss_matching::Semantics;
@@ -31,18 +32,8 @@ fn main() {
     // fixed test set: 40% of each size bucket; the rest is the train pool
     let mut rng = SmallRng::seed_from_u64(11);
     let (pool_all, test) = sc.workload.stratified_split(0.6, &mut rng);
-    let mut small: Vec<LabeledQuery> = pool_all
-        .queries
-        .iter()
-        .filter(|q| is_small(q))
-        .cloned()
-        .collect();
-    let mut large: Vec<LabeledQuery> = pool_all
-        .queries
-        .iter()
-        .filter(|q| !is_small(q))
-        .cloned()
-        .collect();
+    let (mut small, mut large): (Vec<LabeledQuery>, Vec<LabeledQuery>) =
+        pool_all.queries.iter().cloned().partition(is_small);
     small.shuffle(&mut rng);
     large.shuffle(&mut rng);
 
@@ -64,10 +55,13 @@ fn main() {
     for (s_part, l_part) in [(2usize, 8usize), (4, 6), (5, 5), (6, 4), (8, 2)] {
         let n_small = (train_total * s_part / 10).min(small.len());
         let n_large = (train_total * l_part / 10).min(large.len());
-        let mut train_queries: Vec<LabeledQuery> = Vec::new();
-        train_queries.extend(small[..n_small].iter().cloned());
-        train_queries.extend(large[..n_large].iter().cloned());
-        let train = Workload::from_queries(train_queries);
+        let train = Workload::from_queries(
+            small[..n_small]
+                .iter()
+                .chain(&large[..n_large])
+                .cloned()
+                .collect(),
+        );
         // remaining pool queries feed the AL rounds
         let pool_rest: Vec<LabeledQuery> = small[n_small..]
             .iter()
@@ -80,26 +74,14 @@ fn main() {
             EncodingKind::Embedding,
             EncodingKind::Concatenated,
         ] {
-            let cfg = SketchConfig {
-                encoding: enc,
-                hops: 3,
-                model: bench_model_config(),
-                train: bench_train_config(),
-                prone_dim: 32,
-                seed: 0x11,
-            };
+            let cfg = bench_sketch_config(enc, 0x11);
             let (mut sketch, _) = LearnedSketch::train(&sc.data, &train, &cfg);
 
             // LSS rows
             let eval = |sk: &LearnedSketch, tag: &str, t: &mut TableWriter| {
+                let scored = score_sketch(sk, &test);
                 for size in test.sizes() {
-                    let pairs: Vec<(f64, f64)> = test
-                        .queries
-                        .iter()
-                        .filter(|q| q.size() == size)
-                        .map(|q| (q.count as f64, sk.estimate(&q.graph)))
-                        .collect();
-                    if let Some(st) = QErrorStats::from_pairs(&pairs) {
+                    if let Some(st) = QErrorStats::from_pairs(&scored.pairs_of_size(size)) {
                         t.row(vec![
                             format!("{s_part}:{l_part}"),
                             format!("{}{tag}", enc),
@@ -112,7 +94,7 @@ fn main() {
             eval(&sketch, "", &mut t);
 
             // ALSS: 2 CTC rounds
-            let mut items = encode_workload(sketch.encoder(), &train);
+            let mut items = encode_workload_with(sketch.encoder(), &train, Parallelism::auto());
             let mut pool: Vec<PoolItem> = pool_rest
                 .iter()
                 .map(|q| PoolItem {

@@ -4,14 +4,12 @@
 //!
 //! Run: `cargo run -p alss-bench --bin fig12 --release [datasets...]`
 
-use alss_bench::scenario::{
-    bench_model_config, bench_train_config, load_scenario, per_size, selected_datasets,
-};
+use alss_bench::scenario::{bench_sketch_config, load_scenario, per_size, selected_datasets};
 use alss_bench::table::fnum;
 use alss_bench::TableWriter;
 use alss_core::encode::EncodingKind;
 use alss_core::workload::{LabeledQuery, Workload};
-use alss_core::{LearnedSketch, SketchConfig};
+use alss_core::LearnedSketch;
 use alss_datasets::queries::{assign_pattern_labels, unlabeled_patterns};
 use alss_ghd::enumerate_ghds;
 use alss_ghd::plan::{agm_cost, choose_plan, true_cost, RelationIndex};
@@ -79,17 +77,10 @@ fn main() {
             );
             continue;
         }
-        let cfg = SketchConfig {
-            // embedding features fit the random-label cost-model workload
-            // far better than frequency features (see DESIGN.md centering
-            // note + the Fig 4 encoder comparison)
-            encoding: EncodingKind::Embedding,
-            hops: 3,
-            model: bench_model_config(),
-            train: bench_train_config(),
-            prone_dim: 32,
-            seed: 0x12,
-        };
+        // embedding features fit the random-label cost-model workload far
+        // better than frequency features (see DESIGN.md centering note +
+        // the Fig 4 encoder comparison)
+        let cfg = bench_sketch_config(EncodingKind::Embedding, 0x12);
         let (sketch, _) = LearnedSketch::train(&sc.data, &train, &cfg);
         let rel_index = RelationIndex::new(&sc.data);
 

@@ -3,7 +3,7 @@
 //!
 //! Run: `cargo run -p alss-bench --bin fig5 --release [datasets...]`
 
-use alss_bench::evalkit::run_homomorphism_baselines;
+use alss_bench::evalkit::run_baselines;
 use alss_bench::scenario::{load_scenario, selected_datasets};
 use alss_bench::TableWriter;
 use alss_matching::Semantics;
@@ -17,7 +17,7 @@ fn main() {
             alss_telemetry::progress("fig5", &format!("{name}: workload empty, skipped"));
             continue;
         }
-        let methods = run_homomorphism_baselines(&sc, &sc.workload);
+        let methods = run_baselines(&sc, &sc.workload);
         println!("\n[{name}]");
         let mut t = TableWriter::new(&["size", "CS", "WJ", "JSUB"]);
         for size in sc.workload.sizes() {

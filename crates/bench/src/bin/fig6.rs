@@ -4,13 +4,11 @@
 //!
 //! Run: `cargo run -p alss-bench --bin fig6 --release`
 
-use alss_bench::evalkit::{run_homomorphism_baselines, train_and_eval_lss, MethodResult};
-use alss_bench::scenario::load_scenario;
+use alss_bench::evalkit::{run_baselines, train_and_eval_lss, MethodResult};
+use alss_bench::scenario::{bench_sketch_config, load_scenario};
 use alss_bench::TableWriter;
 use alss_core::{EncodingKind, QErrorStats};
 use alss_matching::Semantics;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 fn bucket_of(truth: f64) -> usize {
     // buckets: [1,1e2), [1e2,1e4), [1e4,1e6), [1e6,inf)
@@ -29,17 +27,16 @@ const BUCKETS: [&str; 4] = ["[1,1e2)", "[1e2,1e4)", "[1e4,1e6)", ">=1e6"];
 fn main() {
     let _telemetry = alss_telemetry::init("fig6", alss_bench::telemetry_arg().as_deref());
     let sc = load_scenario("aids", Semantics::Homomorphism);
-    let mut rng = SmallRng::seed_from_u64(6);
-    let (train, test) = sc.workload.stratified_split(0.8, &mut rng);
+    let (train, test) = sc.split(6);
     println!(
         "== Fig 6 [aids]: q-error by true-count range ({} test queries) ==\n",
         test.len()
     );
-    let mut methods: Vec<MethodResult> = vec![
-        train_and_eval_lss(&sc, &train, &test, EncodingKind::Frequency, 0x66).result,
-        train_and_eval_lss(&sc, &train, &test, EncodingKind::Embedding, 0x66).result,
-    ];
-    methods.extend(run_homomorphism_baselines(&sc, &test));
+    let mut methods: Vec<MethodResult> = [EncodingKind::Frequency, EncodingKind::Embedding]
+        .into_iter()
+        .map(|enc| train_and_eval_lss(&sc, &train, &test, &bench_sketch_config(enc, 0x66)).result)
+        .collect();
+    methods.extend(run_baselines(&sc, &test));
 
     let mut t = TableWriter::new(&["count range", "method", "q-error distribution"]);
     for (b, bname) in BUCKETS.iter().enumerate() {

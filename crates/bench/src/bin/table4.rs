@@ -4,32 +4,26 @@
 //! Run: `cargo run -p alss-bench --bin table4 --release [datasets...]`
 
 use alss_bench::evalkit::{encodings_for, train_and_eval_lss};
-use alss_bench::scenario::{load_scenario, selected_datasets};
+use alss_bench::scenario::{bench_sketch_config, figure_scenarios};
 use alss_bench::table::fnum;
 use alss_bench::TableWriter;
 use alss_matching::Semantics;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 fn main() {
     let _telemetry = alss_telemetry::init("table4", alss_bench::telemetry_arg().as_deref());
     println!("== Table 4: training time (s) ==\n");
     let mut t = TableWriter::new(&["Dataset", "LSS-fre", "LSS-emb", "LSS-con", "Embedding"]);
-    for name in selected_datasets(&["aids", "yeast", "wordnet", "eu2005"]) {
-        let sc = load_scenario(&name, Semantics::Homomorphism);
-        if sc.workload.len() < 10 {
-            continue;
-        }
-        let mut rng = SmallRng::seed_from_u64(0x44);
-        let (train, test) = sc.workload.stratified_split(0.8, &mut rng);
-        let mut cells = vec![name.clone()];
+    for sc in figure_scenarios(
+        &["aids", "yeast", "wordnet", "eu2005"],
+        Semantics::Homomorphism,
+    ) {
+        let (train, test) = sc.split(0x44);
+        let mut cells = vec![sc.name.clone()];
         let mut emb_time = 0.0f64;
-        for enc in encodings_for(&name) {
-            let eval = train_and_eval_lss(&sc, &train, &test, enc, 0x44);
+        for enc in encodings_for(&sc.name) {
+            let eval = train_and_eval_lss(&sc, &train, &test, &bench_sketch_config(enc, 0x44));
             cells.push(fnum(eval.report.duration.as_secs_f64()));
-            if eval.encoder_secs > emb_time {
-                emb_time = eval.encoder_secs;
-            }
+            emb_time = emb_time.max(eval.encoder_secs);
         }
         while cells.len() < 4 {
             cells.push("-".to_string());

@@ -1,19 +1,32 @@
 //! # alss-bench
 //!
-//! Shared harness for the figure/table reproduction binaries (one binary
-//! per table and figure of §6 — see DESIGN.md's experiment index).
+//! One harness for the figure/table reproduction binaries (one binary per
+//! table and figure of §6 and per ablation — see DESIGN.md's experiment
+//! index). Each binary's `main` holds only what makes its figure
+//! different — datasets, semantics, seeds, the knob it sweeps, its title
+//! and footnote — and takes the rest from here:
 //!
-//! The harness generates the synthetic Table 2 analogues and Table 3
-//! workloads once and caches them as JSON under `bench_data/`, so repeated
-//! figure runs skip ground-truth recomputation. Scale and fidelity are
-//! controlled by environment variables:
+//! * [`scenario`] — the one sketch configuration
+//!   ([`bench_sketch_config`]), the synthetic Table 2 analogues and
+//!   Table 3 workloads (generated once and cached as JSON under
+//!   `bench_data/`, so repeated runs skip ground-truth recomputation),
+//!   the command-line dataset selection and the 80/20 split;
+//! * [`evalkit`] — the one LSS scorer, the baseline dispatcher, the
+//!   exact-engine timer, the per-size q-error and latency tables of
+//!   Figs. 4/7 and 8/9, and the single-knob ablation sweep;
+//! * [`table`] — aligned text tables; [`telemetry`] — the `--telemetry`
+//!   flag; [`validate`] — the capture checker behind `validate_telemetry`.
+//!
+//! Scale and fidelity are controlled by environment variables:
 //!
 //! * `ALSS_SCALE` — dataset scale factor (default 0.25 of the DESIGN.md
 //!   sizes; 1.0 for the full synthetic sizes);
-//! * `ALSS_PER_SIZE` — labeled queries per query size (default 25);
-//! * `ALSS_EPOCHS` — training epochs (default 40);
+//! * `ALSS_PER_SIZE` — labeled queries per query size (default 40);
+//! * `ALSS_EPOCHS` — training epochs (default 60);
 //! * `ALSS_FULL=1` — paper-fidelity model (3×64 GIN, 4-head attention)
-//!   instead of the fast default (2×32, 2 heads).
+//!   instead of the fast default (2×32, 2 heads);
+//! * `ALSS_CACHE_DIR` — where datasets and workloads are cached (default
+//!   `bench_data`).
 
 // Library code reports failures as `Result`, prints only through
 // `alss_telemetry`, and waives a lint only with `#[expect(.., reason)]`.
@@ -42,9 +55,6 @@ pub mod table;
 pub mod telemetry;
 pub mod validate;
 
-pub use scenario::{
-    bench_model_config, bench_train_config, epochs, full_fidelity, load_dataset, load_workload,
-    per_size, scale, Scenario,
-};
+pub use scenario::{bench_sketch_config, load_dataset, load_workload, per_size, scale, Scenario};
 pub use table::TableWriter;
 pub use telemetry::{strip_run_flags, telemetry_arg};

@@ -1,48 +1,48 @@
-//! Scenario loading: datasets + workloads with JSON caching.
+//! What every figure binary starts from: the one bench sketch
+//! configuration, each dataset's scenario (data graph plus labeled
+//! workload, cached as JSON), the datasets named on the command line and
+//! the §6.2 80/20 split.
 
 use alss_core::workload::Workload;
-use alss_core::{LssConfig, TrainConfig};
+use alss_core::{EncodingKind, LssConfig, SketchConfig, TrainConfig};
 use alss_datasets::queries::WorkloadSpec;
 use alss_datasets::{by_name, generate_workload};
 use alss_graph::io::{from_text, to_text};
 use alss_graph::Graph;
 use alss_matching::Semantics;
 use alss_nn::AdamConfig;
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 use std::path::PathBuf;
 
-/// Environment-variable dataset scale factor.
+/// The value of environment variable `name`, or `default` when it is
+/// unset or does not parse.
+fn env_or<T: std::str::FromStr>(name: &str, default: T) -> T {
+    std::env::var(name)
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(default)
+}
+
+/// Dataset scale factor (`ALSS_SCALE`).
 pub fn scale() -> f64 {
-    std::env::var("ALSS_SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.25)
+    env_or("ALSS_SCALE", 0.25)
 }
 
-/// Labeled queries per query size.
+/// Labeled queries per query size (`ALSS_PER_SIZE`).
 pub fn per_size() -> usize {
-    std::env::var("ALSS_PER_SIZE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(40)
+    env_or("ALSS_PER_SIZE", 40)
 }
 
-/// Training epochs.
-pub fn epochs() -> usize {
-    std::env::var("ALSS_EPOCHS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(60)
-}
-
-/// Whether to use the paper-fidelity model configuration.
-pub fn full_fidelity() -> bool {
-    std::env::var("ALSS_FULL").is_ok_and(|v| v == "1")
-}
-
-/// The model configuration used by the bench binaries.
-pub fn bench_model_config() -> LssConfig {
-    if full_fidelity() {
-        LssConfig::default() // 3×64 GIN, 4-head attention, dropout 0.5
+/// The sketch configuration every bench binary trains: 3-hop
+/// decomposition (the paper's `l`), a 32-dimensional ProNE embedding,
+/// `ALSS_EPOCHS` (default 60) epochs of Adam, and the fast 2×32 GIN with
+/// 2 attention heads, or under `ALSS_FULL=1` the paper-fidelity model
+/// (3×64 GIN, 4-head attention, dropout 0.5). An ablation changes one
+/// field of it.
+pub fn bench_sketch_config(encoding: EncodingKind, seed: u64) -> SketchConfig {
+    let model = if std::env::var("ALSS_FULL").is_ok_and(|v| v == "1") {
+        LssConfig::default()
     } else {
         LssConfig {
             hidden: 32,
@@ -51,17 +51,11 @@ pub fn bench_model_config() -> LssConfig {
             att_hidden: 32,
             att_heads: 2,
             mlp_hidden: 32,
-            num_classes: 16,
-            lambda: 1.0 / 3.0,
             ..Default::default()
         }
-    }
-}
-
-/// The training configuration used by the bench binaries.
-pub fn bench_train_config() -> TrainConfig {
-    TrainConfig {
-        epochs: epochs(),
+    };
+    let train = TrainConfig {
+        epochs: env_or("ALSS_EPOCHS", 60),
         batch_size: 4,
         adam: AdamConfig {
             lr: 3e-3,
@@ -71,6 +65,14 @@ pub fn bench_train_config() -> TrainConfig {
         },
         seed: 42,
         parallelism: alss_core::Parallelism::auto(),
+    };
+    SketchConfig {
+        encoding,
+        hops: 3,
+        model,
+        train,
+        prone_dim: 32,
+        seed,
     }
 }
 
@@ -98,6 +100,16 @@ pub struct Scenario {
     pub workload: Workload,
     /// Counting semantics of the workload.
     pub semantics: Semantics,
+}
+
+impl Scenario {
+    /// §6.2's protocol: each query-size bucket, shuffled by `seed`, gives
+    /// 80% of its queries to the first (train) part and the rest to the
+    /// second (test) part.
+    pub fn split(&self, seed: u64) -> (Workload, Workload) {
+        self.workload
+            .stratified_split(0.8, &mut SmallRng::seed_from_u64(seed))
+    }
 }
 
 fn cache_dir() -> PathBuf {
@@ -183,6 +195,29 @@ pub fn load_scenario(name: &str, semantics: Semantics) -> Scenario {
         workload,
         semantics,
     }
+}
+
+/// The scenarios of the datasets selected on the command line (see
+/// [`selected_datasets`]), loaded one at a time and skipping each whose
+/// workload has fewer than 10 queries, too few to split 80/20.
+pub fn figure_scenarios(defaults: &[&str], semantics: Semantics) -> impl Iterator<Item = Scenario> {
+    selected_datasets(defaults)
+        .into_iter()
+        .map(move |name| load_scenario(&name, semantics))
+        .filter(|sc| {
+            let big_enough = sc.workload.len() >= 10;
+            if !big_enough {
+                alss_telemetry::progress(
+                    "scenario",
+                    &format!(
+                        "{}: workload too small ({}), skipped",
+                        sc.name,
+                        sc.workload.len()
+                    ),
+                );
+            }
+            big_enough
+        })
 }
 
 /// Datasets selected on the command line (defaults to `defaults` if no

@@ -102,22 +102,10 @@ pub fn uncertainty(strategy: Strategy, pred: &Prediction) -> f64 {
 }
 
 /// Select a batch of `budget` pool indices by normalized-uncertainty
-/// weighted sampling (§5 steps ①–②). Pool scoring fans out over the
-/// auto-detected thread count; see [`select_batch_with`] to pin it.
+/// weighted sampling (§5 steps ①–②), scoring the pool on `par` threads.
+/// Scoring is pure per item and weights come back in pool order, so for
+/// a fixed `rng` state the selection is identical at any thread count.
 pub fn select_batch<R: Rng>(
-    model: &LssModel,
-    pool: &[EncodedQuery],
-    strategy: Strategy,
-    budget: usize,
-    rng: &mut R,
-) -> Vec<usize> {
-    select_batch_with(model, pool, strategy, budget, rng, Parallelism::auto())
-}
-
-/// [`select_batch`] with an explicit thread count. Scoring is pure per
-/// item and weights come back in pool order, so for a fixed `rng` state
-/// the selection is identical at any thread count.
-pub fn select_batch_with<R: Rng>(
     model: &LssModel,
     pool: &[EncodedQuery],
     strategy: Strategy,
@@ -167,20 +155,10 @@ impl LssEnsemble {
         preds.iter().map(|p| (p - mean).powi(2)).sum::<f64>() / preds.len() as f64
     }
 
-    /// Select a batch by committee-variance weighted sampling. Pool
-    /// scoring fans out over the auto-detected thread count.
+    /// Select a batch by committee-variance weighted sampling, scoring
+    /// the pool on `par` threads; for a fixed `rng` state the selection
+    /// is identical at any thread count.
     pub fn select_batch<R: Rng>(
-        &self,
-        pool: &[EncodedQuery],
-        budget: usize,
-        rng: &mut R,
-    ) -> Vec<usize> {
-        self.select_batch_with(pool, budget, rng, Parallelism::auto())
-    }
-
-    /// [`LssEnsemble::select_batch`] with an explicit thread count; for a
-    /// fixed `rng` state the selection is identical at any thread count.
-    pub fn select_batch_with<R: Rng>(
         &self,
         pool: &[EncodedQuery],
         budget: usize,
@@ -312,7 +290,7 @@ mod tests {
         .map(|g| enc.encode_query(g))
         .collect();
         let mut rng = SmallRng::seed_from_u64(3);
-        let sel = ens.select_batch(&pool, 2, &mut rng);
+        let sel = ens.select_batch(&pool, 2, &mut rng, Parallelism::auto());
         assert_eq!(sel.len(), 2);
         assert_ne!(sel[0], sel[1]);
         assert!(sel.iter().all(|&i| i < 3));

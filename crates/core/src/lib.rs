@@ -61,13 +61,11 @@ pub mod sketch;
 pub mod train;
 pub mod workload;
 
-pub use active::{select_batch, select_batch_with, uncertainty, LssEnsemble, Strategy};
+pub use active::{select_batch, uncertainty, LssEnsemble, Strategy};
 pub use encode::{EncodedQuery, Encoder, EncodingKind};
 pub use metrics::{l1_log_error, q_error, QErrorStats};
 pub use model::{LssConfig, LssModel, Prediction};
 pub use parallel::{par_map, Parallelism};
 pub use sketch::{active_round, ActiveRoundReport, LearnedSketch, PoolItem, SketchConfig};
-pub use train::{
-    encode_workload, encode_workload_with, evaluate_with, train_model, TrainConfig, TrainReport,
-};
+pub use train::{encode_workload_with, evaluate_with, train_model, TrainConfig, TrainReport};
 pub use workload::{LabeledQuery, Workload};

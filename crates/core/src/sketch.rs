@@ -9,8 +9,9 @@ use crate::json::{
     variant_of,
 };
 use crate::model::{Aggregator, LssConfig, LssModel, Prediction};
+use crate::parallel::Parallelism;
 use crate::train::{
-    encode_workload, finetune_model, train_model, EncodedItem, TrainConfig, TrainReport,
+    encode_workload_with, finetune_model, train_model, EncodedItem, TrainConfig, TrainReport,
 };
 use crate::workload::Workload;
 use alss_embedding::prone::ProneConfig;
@@ -261,7 +262,7 @@ impl LearnedSketch {
     ) -> (Self, TrainReport) {
         let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0x5EED);
         let mut model = LssModel::new(cfg.model, encoder.node_dim(), encoder.edge_dim(), &mut rng);
-        let items = encode_workload(&encoder, workload);
+        let items = encode_workload_with(&encoder, workload, Parallelism::auto());
         let report = train_model(&mut model, &items, &cfg.train);
         (LearnedSketch { encoder, model }, report)
     }
@@ -338,7 +339,14 @@ pub fn active_round<R: Rng>(
     rng: &mut R,
 ) -> ActiveRoundReport {
     let encoded: Vec<EncodedQuery> = pool.iter().map(|p| p.encoded.clone()).collect();
-    let mut selected = select_batch(&sketch.model, &encoded, strategy, budget, rng);
+    let mut selected = select_batch(
+        &sketch.model,
+        &encoded,
+        strategy,
+        budget,
+        rng,
+        Parallelism::auto(),
+    );
     selected.sort_unstable_by(|a, b| b.cmp(a)); // remove from the back
     let mut labeled = 0usize;
     let mut dropped = 0usize;
@@ -422,7 +430,7 @@ mod tests {
         let w = real_workload(&d);
         let cfg = SketchConfig::tiny();
         let (mut sketch, _) = LearnedSketch::train(&d, &w, &cfg);
-        let mut items = encode_workload(sketch.encoder(), &w);
+        let mut items = encode_workload_with(sketch.encoder(), &w, Parallelism::auto());
         let pool_queries = vec![
             graph_from_edges(&[0, 2], &[(0, 1)]),
             graph_from_edges(&[2, 1, 0], &[(0, 1), (1, 2)]),
@@ -574,7 +582,7 @@ mod tests {
         let w = real_workload(&d);
         let cfg = SketchConfig::tiny();
         let (mut sketch, _) = LearnedSketch::train(&d, &w, &cfg);
-        let mut items = encode_workload(sketch.encoder(), &w);
+        let mut items = encode_workload_with(sketch.encoder(), &w, Parallelism::auto());
         let g = graph_from_edges(&[0, 1], &[(0, 1)]);
         let mut pool = vec![PoolItem {
             encoded: sketch.encode(&g),

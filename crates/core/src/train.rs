@@ -89,14 +89,8 @@ pub struct TrainReport {
 /// A labeled, encoded training item.
 pub type EncodedItem = (EncodedQuery, u64);
 
-/// Encode a workload once (the encoding is deterministic, so the trainer
-/// caches it across epochs). Fans out over the auto-detected thread
-/// count; see [`encode_workload_with`] to pin it.
-pub fn encode_workload(encoder: &Encoder, workload: &Workload) -> Vec<EncodedItem> {
-    encode_workload_with(encoder, workload, Parallelism::auto())
-}
-
-/// [`encode_workload`] with an explicit thread count. Output is
+/// Encode a workload once on `par` threads (the encoding is
+/// deterministic, so the trainer caches it across epochs). Output is
 /// position-stable and independent of `par`.
 pub fn encode_workload_with(
     encoder: &Encoder,
@@ -275,11 +269,6 @@ pub fn evaluate_with(model: &LssModel, items: &[EncodedItem], par: Parallelism) 
     })
 }
 
-/// Deterministically seeded RNG, shared by the integration tests.
-pub fn seeded_rng(seed: u64) -> SmallRng {
-    SmallRng::seed_from_u64(seed)
-}
-
 /// Fenwick (binary-indexed) tree over per-item weights: prefix sums and
 /// point updates in O(log n), so k weighted draws cost O(n + k log n)
 /// instead of the O(n·k) of re-summing the pool on every draw.
@@ -449,9 +438,9 @@ mod tests {
     #[test]
     fn training_reduces_loss() {
         let enc = Encoder::frequency(&data_graph(), 3);
-        let mut rng = seeded_rng(0);
+        let mut rng = SmallRng::seed_from_u64(0);
         let mut model = LssModel::new(LssConfig::tiny(), enc.node_dim(), enc.edge_dim(), &mut rng);
-        let items = encode_workload(&enc, &toy_workload());
+        let items = encode_workload_with(&enc, &toy_workload(), Parallelism::auto());
         // mean multi-task loss on eval tapes
         let eval_loss = |model: &LssModel| {
             let total: f64 = items
@@ -477,9 +466,9 @@ mod tests {
     #[test]
     fn trained_model_orders_magnitudes() {
         let enc = Encoder::frequency(&data_graph(), 3);
-        let mut rng = seeded_rng(1);
+        let mut rng = SmallRng::seed_from_u64(1);
         let mut model = LssModel::new(LssConfig::tiny(), enc.node_dim(), enc.edge_dim(), &mut rng);
-        let items = encode_workload(&enc, &toy_workload());
+        let items = encode_workload_with(&enc, &toy_workload(), Parallelism::auto());
         train_model(&mut model, &items, &TrainConfig::quick(60));
         // the 2-node label (0,0) query (count 10) must predict far below the
         // 4-node (count 50k) query
@@ -493,7 +482,7 @@ mod tests {
 
     #[test]
     fn weighted_sampling_prefers_heavy_items() {
-        let mut rng = seeded_rng(2);
+        let mut rng = SmallRng::seed_from_u64(2);
         let weights = [0.0, 0.0, 100.0, 0.1];
         let mut hits = 0;
         for _ in 0..50 {
@@ -507,7 +496,7 @@ mod tests {
 
     #[test]
     fn weighted_sampling_without_replacement_is_distinct() {
-        let mut rng = seeded_rng(3);
+        let mut rng = SmallRng::seed_from_u64(3);
         let weights = [1.0, 2.0, 3.0, 4.0, 5.0];
         let picked = weighted_sample_without_replacement(&weights, 5, &mut rng);
         let mut sorted = picked.clone();
@@ -518,7 +507,7 @@ mod tests {
 
     #[test]
     fn zero_weights_fall_back_to_uniform() {
-        let mut rng = seeded_rng(4);
+        let mut rng = SmallRng::seed_from_u64(4);
         let weights = [0.0; 4];
         let picked = weighted_sample_without_replacement(&weights, 2, &mut rng);
         assert_eq!(picked.len(), 2);
@@ -527,7 +516,7 @@ mod tests {
 
     #[test]
     fn non_finite_weights_are_never_picked() {
-        let mut rng = seeded_rng(5);
+        let mut rng = SmallRng::seed_from_u64(5);
         // NaN / ±inf weights are sanitized to 0, so with finite mass
         // present they can never be drawn.
         let weights = [f64::NAN, 1.0, f64::INFINITY, 2.0, f64::NEG_INFINITY];
@@ -555,7 +544,7 @@ mod tests {
         let n = 100_000;
         let k = 1_000;
         let weights: Vec<f64> = (0..n).map(|i| 1.0 + (i % 97) as f64).collect();
-        let mut rng = seeded_rng(6);
+        let mut rng = SmallRng::seed_from_u64(6);
         let start = std::time::Instant::now();
         let picked = weighted_sample_without_replacement(&weights, k, &mut rng);
         let elapsed = start.elapsed();

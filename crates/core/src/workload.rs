@@ -133,24 +133,14 @@ impl Workload {
     }
 
     /// Stratified split by query size: `train_frac` of each size bucket
-    /// goes to the first returned workload (§6.2's 80/20 protocol).
+    /// goes to the first returned workload (§6.2's 80/20 protocol). This
+    /// is the two-part [`Workload::stratified_multi_split`].
     pub fn stratified_split<R: Rng>(&self, train_frac: f64, rng: &mut R) -> (Workload, Workload) {
         assert!((0.0..=1.0).contains(&train_frac), "fraction out of range");
-        let mut train = Vec::new();
-        let mut test = Vec::new();
-        for size in self.sizes() {
-            let mut bucket: Vec<LabeledQuery> = self.of_size(size).into_iter().cloned().collect();
-            bucket.shuffle(rng);
-            let k = split_size(bucket.len(), train_frac);
-            for (i, q) in bucket.into_iter().enumerate() {
-                if i < k {
-                    train.push(q);
-                } else {
-                    test.push(q);
-                }
-            }
-        }
-        (Workload::from_queries(train), Workload::from_queries(test))
+        let mut parts = self.stratified_multi_split(&[train_frac, 1.0 - train_frac], rng);
+        let test = parts.pop().unwrap_or_default();
+        let train = parts.pop().unwrap_or_default();
+        (train, test)
     }
 
     /// Split into `fractions.len()` parts stratified by size (e.g. the
@@ -218,6 +208,26 @@ mod tests {
         assert_eq!(te.len(), 8);
         assert_eq!(tr.of_size(3).len(), 16);
         assert_eq!(te.of_size(6).len(), 4);
+    }
+
+    #[test]
+    fn stratified_split_is_the_two_part_multi_split() {
+        let w = workload();
+        for seed in 0..4 {
+            for frac in [0.0, 0.25, 0.5, 0.8, 1.0] {
+                let (tr, te) = w.stratified_split(frac, &mut SmallRng::seed_from_u64(seed));
+                let parts = w.stratified_multi_split(
+                    &[frac, 1.0 - frac],
+                    &mut SmallRng::seed_from_u64(seed),
+                );
+                assert_eq!(
+                    tr.to_json(),
+                    parts[0].to_json(),
+                    "train, {frac} seed {seed}"
+                );
+                assert_eq!(te.to_json(), parts[1].to_json(), "test, {frac} seed {seed}");
+            }
+        }
     }
 
     #[test]

@@ -6,14 +6,16 @@
 //! suite is the executable statement of that contract.
 
 use alss_core::model::Aggregator;
-use alss_core::train::{encode_workload_with, evaluate_with, seeded_rng, train_model, TrainConfig};
+use alss_core::train::{encode_workload_with, evaluate_with, train_model, TrainConfig};
 use alss_core::{
-    select_batch_with, Encoder, LabeledQuery, LssConfig, LssEnsemble, LssModel, Parallelism,
-    Strategy, Workload,
+    select_batch, Encoder, LabeledQuery, LssConfig, LssEnsemble, LssModel, Parallelism, Strategy,
+    Workload,
 };
 use alss_graph::builder::graph_from_edges;
 use alss_graph::{Graph, GraphBuilder};
 use alss_nn::{AdamConfig, Aggregation, Tape};
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 
 fn data_graph() -> Graph {
     graph_from_edges(&[0, 0, 1, 1, 2], &[(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
@@ -64,7 +66,7 @@ fn train_config(threads: usize) -> TrainConfig {
 
 fn trained_at(threads: usize) -> (LssModel, Vec<f64>) {
     let enc = Encoder::frequency(&data_graph(), 3);
-    let mut rng = seeded_rng(11);
+    let mut rng = SmallRng::seed_from_u64(11);
     let mut model = LssModel::new(dropout_config(), enc.node_dim(), enc.edge_dim(), &mut rng);
     let items = encode_workload_with(&enc, &workload(), Parallelism::fixed(threads));
     let report = train_model(&mut model, &items, &train_config(threads));
@@ -160,9 +162,9 @@ fn select_batch_matches_serial_for_fixed_rng() {
         .map(|q| enc.encode_query(&q.graph))
         .collect();
     for strategy in Strategy::all() {
-        let mut rng_a = seeded_rng(21);
-        let mut rng_b = seeded_rng(21);
-        let serial = select_batch_with(
+        let mut rng_a = SmallRng::seed_from_u64(21);
+        let mut rng_b = SmallRng::seed_from_u64(21);
+        let serial = select_batch(
             &model,
             &pool,
             strategy,
@@ -170,7 +172,7 @@ fn select_batch_matches_serial_for_fixed_rng() {
             &mut rng_a,
             Parallelism::serial(),
         );
-        let parallel = select_batch_with(
+        let parallel = select_batch(
             &model,
             &pool,
             strategy,
@@ -187,7 +189,7 @@ fn ensemble_select_batch_matches_serial() {
     let enc = Encoder::frequency(&data_graph(), 3);
     let models: Vec<LssModel> = (0..2)
         .map(|s| {
-            let mut rng = seeded_rng(30 + s);
+            let mut rng = SmallRng::seed_from_u64(30 + s);
             LssModel::new(LssConfig::tiny(), enc.node_dim(), enc.edge_dim(), &mut rng)
         })
         .collect();
@@ -197,10 +199,10 @@ fn ensemble_select_batch_matches_serial() {
         .iter()
         .map(|q| enc.encode_query(&q.graph))
         .collect();
-    let mut rng_a = seeded_rng(40);
-    let mut rng_b = seeded_rng(40);
-    let serial = ens.select_batch_with(&pool, 3, &mut rng_a, Parallelism::serial());
-    let parallel = ens.select_batch_with(&pool, 3, &mut rng_b, Parallelism::fixed(4));
+    let mut rng_a = SmallRng::seed_from_u64(40);
+    let mut rng_b = SmallRng::seed_from_u64(40);
+    let serial = ens.select_batch(&pool, 3, &mut rng_a, Parallelism::serial());
+    let parallel = ens.select_batch(&pool, 3, &mut rng_b, Parallelism::fixed(4));
     assert_eq!(serial, parallel);
 }
 
@@ -260,7 +262,7 @@ fn oracle_queries() -> Vec<Graph> {
 }
 
 fn trained_with(cfg: LssConfig, enc: &Encoder, workload: &Workload) -> LssModel {
-    let mut rng = seeded_rng(11);
+    let mut rng = SmallRng::seed_from_u64(11);
     let mut model = LssModel::new(cfg, enc.node_dim(), enc.edge_dim(), &mut rng);
     let items = encode_workload_with(enc, workload, Parallelism::serial());
     train_model(&mut model, &items, &train_config(1));

@@ -1,24 +1,26 @@
 //! Integration test: training emits one well-formed `train.epoch` telemetry
 //! event per epoch through an installed capturing sink.
 
-use alss_core::train::{encode_workload, finetune_model, seeded_rng, train_model, TrainConfig};
-use alss_core::{Encoder, LabeledQuery, LssConfig, LssModel, Workload};
+use alss_core::train::{encode_workload_with, finetune_model, train_model, TrainConfig};
+use alss_core::{Encoder, LabeledQuery, LssConfig, LssModel, Parallelism, Workload};
 use alss_graph::builder::graph_from_edges;
 use alss_telemetry::test_support::with_capture;
 use alss_telemetry::Event;
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 use serde_json::Value;
 
 fn tiny_setup() -> (LssModel, Vec<(alss_core::EncodedQuery, u64)>) {
     let data = graph_from_edges(&[0, 0, 1, 1, 2], &[(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]);
     let enc = Encoder::frequency(&data, 3);
-    let mut rng = seeded_rng(7);
+    let mut rng = SmallRng::seed_from_u64(7);
     let model = LssModel::new(LssConfig::tiny(), enc.node_dim(), enc.edge_dim(), &mut rng);
     let queries = vec![
         LabeledQuery::new(graph_from_edges(&[0, 1], &[(0, 1)]), 100),
         LabeledQuery::new(graph_from_edges(&[0, 0, 1], &[(0, 1), (1, 2)]), 1_000),
         LabeledQuery::new(graph_from_edges(&[1, 1, 2], &[(0, 1), (1, 2)]), 2_000),
     ];
-    let items = encode_workload(&enc, &Workload::from_queries(queries));
+    let items = encode_workload_with(&enc, &Workload::from_queries(queries), Parallelism::auto());
     (model, items)
 }
 

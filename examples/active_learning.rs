@@ -5,9 +5,10 @@
 //!
 //! Run: `cargo run --release --example active_learning`
 
-use alss::core::train::encode_workload;
+use alss::core::train::encode_workload_with;
 use alss::core::{
-    active_round, LearnedSketch, PoolItem, QErrorStats, SketchConfig, Strategy, TrainConfig,
+    active_round, LearnedSketch, Parallelism, PoolItem, QErrorStats, SketchConfig, Strategy,
+    TrainConfig,
 };
 use alss::datasets::queries::{unlabeled_pool, WorkloadSpec};
 use alss::datasets::{by_name, generate_workload};
@@ -53,7 +54,7 @@ fn main() {
 
     for strategy in [Strategy::Random, Strategy::CrossTask] {
         let mut sketch = base.clone();
-        let mut items = encode_workload(sketch.encoder(), &train);
+        let mut items = encode_workload_with(sketch.encoder(), &train, Parallelism::auto());
         let mut pool: Vec<PoolItem> = pool_graphs
             .iter()
             .map(|g| PoolItem {

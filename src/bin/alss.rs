@@ -83,6 +83,24 @@ impl Args {
         }
     }
 
+    /// [`Args::parsed`], refusing a value that `ok` rejects: `bad value
+    /// for --<key>: <v> (must be <want>)`.
+    fn parsed_where<T: std::str::FromStr>(
+        &self,
+        key: &str,
+        default: T,
+        want: &str,
+        ok: impl Fn(&T) -> bool,
+    ) -> Result<T, String> {
+        let v = self.parsed(key, default)?;
+        if ok(&v) {
+            Ok(v)
+        } else {
+            let given = self.get(key).unwrap_or_default();
+            Err(format!("bad value for --{key}: {given} (must be {want})"))
+        }
+    }
+
     fn is_set(&self, key: &str) -> bool {
         self.flags.contains_key(key)
     }
@@ -192,8 +210,16 @@ fn load_workload(path: &str) -> Result<Workload, String> {
 }
 
 fn cmd_train(args: &Args, stdout: &mut dyn Write) -> CmdResult {
-    let g = load_graph(args.require("graph")?)?;
-    let w = load_workload(args.require("workload")?)?;
+    let graph = args.require("graph")?;
+    let g = load_graph(graph)?;
+    if g.num_nodes() == 0 {
+        return Err(format!("data graph {graph}: no nodes").into());
+    }
+    let workload = args.require("workload")?;
+    let w = load_workload(workload)?;
+    if w.is_empty() {
+        return Err(format!("workload {workload}: no queries to train on").into());
+    }
     let out = args.require("out")?;
     let epochs: usize = args.parsed("epochs", 60)?;
     let encoding = match args.get("encoding").unwrap_or("emb") {
@@ -207,8 +233,10 @@ fn cmd_train(args: &Args, stdout: &mut dyn Write) -> CmdResult {
         ..SketchConfig::default()
     };
     cfg.model.hidden = args.parsed("hidden", 32)?;
-    cfg.model.gnn_layers = args.parsed("layers", 2)?;
-    cfg.model.dropout = args.parsed("dropout", 0.1)?;
+    // Values `LearnedSketch::train` would panic on are refused here.
+    cfg.model.gnn_layers = args.parsed_where("layers", 2, "at least 1", |&n| n >= 1)?;
+    cfg.model.dropout =
+        args.parsed_where("dropout", 0.1, "in [0, 1)", |p| (0.0..1.0).contains(p))?;
     // --threads 0 (the default) auto-detects; any N pins the fan-out.
     let threads: usize = args.parsed("threads", 0)?;
     cfg.train = TrainConfig {
@@ -220,7 +248,7 @@ fn cmd_train(args: &Args, stdout: &mut dyn Write) -> CmdResult {
         },
         ..TrainConfig::default()
     };
-    cfg.prone_dim = args.parsed("prone-dim", 32)?;
+    cfg.prone_dim = args.parsed_where("prone-dim", 32, "at least 1", |&n| n >= 1)?;
     cfg.seed = args.parsed("seed", 42)?;
     let (sketch, report) = LearnedSketch::train(&g, &w, &cfg);
     sketch.save(out).map_err(|e| format!("save {out}: {e}"))?;

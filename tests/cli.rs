@@ -427,3 +427,117 @@ fn a_closed_stdout_is_a_clean_exit() {
     assert!(!stderr.contains("panicked"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The three-node data graph the `train_refuses_*` cases train on.
+const TRAIN_GRAPH: &str = "t 3 2\nv 0 0\nv 1 0\nv 2 1\ne 0 1\ne 1 2\n";
+
+/// `alss train` (one epoch) on the data graph `graph_text` and the
+/// workload `workload_json`, plus the flags `extra`: its exit code and
+/// stderr.
+fn train_with(
+    test: &str,
+    graph_text: &str,
+    workload_json: &str,
+    extra: &[&str],
+) -> (Option<i32>, String) {
+    let dir = tmpdir(test);
+    let graph = dir.join("g.txt");
+    std::fs::write(&graph, graph_text).unwrap();
+    let workload = dir.join("w.json");
+    std::fs::write(&workload, workload_json).unwrap();
+    let out = alss()
+        .args([
+            "train",
+            "--graph",
+            graph.to_str().unwrap(),
+            "--workload",
+            workload.to_str().unwrap(),
+            "--epochs",
+            "1",
+            "--out",
+            dir.join("s.json").to_str().unwrap(),
+        ])
+        .args(extra)
+        .output()
+        .expect("run train");
+    std::fs::remove_dir_all(&dir).ok();
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+/// A one-query workload on [`TRAIN_GRAPH`].
+fn one_query_workload() -> String {
+    let path = alss::graph::builder::graph_from_edges(&[0, 0, 1], &[(0, 1), (1, 2)]);
+    alss::core::Workload::from_queries(vec![alss::core::LabeledQuery::new(path, 2)]).to_json()
+}
+
+// Each input below panicked inside `LearnedSketch::train` (exit 101).
+
+#[test]
+fn train_refuses_a_workload_with_no_queries() {
+    let (code, stderr) = train_with("no_queries", TRAIN_GRAPH, r#"{"queries":[]}"#, &[]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.starts_with("error: workload "), "{stderr}");
+    assert!(
+        stderr
+            .trim_end()
+            .ends_with("w.json: no queries to train on"),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn train_refuses_a_data_graph_with_no_nodes() {
+    for encoding in ["emb", "fre"] {
+        let (code, stderr) = train_with(
+            "no_nodes",
+            "t 0 0\n",
+            &one_query_workload(),
+            &["--encoding", encoding],
+        );
+        assert_eq!(code, Some(1), "{encoding}: {stderr}");
+        assert!(stderr.starts_with("error: data graph "), "{stderr}");
+        assert!(stderr.trim_end().ends_with("g.txt: no nodes"), "{stderr}");
+    }
+}
+
+#[test]
+fn train_refuses_zero_layers() {
+    let args = ["--layers", "0"];
+    let (code, stderr) = train_with("zero_layers", TRAIN_GRAPH, &one_query_workload(), &args);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert_eq!(
+        stderr.trim_end(),
+        "error: bad value for --layers: 0 (must be at least 1)"
+    );
+}
+
+#[test]
+fn train_refuses_a_zero_prone_dim() {
+    let args = ["--prone-dim", "0"];
+    let (code, stderr) = train_with("zero_prone_dim", TRAIN_GRAPH, &one_query_workload(), &args);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert_eq!(
+        stderr.trim_end(),
+        "error: bad value for --prone-dim: 0 (must be at least 1)"
+    );
+}
+
+#[test]
+fn train_refuses_a_dropout_outside_zero_to_one() {
+    let workload = one_query_workload();
+    for p in ["1.5", "1", "-0.5", "NaN"] {
+        let args = ["--dropout", p];
+        let (code, stderr) = train_with("bad_dropout", TRAIN_GRAPH, &workload, &args);
+        assert_eq!(code, Some(1), "{p}: {stderr}");
+        assert_eq!(
+            stderr.trim_end(),
+            format!("error: bad value for --dropout: {p} (must be in [0, 1))")
+        );
+    }
+    let args = ["--dropout", "0"];
+    let (code, stderr) = train_with("bad_dropout", TRAIN_GRAPH, &workload, &args);
+    assert_eq!(code, Some(0), "{stderr}");
+}

@@ -9,9 +9,10 @@
     clippy::cast_possible_truncation,
     clippy::float_cmp
 )]
-use alss::core::train::encode_workload;
+use alss::core::train::encode_workload_with;
 use alss::core::{
-    active_round, LearnedSketch, PoolItem, QErrorStats, SketchConfig, Strategy, TrainConfig,
+    active_round, LearnedSketch, Parallelism, PoolItem, QErrorStats, SketchConfig, Strategy,
+    TrainConfig,
 };
 use alss::datasets::queries::{unlabeled_pool, WorkloadSpec};
 use alss::datasets::{by_name, generate_workload};
@@ -89,7 +90,7 @@ fn active_learning_rounds_integrate_with_exact_engine() {
 
     let pool_graphs = unlabeled_pool(&data, &[3, 4], 10, 0.0, 5);
     assert!(!pool_graphs.is_empty());
-    let mut items = encode_workload(sketch.encoder(), &train);
+    let mut items = encode_workload_with(sketch.encoder(), &train, Parallelism::auto());
     let mut pool: Vec<PoolItem> = pool_graphs
         .iter()
         .map(|g| PoolItem {

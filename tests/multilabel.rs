@@ -18,6 +18,8 @@ use alss::graph::io::{from_text, to_text};
 use alss::graph::labels::LabelStats;
 use alss::graph::{Graph, GraphBuilder};
 use alss::matching::{count_homomorphisms, count_isomorphisms, Budget};
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 
 /// A 4-node data graph where node 1 carries labels {0, 1} and node 3
 /// carries {2, 0}.
@@ -102,7 +104,7 @@ fn text_io_roundtrips_extra_labels() {
 #[test]
 fn encoder_sums_label_embeddings() {
     let g = multilabel_data();
-    let mut rng = alss::core::train::seeded_rng(0);
+    let mut rng = SmallRng::seed_from_u64(0);
     let enc = Encoder::embedding(
         &g,
         3,
